@@ -80,6 +80,8 @@ def _add_sweep_source_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
+    from repro.experiments.runner import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -176,12 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psw.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=BACKENDS,
         default="auto",
         help="simulation backend: 'events' = discrete-event engine, "
-        "'fast' = vectorized fast path, 'batch' = structure-of-arrays "
-        "batches over shape-homogeneous point groups (bit-identical "
-        "results), 'auto' = fast where supported (default)",
+        "'fast' = analytic fast path (bit-identical results), "
+        "'auto' = fast where supported (default)",
     )
     psw.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pfr.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=BACKENDS,
         default="auto",
         help="simulation backend for executed points (results are "
         "bit-identical across backends)",
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pex.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=BACKENDS,
         default="auto",
         help="backend used when a point's ledger must be recomputed "
         "(runs recorded without 'sweep --ledger'; ledgers are "
@@ -553,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pln.add_argument(
         "--backend",
-        choices=["auto", "events", "fast", "batch"],
+        choices=BACKENDS,
         default="auto",
         help="backend used when a point's lineage must be recomputed "
         "(runs recorded without 'sweep --lineage'; payloads are "
@@ -845,22 +846,6 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.backend == "batch":
-        from repro.experiments.sweep import build_scenario
-        from repro.sim.batch import batch_group_indices
-
-        batch_points = spec.expand()
-        groups = batch_group_indices(
-            [build_scenario(p.params) for p in batch_points]
-        )
-        if len(batch_points) > 1 and all(len(g) == 1 for g in groups):
-            print(
-                f"repro sweep: error: sweep '{spec.name}' is shape-heterogeneous "
-                "(no two points share a batchable shape), so --backend batch "
-                "degrades to per-point execution — use --backend fast",
-                file=sys.stderr,
-            )
-            return 2
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())

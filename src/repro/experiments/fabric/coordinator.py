@@ -53,6 +53,7 @@ from repro.experiments.fabric.shards import (
 from repro.experiments.fabric.transport import JOB_SCHEMA, FileTransport
 from repro.experiments.fabric.worker import worker_main
 from repro.experiments.progress import EventLog, SweepMetrics
+from repro.experiments.runner import BACKENDS
 from repro.util import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -253,7 +254,7 @@ def run_fabric_sweep(
 
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if backend not in ("auto", "events", "fast", "batch"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if num_shards is not None and shard_size is not None:
         raise ValueError("num_shards and shard_size are mutually exclusive")

@@ -25,9 +25,12 @@ from repro.runtime.tracing import TraceLog
 from repro.sim.engine import SimulationEngine
 from repro.telemetry import Telemetry
 
-__all__ = ["ExperimentResult", "run_scenario"]
+__all__ = ["BACKENDS", "ExperimentResult", "run_scenario"]
 
 ChareKey = Tuple[str, int]
+
+#: Every accepted ``backend`` value (see :func:`run_scenario`).
+BACKENDS = ("auto", "events", "fast")
 
 
 @dataclass(frozen=True)
@@ -107,30 +110,16 @@ def run_scenario(
     ``backend`` selects the simulation backend:
 
     * ``"events"`` — the discrete-event engine (always available);
-    * ``"fast"`` — the vectorized fast path (:mod:`repro.sim.fastpath`);
+    * ``"fast"`` — the analytic fast path (:mod:`repro.sim.fastpath`);
       raises :class:`~repro.sim.fastpath.FastpathUnsupported` if the
       scenario needs per-event artifacts;
-    * ``"batch"`` — the structure-of-arrays batch backend
-      (:mod:`repro.sim.batch`); for a single scenario this is a batch of
-      one, so it shares the fast path's support envelope. Sweeps are
-      where batching pays: :func:`repro.experiments.sweep.run_sweep`
-      executes whole shape-homogeneous point groups per batch call;
     * ``"auto"`` (default) — the fast path when supported, else events.
 
-    All backends are bit-identical on every result field; the parity
+    Both backends are bit-identical on every result field; the parity
     suite (``tests/experiments/test_backend_parity.py``) enforces this.
     """
-    if backend not in ("auto", "events", "fast", "batch"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "batch":
-        from repro.sim.batch import run_scenarios_batch
-
-        return run_scenarios_batch(
-            [scenario],
-            telemetries=[telemetry],
-            ledgers=[ledger],
-            lineages=[lineage],
-        )[0]
     if backend != "events":
         from repro.sim.fastpath import (
             fastpath_unsupported_reason,

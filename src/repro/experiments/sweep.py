@@ -84,7 +84,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.fabric.shards import default_shard_count, plan_shards
 from repro.experiments.progress import EventLog, SweepMetrics
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import BACKENDS, ExperimentResult, run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
 from repro.experiments.tables import format_table
 from repro.perf.profiler import profiled
@@ -507,24 +507,8 @@ def run_shard(
     callers can interleave progress events, cache writes and fault
     boundaries between points. ``worker`` overrides the default
     ``pid:<n>`` provenance tag.
-
-    ``backend="batch"`` trades that laziness for throughput: the whole
-    shard's scenarios are built up front, grouped by shape signature
-    (:func:`repro.sim.batch.batch_groups`) and executed as single batch
-    calls sharing one process and one work table per group — the first
-    pull therefore simulates the entire shard. Tuples still come back
-    one per point, in shard order, bit-identical to the lazy path.
     """
     tag = worker if worker is not None else f"pid:{os.getpid()}"
-    if backend == "batch":
-        from repro.sim.batch import run_scenarios_batch
-
-        scenarios = [build_scenario(params) for _, params in shard_points]
-        walls = [0.0] * len(scenarios)
-        results = run_scenarios_batch(scenarios, walls=walls)
-        for (index, _), result, wall in zip(shard_points, results, walls):
-            yield index, summarize_result(result).to_dict(), wall, tag
-        return
     for index, params in shard_points:
         t0 = time.perf_counter()
         summary = run_point(params, backend=backend)
@@ -783,17 +767,13 @@ def run_sweep(
         ``run_id`` is emitted. Ingest is strictly post-hoc — the
         per-point execution path never sees the registry.
     backend:
-        Simulation backend for executed points (``"auto"``, ``"events"``,
-        ``"fast"`` or ``"batch"``; see
-        :func:`repro.experiments.runner.run_scenario`). ``"batch"``
-        executes shape-homogeneous point groups as single
-        structure-of-arrays batch calls (:mod:`repro.sim.batch`) instead
-        of one simulation per point; heterogeneous points degrade to the
-        per-point fast path. Summaries are bit-identical across
-        backends, so the cache key — and therefore hits — are
-        backend-independent. Audited points (``audit_dir``) require
-        per-task tracing and always run on the event engine under
-        ``"auto"``.
+        Simulation backend for executed points, one of
+        :data:`repro.experiments.runner.BACKENDS` (see
+        :func:`repro.experiments.runner.run_scenario`). Summaries are
+        bit-identical across backends, so the cache key — and therefore
+        hits — are backend-independent. Audited points (``audit_dir``)
+        require per-task tracing and always run on the event engine
+        under ``"auto"``.
     driver:
         ``"local"`` (default) executes here — in-process or via a
         process pool; ``"fabric"`` delegates to the distributed
@@ -829,6 +809,8 @@ def run_sweep(
     """
     if driver not in ("local", "fabric"):
         raise ValueError(f"unknown driver {driver!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     if ledger and audit_dir is not None:
         raise ValueError(
             "ledger=True and audit_dir are mutually exclusive: each "
@@ -877,8 +859,6 @@ def run_sweep(
         raise ValueError("fabric_dir/fabric_options require driver='fabric'")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if backend not in ("auto", "events", "fast", "batch"):
-        raise ValueError(f"unknown backend {backend!r}")
     log = log if log is not None else EventLog()
     t_start = time.perf_counter()
 
@@ -894,36 +874,31 @@ def run_sweep(
     def audit_stem(p: SweepPoint) -> str:
         return f"{p.index:03d}-{_point_slug(p.label)}"
 
+    # the cache extra a hit must carry to be served without re-executing
+    probe = (
+        "audit" if audit_path is not None
+        else "ledger" if ledger
+        else "lineage" if lineage
+        else None
+    )
     outcomes: Dict[int, PointResult] = {}
     misses: List[SweepPoint] = []
+    # extras of hits re-executed for a missing probe payload; the new
+    # entry keeps them, so one probe sweep never evicts another's payload
+    kept_extras: Dict[int, Dict[str, Any]] = {}
     for p in points:
         hit = cache.get(keys[p.index]) if cache is not None else None
-        cached_audit: Optional[Dict[str, Any]] = None
-        cached_ledger: Optional[Dict[str, Any]] = None
-        cached_lineage: Optional[Dict[str, Any]] = None
-        if hit is not None and audit_path is not None:
-            extras = cache.get_extras(keys[p.index])
-            cached_audit = extras.get("audit") if extras else None
-            if cached_audit is None:
-                # the entry predates auditing; the records must be
-                # regenerated, so treat it as a miss
+        payload: Optional[Dict[str, Any]] = None
+        if hit is not None and probe is not None:
+            extras = cache.get_extras(keys[p.index]) or {}
+            payload = extras.get(probe)
+            if payload is None:
                 hit = None
-        if hit is not None and ledger:
-            extras = cache.get_extras(keys[p.index])
-            cached_ledger = extras.get("ledger") if extras else None
-            if cached_ledger is None:
-                # no ledger payload cached for this entry: re-execute
-                hit = None
-        if hit is not None and lineage:
-            extras = cache.get_extras(keys[p.index])
-            cached_lineage = extras.get("lineage") if extras else None
-            if cached_lineage is None:
-                # no lineage payload cached for this entry: re-execute
-                hit = None
+                kept_extras[p.index] = extras
         if hit is not None:
-            if cached_audit is not None:
+            if probe == "audit":
                 write_audit_jsonl(
-                    cached_audit["records"],
+                    payload["records"],
                     audit_path / f"{audit_stem(p)}.jsonl",
                 )
             outcomes[p.index] = PointResult(
@@ -935,9 +910,9 @@ def run_sweep(
                 cached=True,
                 wall_s=0.0,
                 worker="cache",
-                audit=cached_audit["summary"] if cached_audit else None,
-                ledger=cached_ledger,
-                lineage=cached_lineage,
+                audit=payload["summary"] if probe == "audit" else None,
+                ledger=payload if probe == "ledger" else None,
+                lineage=payload if probe == "lineage" else None,
             )
         else:
             misses.append(p)
@@ -986,9 +961,12 @@ def run_sweep(
             lineage=lineage_payload,
         )
         if cache is not None:
-            extras = None
+            extras = kept_extras.get(p.index)
             if records is not None:
-                extras = {"audit": {"summary": audit_sum, "records": records}}
+                extras = {
+                    **(extras or {}),
+                    "audit": {"summary": audit_sum, "records": records},
+                }
             if ledger_summary is not None:
                 extras = {**(extras or {}), "ledger": ledger_summary}
             if lineage_payload is not None:
@@ -1069,7 +1047,7 @@ def run_sweep(
                 )
     elif misses and audit_path is not None:
         # audited pool path: per-point tasks (audit payloads are heavy
-        # enough that shard-granular batching buys nothing)
+        # enough that shard-granular grouping buys nothing)
         with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
             futures = {}
             for p in misses:

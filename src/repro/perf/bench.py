@@ -242,8 +242,8 @@ def _bench_contended_runs() -> float:
     """Fast-backend run rate on a fully contended scenario.
 
     Every application core shares time with the background job for the
-    whole run, so the analytic contention fold (not the solo-core prefix
-    sum) carries the entire simulation — the ratio against
+    whole run, so the analytic contention fold (not the solo-core fold)
+    carries the entire simulation — the ratio against
     ``fastpath.runs_per_s`` (half-contended smoke point) isolates the
     contended fold's cost.
     """
@@ -265,40 +265,6 @@ def _bench_contended_runs() -> float:
     wall = time.perf_counter() - t0
     assert result.app.finished_at > 0.0
     return reps / wall
-
-
-def _bench_batch_points(n: int) -> float:
-    """Batched structure-of-arrays execution rate at batch size ``n``.
-
-    The ``n`` lanes vary only the background weight, so the whole batch
-    is one shape-homogeneous group sharing a single work table
-    (:mod:`repro.sim.batch`). Scenario construction is inside the timed
-    region — that is what a sweep pays per point — so
-    ``batch.points_per_s_64 / batch.points_per_s_1`` reads directly as
-    the amortisation win of batching.
-    """
-    from repro.experiments.sweep import build_scenario
-    from repro.sim.batch import run_scenarios_batch
-
-    t0 = time.perf_counter()
-    scenarios = [
-        build_scenario(
-            {
-                "app": "jacobi2d",
-                "scale": 0.05,
-                "iterations": 10,
-                "cores": 4,
-                "bg": True,
-                "bg_weight": 0.5 + 0.03125 * i,
-                "balancer": "refine-vm",
-            }
-        )
-        for i in range(n)
-    ]
-    results = run_scenarios_batch(scenarios)
-    wall = time.perf_counter() - t0
-    assert all(r.app.finished_at > 0.0 for r in results)
-    return n / wall
 
 
 def _bench_lineaged_runs() -> float:
@@ -404,15 +370,11 @@ def default_benchmarks() -> List[Benchmark]:
         Benchmark("net.message_time_per_s", "micro", "calls/s", HIGHER, _bench_net_message_time),
         Benchmark("fastpath.runs_per_s", "micro", "runs/s", HIGHER, _bench_fastpath_runs),
         Benchmark("fastpath.contended_runs_per_s", "micro", "runs/s", HIGHER, _bench_contended_runs),
-        Benchmark("batch.points_per_s_1", "micro", "points/s", HIGHER, lambda: _bench_batch_points(1)),
-        Benchmark("batch.points_per_s_16", "micro", "points/s", HIGHER, lambda: _bench_batch_points(16), max_repeats=5, max_warmup=1),
-        Benchmark("batch.points_per_s_64", "micro", "points/s", HIGHER, lambda: _bench_batch_points(64), max_repeats=3, max_warmup=1),
         Benchmark("lineage.runs_per_s", "micro", "runs/s", HIGHER, _bench_lineaged_runs),
         Benchmark("cache.roundtrip_per_s", "micro", "ops/s", HIGHER, _bench_cache_roundtrip),
         Benchmark("macro.smoke_point_s", "macro", "s", LOWER, _bench_smoke_point, max_repeats=3, max_warmup=1),
         Benchmark("macro.smoke_point_events_s", "macro", "s", LOWER, lambda: _bench_smoke_point("events"), max_repeats=3, max_warmup=1),
         Benchmark("macro.smoke_sweep_s", "macro", "s", LOWER, _bench_smoke_sweep, max_repeats=3, max_warmup=1),
-        Benchmark("macro.smoke_sweep_batch_s", "macro", "s", LOWER, lambda: _bench_smoke_sweep("batch"), max_repeats=3, max_warmup=1),
         Benchmark("macro.smoke_sweep_events_s", "macro", "s", LOWER, lambda: _bench_smoke_sweep("events"), max_repeats=3, max_warmup=1),
     ]
 

@@ -22,27 +22,24 @@ same primitive operations, so IEEE-754 produces the same bits:
   chain under processor sharing with a single runnable process completes
   at the fold ``end_k = end_{k-1} + demand_k`` — exactly the floats the
   engine's dispatch/projection events produce, because a solo share is
-  ``w/w == 1.0`` and ``dt * 1.0 == dt``. The chain is evaluated as a NumPy
-  prefix sum (``np.add.accumulate`` is a sequential left fold) for large
-  chains and a scalar loop for short ones — identical results; a unit
-  test pins that equivalence. The engine's completion-epsilon
-  re-projection (``remaining > 1e-9`` at the projected completion) is
-  detected from the residuals and re-run in exact scalar form.
+  ``w/w == 1.0`` and ``dt * 1.0 == dt``. The chain is evaluated by one
+  scalar loop per core. The engine's completion-epsilon re-projection
+  (``remaining > 1e-9`` at the projected completion) is replayed inside
+  that loop in the same exact form.
 * **Contended cores** (application and background sharing a core, the
   paper's Figure 1 mechanism): advanced by an *analytic contention fold*.
   Under proportional sharing with a piecewise-constant runnable set the
   per-iteration advancement has a closed form: while the share split is
   constant, a chain of tasks with demands ``d_k`` on a core whose job
   holds share fraction ``f = w / Σw`` completes at
-  ``e_k = e_{k-1} + d_k / (f · speed)`` — the same prefix sum the solo
-  fold uses, evaluated with the engine's exact candidate/accrual float
-  expressions (vectorized via ``np.add.accumulate`` for long chains, a
-  scalar loop otherwise). Share-count change points that are *known
-  between LB steps* (a background task completing or re-dispatching at
-  its own barrier) are processed inline at their exact times, so
-  constant-share and piecewise-constant regimes never touch the event
-  heap. The fold stops at its *horizon* — the earliest pending heap
-  event that could affect the core (an irregular background
+  ``e_k = e_{k-1} + d_k / (f · speed)`` — the same fold the solo cores
+  use, evaluated one completion at a time with the engine's exact
+  candidate/accrual float expressions. Share-count change points that
+  are *known between LB steps* (a background task completing or
+  re-dispatching at its own barrier) are processed inline at their
+  exact times, so constant-share and piecewise-constant regimes never
+  touch the event heap. The fold stops at its *horizon* — the earliest
+  pending heap event that could affect the core (an irregular background
   arrival/departure, another core's cross-job cascade) — and hands the
   remainder to the exact event replay, one candidate completion per
   scheduling change, with the same accrual arithmetic as
@@ -61,6 +58,8 @@ unfinished job can observe it mid-iteration — either by running on it or
 by syncing it (the power meter reads every core of the application's
 nodes when the application finishes). Cores failing that test are
 replayed; correctness never depends on the classification being tight.
+Once every other job of the run has finished, the remaining job runs
+the rest of its iterations inline, without heap events.
 
 Scenarios using ``tracing`` or ``record_intervals`` (per-event artifacts
 by definition) are not supported; ``backend="auto"`` falls back to the
@@ -71,8 +70,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.cluster.netmodel import NetworkModel
 from repro.core.database import LBDatabase
@@ -99,13 +96,6 @@ __all__ = [
 ]
 
 ChareKey = Tuple[str, int]
-
-#: Below this many tasks the scalar chain fold beats NumPy call overhead.
-_VEC_MIN = 16
-
-#: Below this many remaining iterations the scalar batched loop beats the
-#: fixed NumPy setup cost of the whole-run iteration fold.
-_BATCH_VEC_MIN = 8
 
 # event kinds (heap entries are (time, seq, kind, obj, arg) tuples; the
 # unique seq guarantees comparisons never reach obj)
@@ -160,7 +150,7 @@ class _FastSim:
         pop = heapq.heappop
         while heap:
             time, _seq, kind, obj, arg = pop(heap)
-            # stale candidates must not touch the clock: batched jobs may
+            # stale candidates must not touch the clock: inline jobs may
             # have advanced it past this event's (dead) timestamp already
             if kind == _EV_CMPL:
                 if arg == obj.version:  # else: stale candidate, skip
@@ -487,7 +477,7 @@ class _FastJob:
         self.total_task_cpu_s = 0.0
         self._last_lb_completed = 0
         self._bg_window_base: Dict[int, float] = {}
-        #: the run's other jobs (set by the driver; gates batched mode)
+        #: the run's other jobs (set by the driver; gates inline mode)
         self.others: List["_FastJob"] = []
         #: optional TimeLedger (null hook, mirrors Runtime.ledger)
         self.ledger = None
@@ -582,7 +572,7 @@ class _FastJob:
                 return False
         return True
 
-    def _batchable(self) -> bool:
+    def _alone(self) -> bool:
         """True when every other job of the run is finished.
 
         From that point on nothing outside this job can schedule events,
@@ -597,8 +587,8 @@ class _FastJob:
         return True
 
     def _begin_iteration(self, iteration: int, T: float) -> None:
-        if self._batchable():
-            self._run_batched(iteration, T)
+        if self._alone():
+            self._run_inline(iteration, T)
             return
         if self.ledger is not None:
             self.ledger.mark_iteration(iteration, T)
@@ -647,59 +637,6 @@ class _FastJob:
         """
         led = self.ledger
         lin = self.lineage
-        if len(chs) == 1:
-            # one task per core — the shape of every batched background
-            # iteration; same arithmetic as the scalar fold below, minus
-            # the list building and loop machinery
-            ch = chs[0]
-            d = ch.work(iteration)
-            if d < 0:
-                raise ValueError(
-                    f"{ch!r}.work({iteration}) returned negative {d}"
-                )
-            dt = T - core.last
-            if dt > 0.0:
-                if led is not None:
-                    # no runnable procs in the gap: idle, or LB pause
-                    led.accrue(cid, core.last, T, ())
-                core.idle_time += dt
-            cbo = core.cpu_by_owner
-            name = self.name
-            busy = core.busy_time
-            own = cbo.get(name, 0.0)
-            sched = T
-            e = T + d
-            c = e - T
-            rem = d - c
-            busy += c
-            own += c
-            cpu = c
-            t = e
-            while rem > _COMPLETION_EPS:
-                sched = t
-                e = t + rem
-                dtx = e - t
-                busy += dtx
-                own += dtx
-                cpu += dtx
-                rem -= dtx
-                t = e
-            ch.executions += 1
-            ch.total_cpu_time += cpu
-            k = keys[0]
-            tc = self.db._task_cpu
-            tc[k] = tc.get(k, 0.0) + cpu
-            if lin is not None:
-                lin.record_sample(k, iteration, cid, cpu)
-            self._completions.append((t, sched, rank, cpu))
-            core.busy_time = busy
-            cbo[name] = own
-            core.last = t
-            if led is not None:
-                # the task ran alone: the whole interval is its compute
-                led.accrue_app(cid, T, t, k)
-            self._iter_core_wall[cid] = t - T
-            return t
         work = []
         for ch in chs:
             d = ch.work(iteration)
@@ -711,6 +648,7 @@ class _FastJob:
         dt = T - core.last
         if dt > 0.0:  # idle gap since the core's last activity
             if led is not None:
+                # no runnable procs in the gap: idle, or LB pause
                 led.accrue(cid, core.last, T, ())
             core.idle_time += dt
         name = self.name
@@ -723,43 +661,8 @@ class _FastJob:
         busy = core.busy_time
         own = core.cpu_by_owner.get(name, 0.0)
         wall = 0.0
-        n = len(work)
-        if n >= _VEC_MIN:
-            arr = np.empty(n + 1)
-            arr[0] = T
-            arr[1:] = work
-            ends_v = np.add.accumulate(arr)  # sequential left fold
-            cpus_v = ends_v[1:] - ends_v[:-1]
-            if float(np.max(np.asarray(work) - cpus_v)) <= _COMPLETION_EPS:
-                ends = ends_v[1:].tolist()
-                cpus = cpus_v.tolist()
-                prev = T
-                for i in range(n):
-                    c = cpus[i]
-                    e = ends[i]
-                    busy += c
-                    own += c
-                    ch = chs[i]
-                    ch.executions += 1
-                    ch.total_cpu_time += c
-                    k = keys[i]
-                    tc[k] = tc_get(k, 0.0) + c
-                    if lin is not None:
-                        lin.record_sample(k, iteration, cid, c)
-                    wall += c  # == e - prev bit-for-bit
-                    comps.append((e, prev, rank, c))
-                    if led is not None:
-                        led.accrue_app(cid, prev, e, k)
-                    prev = e
-                core.busy_time = busy
-                core.cpu_by_owner[name] = own
-                core.last = prev
-                self._iter_core_wall[cid] = wall
-                return prev
-            # a residual exceeds the completion epsilon: the engine would
-            # re-project — fall through to the exact scalar replay
         t = T
-        for i in range(n):
+        for i in range(len(work)):
             d = work[i]
             start = t
             sched = t
@@ -907,7 +810,6 @@ class _FastJob:
         # of a full minimum
         horizon = None
         touched = set()
-        vec_tried = set()
         # cached per-core candidate (t, i); None = recompute. Only the
         # core just processed can change its candidate — inline drains
         # and barrier pushes never touch another core's runnable set.
@@ -981,14 +883,6 @@ class _FastJob:
                 horizon = self._fold_horizon(exclude, t)
             if not t < horizon:  # strict: same-time heap events fire first
                 break
-            if len(active) == 1 and core not in vec_tried:
-                # single-core span: try the vectorized whole-chain fold
-                vec_tried.add(core)
-                if self._fold_contended_vec(core, horizon):
-                    touched.discard(core)
-                    break
-                # nothing committed: fall through to the scalar fold of
-                # the already-selected candidate
             cands[best_k] = None
             core.version += 1  # any engine-pending candidate is now stale
             touched.add(core)
@@ -1137,133 +1031,6 @@ class _FastJob:
                 # runnable set exactly as change() would have at core.last
                 core.change(core.last)
 
-    def _fold_contended_vec(self, core: _FastCore, horizon: float) -> bool:
-        """Vectorized two-runner fold: this job's whole chain in one shot.
-
-        The dominant contended shape — our freshly dispatched chain
-        sharing the core with one background task — admits the same
-        prefix-sum evaluation as the solo fold: while the share split is
-        constant the k-th task completes at ``e_k = e_{k-1} + d_k /
-        (f·speed)``. All-or-nothing: commits only when every projected
-        completion lands strictly before both the horizon and the
-        co-runner's candidate, no residual needs re-projection, and the
-        co-runner survives the whole span; otherwise falls back to the
-        scalar fold, which replays the engine arithmetic exactly.
-        """
-        procs = core.procs
-        if len(procs) != 2 or core.ledger is not None:
-            return False
-        p0 = procs[0]
-        p1 = procs[1]
-        if p0.job is self:
-            idx_a, pa, pb = 0, p0, p1
-        elif p1.job is self:
-            idx_a, pa, pb = 1, p1, p0
-        else:  # pragma: no cover - we always dispatch before folding
-            return False
-        if pa.cpu_time != 0.0:
-            return False
-        keys = pa.keys
-        chs = pa.chs
-        qpos = pa.qpos
-        n = 1 + len(keys) - qpos
-        if n < _VEC_MIN:
-            return False
-        iteration = self._iteration
-        works = np.empty(n)
-        works[0] = pa.remaining
-        for j in range(qpos, len(keys)):
-            d = chs[j].work(iteration)
-            if d < 0:
-                # the scalar fold re-runs work() and raises exactly as
-                # the engine's dispatch would
-                return False
-            works[j - qpos + 1] = d
-        total_w = p0.weight + p1.weight
-        speed = core.speed
-        fa = pa.weight / total_w
-        fb = pb.weight / total_w
-        rate_a = fa * speed
-        rate_b = fb * speed
-        arr = np.empty(n + 1)
-        arr[0] = core.last
-        arr[1:] = works / rate_a  # == change()'s rem / ((w/Σw)·speed)
-        ends_v = np.add.accumulate(arr)  # sequential left fold
-        if not float(ends_v[-1]) < horizon:
-            return False
-        dts = ends_v[1:] - ends_v[:-1]
-        shares_a = dts * fa  # == accrue()'s dt · (w/Σw), elementwise
-        if float(np.max(works - shares_a * speed)) > _COMPLETION_EPS:
-            # a residual would trigger the engine's re-projection
-            return False
-        shares_b = dts * fb
-        barr = np.empty(n + 1)
-        barr[0] = pb.remaining
-        barr[1:] = -(shares_b * speed)  # rem -= share·speed == rem + (-…)
-        remb = np.add.accumulate(barr)
-        if not bool(np.all(remb[:-1] > 0.0)):
-            return False  # the co-runner completes mid-span
-        # the co-runner's candidate at each change point must lose
-        # strictly (ties depend on insertion order — leave them exact)
-        tb = ends_v[:-1] + remb[:-1] / rate_b
-        if not bool(np.all(ends_v[1:] < tb)):
-            return False
-        # ---- commit: sequential-fold finals via prefix sums ------------
-        acc = np.empty(n + 1)
-        acc[0] = core.busy_time
-        acc[1:] = dts
-        core.busy_time = float(np.add.accumulate(acc)[-1])
-        cbo = core.cpu_by_owner
-        # per-owner folds in procs order: the engine's first accrual
-        # creates the dict keys in exactly this order
-        for p, shares in ((p0, shares_a if pa is p0 else shares_b),
-                          (p1, shares_a if pa is p1 else shares_b)):
-            acc[0] = cbo.get(p.owner, 0.0)
-            acc[1:] = shares
-            cbo[p.owner] = float(np.add.accumulate(acc)[-1])
-        acc[0] = pb.cpu_time
-        acc[1:] = shares_b
-        pb.cpu_time = float(np.add.accumulate(acc)[-1])
-        pb.remaining = float(remb[-1])
-        ends = ends_v[1:].tolist()
-        cpus = shares_a.tolist()
-        task_keys = [pa.key]
-        task_keys.extend(keys[qpos:])
-        task_chs = [pa.chare]
-        task_chs.extend(chs[qpos:])
-        tc = self.db._task_cpu
-        tc_get = tc.get
-        comps = self._completions
-        lin = self.lineage
-        cid = pa.cid
-        rank = pa.rank
-        wall = 0.0
-        prev = core.last
-        for j in range(n):
-            c = cpus[j]
-            e = ends[j]
-            ch = task_chs[j]
-            ch.executions += 1
-            ch.total_cpu_time += c
-            k = task_keys[j]
-            tc[k] = tc_get(k, 0.0) + c
-            if lin is not None:
-                lin.record_sample(k, iteration, cid, c)
-            wall += e - prev  # == t - started_at at each completion
-            comps.append((e, prev, rank, c))
-            prev = e
-        # pre-seeded 0.0 each iteration, so += wall folds identically
-        self._iter_core_wall[cid] += wall
-        end = ends[-1]
-        pa.remaining = 0.0
-        pa.qpos = len(keys)
-        core.version += 1
-        procs.pop(idx_a)
-        core.last = end
-        self.sim.push(end, _EV_ARRIVE, self, 0)
-        core.change(end)
-        return True
-
     # -- barrier --------------------------------------------------------
     def _core_drained(self, t: float) -> None:
         self._arrived += 1
@@ -1334,10 +1101,10 @@ class _FastJob:
         else:
             self.sim.push(t + delay, _EV_BEGIN, self, completed)
 
-    def _run_batched(self, iteration: int, T: float) -> None:
+    def _run_inline(self, iteration: int, T: float) -> None:
         """Run the rest of the job inline — no heap events at all.
 
-        Only entered once :meth:`_batchable` holds, which is permanent
+        Only entered once :meth:`_alone` holds, which is permanent
         (jobs never un-finish), so the clock can be advanced directly:
         every side effect (LB database snapshots, telemetry commits, the
         power reading at finish) sees exactly the time the event engine
@@ -1348,18 +1115,6 @@ class _FastJob:
         cores = self.cores
         ledger = self.ledger
         lineage = self.lineage
-        if (
-            ledger is None
-            and lineage is None
-            and self.telemetry is None
-            and self.balancer is None
-            and self._total_iterations - iteration >= _BATCH_VEC_MIN
-        ):
-            if self._percore_dirty:
-                self._rebuild_percore()
-            if all(len(self._percore_keys[cid]) == 1 for cid in core_ids):
-                if self._run_batched_vec(iteration, T):
-                    return
         while True:
             if ledger is not None:
                 ledger.mark_iteration(iteration, T)
@@ -1399,131 +1154,6 @@ class _FastJob:
             else:
                 T = t + delay
             iteration = completed
-
-    def _run_batched_vec(self, iteration: int, T: float) -> bool:
-        """Fold every remaining iteration of the run in one NumPy pass.
-
-        The analytic closed form for the solo constant-share regime: with
-        one task per core, core ``c``'s barrier arrival in iteration ``i``
-        is a single rounded addition ``T_i + d[i, c]``, and IEEE addition
-        is monotone, so the barrier ``t_i = max_c(T_i + d[i, c])`` equals
-        ``T_i + max_c d[i, c]`` bit-for-bit. The whole run therefore
-        telescopes into one interleaved left fold
-
-            T_0, t_0 = T_0 + m_0, T_1 = t_0 + delay, t_1 = T_1 + m_1, ...
-
-        which ``np.add.accumulate`` evaluates in the engine's exact
-        rounding order. Every state commit below replays the scalar
-        loop's float expressions element-wise (bitwise identical for
-        float64), with sequential ``+=`` chains replaced by accumulates
-        over the same operand sequences.
-
-        Only entered for an instrumentation-free job (no balancer,
-        telemetry, ledger, or lineage) with exactly one chare per core —
-        the shape of every background job, whose post-application tail
-        dominates replay time. Returns False (committing nothing) when a
-        work value is negative or a completion residual exceeds the
-        engine's epsilon; the scalar loop then replays exactly, engine
-        re-projections and error state included.
-        """
-        core_ids = self.core_ids
-        cores = self.cores
-        n_cores = len(core_ids)
-        n_it = self._total_iterations - iteration
-        chs = [self._percore_chares[cid][0] for cid in core_ids]
-        keys = [self._percore_keys[cid][0] for cid in core_ids]
-        # work table in the scalar loop's exact call order
-        # (iteration-major, core-minor) — work() is re-entered by the
-        # scalar replay on bail, so bail before committing anything
-        d = np.empty((n_it, n_cores))
-        for i in range(n_it):
-            it = iteration + i
-            row = d[i]
-            for c in range(n_cores):
-                w = chs[c].work(it)
-                if w < 0.0:
-                    return False
-                row[c] = w
-        delay = self._comm_delay()
-        m = np.max(d, axis=1)
-        # interleaved fold: T_i = acc[2i], barrier t_i = acc[2i + 1]
-        arr = np.empty(2 * n_it)
-        arr[0] = T
-        arr[1::2] = m
-        arr[2::2] = delay
-        acc = np.add.accumulate(arr)
-        starts = acc[0::2]
-        barriers = acc[1::2]
-        ends = starts[:, None] + d
-        cpus = ends - starts[:, None]
-        if float(np.max(d - cpus)) > _COMPLETION_EPS:
-            return False  # the engine would re-project: replay instead
-        if not np.array_equal(np.max(ends, axis=1), barriers):
-            return False  # monotonicity guard — never expected to fire
-        name = self.name
-        tc = self.db._task_cpu
-        # completion order: chronological, ties broken by core rank —
-        # the (t, sched, rank, cpu) tuple sort with sched == T_i
-        it_idx = np.repeat(np.arange(n_it), n_cores)
-        order = np.lexsort(
-            (np.tile(np.arange(n_cores), n_it), ends.ravel(), it_idx)
-        )
-        fold = np.empty(n_it * n_cores + 1)
-        fold[0] = self.total_task_cpu_s
-        fold[1:] = cpus.ravel()[order]
-        self.total_task_cpu_s = float(np.add.accumulate(fold)[-1])
-        self.iteration_times.extend((barriers - starts).tolist())
-        # per-iteration imbalance: walls == cpus ((T + d) - T, the same
-        # expression), mean folds 0.0 + w_0 + w_1 + ... in core order
-        acc_w = np.zeros(n_it)
-        for c in range(n_cores):
-            acc_w = acc_w + cpus[:, c]
-        mean = acc_w / n_cores
-        pos = mean > 0.0
-        imb = np.where(
-            pos, np.max(cpus, axis=1) / np.where(pos, mean, 1.0), 1.0
-        )
-        self.iteration_imbalance.extend(imb.tolist())
-        scratch = np.empty(n_it + 1)
-        gaps = np.empty(n_it)
-        for c in range(n_cores):
-            cid = core_ids[c]
-            core = cores[cid]
-            col = cpus[:, c]
-            e_col = ends[:, c]
-            # idle gaps at dispatch: T_i - the core's cursor (zero-width
-            # gaps are skipped by the scalar path; x + 0.0 == x here)
-            gaps[0] = T - core.last
-            np.subtract(starts[1:], e_col[:-1], out=gaps[1:])
-            scratch[0] = core.idle_time
-            scratch[1:] = gaps
-            core.idle_time = float(np.add.accumulate(scratch)[-1])
-            scratch[0] = core.busy_time
-            scratch[1:] = col
-            core.busy_time = float(np.add.accumulate(scratch)[-1])
-            cbo = core.cpu_by_owner
-            scratch[0] = cbo.get(name, 0.0)
-            scratch[1:] = col
-            cbo[name] = float(np.add.accumulate(scratch)[-1])
-            ch = chs[c]
-            ch.executions += n_it
-            scratch[0] = ch.total_cpu_time
-            scratch[1:] = col
-            ch.total_cpu_time = float(np.add.accumulate(scratch)[-1])
-            k = keys[c]
-            scratch[0] = tc.get(k, 0.0)
-            scratch[1:] = col
-            tc[k] = float(np.add.accumulate(scratch)[-1])
-            core.last = float(e_col[-1])
-        self._iteration = iteration + n_it - 1
-        self._iter_started = float(starts[-1])
-        self._iter_core_wall = {
-            core_ids[c]: float(cpus[-1, c]) for c in range(n_cores)
-        }
-        t_final = float(barriers[-1])
-        self.sim.now = t_final
-        self._finish(t_final)
-        return True
 
     def _measure_imbalance(self) -> float:
         # _iter_core_wall is pre-seeded each iteration with every core id
@@ -1629,7 +1259,6 @@ def run_scenario_fast(
     telemetry: Optional[Telemetry] = None,
     ledger=None,
     lineage=None,
-    _work_tables=None,
 ):
     """Execute ``scenario`` on the fast path (see module docstring).
 
@@ -1641,13 +1270,6 @@ def run_scenario_fast(
     :class:`~repro.obs.lineage.LineageRecorder` to the application job;
     it observes per-chare load samples and LB migrations and is closed
     at application finish.
-
-    ``_work_tables`` (internal, set by :mod:`repro.sim.batch`) maps job
-    name (``"app"`` / ``"bg"``) to precomputed per-chare work rows
-    (``chare.key -> [work(0), work(1), ...]``). Rows are bound over the
-    chares' ``work`` methods — a pure common-subexpression elimination,
-    valid because every entry was produced by the identical float
-    expression the chare itself would evaluate.
 
     Returns the same :class:`~repro.experiments.runner.ExperimentResult`
     as :func:`~repro.experiments.runner.run_scenario`, bit-identical.
@@ -1730,15 +1352,6 @@ def run_scenario_fast(
             use_comm_graph=False,
             job_telemetry=None,
         )
-
-    if _work_tables is not None:
-        for jname, job in (("app", app), ("bg", bg)):
-            rows = _work_tables.get(jname) if job is not None else None
-            if rows:
-                for key, ch in job.chares.items():
-                    row = rows.get(key)
-                    if row is not None:
-                        ch.work = row.__getitem__
 
     if bg is not None:
         app.others.append(bg)

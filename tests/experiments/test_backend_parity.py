@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.fabric.coordinator import run_fabric_sweep
 from repro.experiments.runner import run_scenario
 from repro.experiments.sweep import build_scenario, run_point, run_sweep
 from repro.experiments.sweep_presets import smoke_spec
@@ -368,155 +369,27 @@ class TestContendedRegimeParity:
         assert pay_e == pay_f
 
 
-class TestBatchBackendParity:
-    """The structure-of-arrays batch backend vs the event engine."""
-
-    def test_single_scenario_batch_bit_identical(self):
-        params = {
-            "app": "jacobi2d",
-            "scale": 0.05,
-            "iterations": 8,
-            "cores": 4,
-            "bg": True,
-            "balancer": "refine-vm",
-        }
-        res_e = run_scenario(build_scenario(params), backend="events")
-        res_b = run_scenario(build_scenario(params), backend="batch")
-        _assert_results_identical(res_e, res_b)
-
-    def test_smoke_sweep_batch_matches_serial(self):
-        se = run_sweep(smoke_spec(), workers=1, cache=None, backend="events")
-        sb = run_sweep(smoke_spec(), workers=1, cache=None, backend="batch")
-        assert se.summaries() == sb.summaries()
-
-    def test_homogeneous_group_split_regroup(self):
-        """One shape-homogeneous group executes as a single batch call
-        and the per-point results split back out bit-identical to
-        serial per-point event execution (order preserved)."""
-        from repro.experiments.sweep import SweepSpec
-        from repro.sim.batch import batch_groups
-
-        spec = SweepSpec(
-            name="bgweight-axis",
-            base={
-                "app": "jacobi2d",
-                "scale": 0.05,
-                "iterations": 6,
-                "cores": 4,
-                "bg": True,
-                "balancer": "refine-vm",
-            },
-            axes={"bg_weight": [0.25, 0.5, 1.0, 1.5, 2.0]},
-        )
-        points = spec.expand()
-        scenarios = [build_scenario(p.params) for p in points]
-        groups = batch_groups(scenarios)
-        assert len(groups) == 1 and len(groups[0]) == len(points)
-        sb = run_sweep(spec, workers=1, cache=None, backend="batch")
-        se = run_sweep(spec, workers=1, cache=None, backend="events")
-        assert sb.summaries() == se.summaries()
-        assert [r.index for r in sb.results] == [r.index for r in se.results]
-
-    def test_varying_epsilon_and_period_one_group(self):
-        from repro.experiments.sweep import SweepSpec
-        from repro.sim.batch import batch_groups
-
-        spec = SweepSpec(
-            name="eps-period-axes",
-            base={
-                "app": "jacobi2d",
-                "scale": 0.05,
-                "iterations": 6,
-                "cores": 4,
-                "bg": True,
-                "balancer": "refine-vm",
-            },
-            axes={"epsilon": [0.02, 0.1], "lb_period": [2, 5]},
-        )
-        scenarios = [build_scenario(p.params) for p in spec.expand()]
-        assert len(batch_groups(scenarios)) == 1
-        sb = run_sweep(spec, workers=1, cache=None, backend="batch")
-        se = run_sweep(spec, workers=1, cache=None, backend="events")
-        assert sb.summaries() == se.summaries()
-
-    def test_heterogeneous_spec_degrades_per_point(self):
-        # cores vary: no two points share a shape, so the batch backend
-        # degrades to per-point fastpath — results still bit-identical
-        from repro.experiments.sweep import SweepSpec
-        from repro.sim.batch import batch_groups
-
-        spec = SweepSpec(
-            name="cores-axis",
-            base={
-                "app": "jacobi2d",
-                "scale": 0.05,
-                "iterations": 5,
-                "bg": True,
-                "balancer": "refine-vm",
-            },
-            axes={"cores": [2, 4, 8]},
-        )
-        scenarios = [build_scenario(p.params) for p in spec.expand()]
-        assert all(len(g) == 1 for g in batch_groups(scenarios))
-        sb = run_sweep(spec, workers=1, cache=None, backend="batch")
-        se = run_sweep(spec, workers=1, cache=None, backend="events")
-        assert sb.summaries() == se.summaries()
-
-    def test_batch_extras_route_through_batch_backend(self):
-        """Ledger/lineage recompute paths honor backend="batch"."""
-        from repro.experiments.sweep import run_point_ledgered, run_point_lineaged
-
-        params = {
-            "app": "jacobi2d",
-            "scale": 0.05,
-            "iterations": 6,
-            "cores": 4,
-            "bg": True,
-            "balancer": "refine-vm",
-        }
-        sum_e, led_e = run_point_ledgered(params, backend="events")
-        sum_b, led_b = run_point_ledgered(params, backend="batch")
-        assert sum_e == sum_b and led_e == led_b
-        sum_e, lin_e = run_point_lineaged(params, backend="events")
-        sum_b, lin_b = run_point_lineaged(params, backend="batch")
-        assert sum_e == sum_b and lin_e == lin_b
-
-    def test_cached_point_extras_reexecute_on_requested_backend(self, tmp_path):
-        """A cache hit lacking extras re-executes through the *requested*
-        backend — including batch — not a hardwired events fallback."""
-        from repro.experiments.cache import ResultCache
-
-        spec = smoke_spec()
-        cache = ResultCache(tmp_path / "cache")
-        plain = run_sweep(spec, workers=1, cache=cache, backend="batch")
-        assert all(not r.cached for r in plain.results)
-        # warm cache, but ledger extras missing: every point re-executes,
-        # and it must do so on the batch backend (bit-identical summaries)
-        led = run_sweep(spec, workers=1, cache=cache, backend="batch", ledger=True)
-        assert all(not r.cached for r in led.results)
-        assert plain.summaries() == led.summaries()
-        assert all(r.ledger["conserved"] for r in led.results)
-
-    def test_batch_tracing_unsupported(self):
-        import dataclasses
-
-        sc = build_scenario(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
-        )
-        traced = dataclasses.replace(sc, tracing=True)
-        with pytest.raises(FastpathUnsupported):
-            run_scenario(traced, backend="batch")
-
-
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, tmp_path):
         params = {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
-        with pytest.raises(ValueError, match="backend"):
-            run_scenario(build_scenario(params), backend="nope")
-        with pytest.raises(ValueError, match="backend"):
-            run_point(params, backend="nope")
-        with pytest.raises(ValueError, match="backend"):
-            run_sweep(smoke_spec(), workers=1, cache=None, backend="nope")
+        job = tmp_path / "job"
+        for backend in ("nope", "batch"):
+            calls = [
+                lambda: run_scenario(build_scenario(params), backend=backend),
+                lambda: run_point(params, backend=backend),
+                lambda: run_sweep(
+                    smoke_spec(), workers=1, cache=None, backend=backend
+                ),
+                lambda: run_fabric_sweep(
+                    smoke_spec(), fabric_dir=job, backend=backend
+                ),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="unknown backend") as err:
+                    call()
+                assert "\n" not in str(err.value)
+        # the fabric driver validates before touching its job directory
+        assert not job.exists()
 
     def test_tracing_scenario_unsupported(self):
         import dataclasses
@@ -656,11 +529,3 @@ def test_contended_random_lineage_and_audit_identical(params):
     res_e, res_f, pay_e, pay_f = _run_both_lineaged(params)
     _assert_results_identical(res_e, res_f)
     assert pay_e == pay_f
-
-
-@settings(max_examples=12, deadline=None)
-@given(params=_contended_params)
-def test_contended_random_batch_backend_bit_identical(params):
-    res_e = run_scenario(build_scenario(params), backend="events")
-    res_b = run_scenario(build_scenario(params), backend="batch")
-    _assert_results_identical(res_e, res_b)

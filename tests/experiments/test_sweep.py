@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.cache import (
     CACHE_FORMAT,
     ResultCache,
+    canonical_json,
     code_fingerprint,
     point_key,
 )
@@ -311,6 +312,34 @@ class TestRunSweep:
         warm = run_sweep(tiny_spec(), cache=cache, workers=4)
         assert warm.metrics.cache_hits == 4
         assert warm.summaries() == cold.summaries()
+
+
+class TestProbeCacheExtras:
+    """Audit, ledger and lineage sweeps share one cache entry per point."""
+
+    def test_probe_sweeps_keep_each_others_extras(self, tmp_path):
+        spec = tiny_spec(bg=True)
+        cache = ResultCache(tmp_path / "cache")
+        probes = (
+            {"ledger": True},
+            {"lineage": True},
+            {"audit_dir": tmp_path / "audit"},
+        )
+        first = [run_sweep(spec, cache=cache, **kw) for kw in probes]
+        # each probe finds the summaries but not its own payload yet
+        assert [r.metrics.cache_hits for r in first] == [0, 0, 0]
+        again = [run_sweep(spec, cache=cache, **kw) for kw in probes]
+        assert [r.metrics.cache_hits for r in again] == [4, 4, 4]
+        for key in {r.key for r in again[0].results}:
+            assert set(cache.get_extras(key)) == {"audit", "ledger", "lineage"}
+        # hits serve exactly the payloads the executions produced
+        for cold, warm in zip(first, again):
+            assert warm.summaries() == cold.summaries()
+            for c, w in zip(cold.results, warm.results):
+                for field in ("audit", "ledger", "lineage"):
+                    assert canonical_json(getattr(w, field)) == canonical_json(
+                        getattr(c, field)
+                    )
 
 
 class TestSummaryRoundTrip:

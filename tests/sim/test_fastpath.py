@@ -1,62 +1,23 @@
-"""Fast-path internals: the vectorized solo fold and its exactness basis.
+"""Fast-path internals: the scalar solo fold on long task chains.
 
 Scenario-level parity lives in ``tests/experiments/test_backend_parity``;
-these tests pin the two load-bearing implementation facts:
-
-* ``np.add.accumulate`` on a float64 vector is a *sequential left fold*
-  (the whole reason the vectorized prefix-sum can be bit-identical to
-  the event engine's one-completion-at-a-time accumulation);
-* the vectorized path (``>= _VEC_MIN`` chares on a solo core) produces
-  exactly the event engine's results, not merely close ones.
+these tests pin the solo fold on cores carrying many chares (the
+ablation sweeps go up to 16 chares per core) and the rejection of
+negative work, with exact ``==`` against the event engine.
 """
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps import SyntheticApp
 from repro.core import LBPolicy, RefineLB
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
-from repro.sim import fastpath
 
 
-def test_np_accumulate_is_sequential_left_fold():
-    vals = [0.1, 0.2, 0.30000000000000004, 1e-9, 7.7, 0.0, 3.3e-5]
-    arr = np.array(vals)
-    acc = np.add.accumulate(arr)
-    total = 0.0
-    for i, v in enumerate(vals):
-        total += v
-        assert acc[i] == total  # bit-exact, not approx
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    vals=st.lists(
-        st.floats(
-            min_value=0.0,
-            max_value=1e6,
-            allow_nan=False,
-            allow_infinity=False,
-        ),
-        min_size=1,
-        max_size=64,
-    )
-)
-def test_np_accumulate_matches_python_fold(vals):
-    acc = np.add.accumulate(np.array(vals))
-    total = 0.0
-    for i, v in enumerate(vals):
-        total += v
-        assert acc[i] == total
-
-
-def _vec_scenario(num_chares, cores):
-    # deterministic ragged loads; enough chares per core to clear _VEC_MIN
+def _chain_scenario(num_chares, cores):
+    # deterministic ragged loads, num_chares / cores tasks per core
     app = SyntheticApp(
         lambda index, iteration: 0.01 + 0.001 * ((index * 7 + iteration * 3) % 11),
         num_chares=num_chares,
@@ -71,11 +32,11 @@ def _vec_scenario(num_chares, cores):
     )
 
 
-@pytest.mark.parametrize("per_core", [fastpath._VEC_MIN, fastpath._VEC_MIN + 9])
-def test_vectorized_solo_fold_bit_identical(per_core):
+@pytest.mark.parametrize("per_core", [16, 25])
+def test_solo_chain_fold_bit_identical(per_core):
     cores = 2
-    res_e = run_scenario(_vec_scenario(per_core * cores, cores), backend="events")
-    res_f = run_scenario(_vec_scenario(per_core * cores, cores), backend="fast")
+    res_e = run_scenario(_chain_scenario(per_core * cores, cores), backend="events")
+    res_f = run_scenario(_chain_scenario(per_core * cores, cores), backend="fast")
     assert res_e.app == res_f.app
     assert res_e.energy == res_f.energy
     assert res_e.final_mapping == res_f.final_mapping
@@ -85,8 +46,8 @@ def test_vectorized_solo_fold_bit_identical(per_core):
 
 def test_below_vec_min_scalar_fold_bit_identical():
     cores = 2
-    res_e = run_scenario(_vec_scenario(6, cores), backend="events")
-    res_f = run_scenario(_vec_scenario(6, cores), backend="fast")
+    res_e = run_scenario(_chain_scenario(6, cores), backend="events")
+    res_f = run_scenario(_chain_scenario(6, cores), backend="fast")
     assert res_e.app == res_f.app
     assert res_e.energy == res_f.energy
 

@@ -151,6 +151,14 @@ def test_sweep_bad_spec_is_a_clean_error(tmp_path, capsys):
     assert "--workers must be >= 1" in capsys.readouterr().err
 
 
+def test_sweep_rejects_unknown_backend(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "smoke", "--no-cache", "--no-registry",
+              "--backend", "batch"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+
 def test_sweep_instrumentation_flags_are_mutually_exclusive(tmp_path, capsys):
     assert main(["sweep", "--preset", "smoke", "--lineage", "--ledger"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
