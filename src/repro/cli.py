@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every point with a time-attribution ledger "
         "(repro.obs.ledger): conservation-checked summaries ride the "
         "results, the cache and the registry; inspect them with "
-        "'repro explain' (incompatible with --audit)",
+        "'repro explain'",
     )
     psw.add_argument(
         "--lineage", action="store_true",
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(repro.obs.lineage): per-chare load samples, migration "
         "residencies, imbalance metrics and counterfactual LB bounds "
         "ride the results, the cache and the registry; inspect them "
-        "with 'repro lineage' (incompatible with --audit and --ledger)",
+        "with 'repro lineage'",
     )
     psw.add_argument(
         "--live", action="store_true",
@@ -825,27 +825,6 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.ledger and args.audit is not None:
-        print(
-            "repro sweep: error: --ledger and --audit are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.lineage and args.audit is not None:
-        print(
-            "repro sweep: error: --lineage and --audit are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.lineage and args.ledger:
-        print(
-            "repro sweep: error: --lineage and --ledger are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
@@ -879,6 +858,9 @@ def _cmd_sweep(args) -> int:
             ledger=args.ledger,
             lineage=args.lineage,
         )
+    except ValueError as exc:
+        print(f"repro sweep: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if jsonl_stream is not None:
             jsonl_stream.close()

@@ -241,9 +241,10 @@ def run_fabric_sweep(
         run raises :class:`FabricIncomplete` and the directory resumes
         on the next call.
 
-    The ``audit_dir`` mode of ``run_sweep`` is deliberately
-    unsupported here: audit trails require per-task tracing payloads
-    that do not fit shard result files; run audited sweeps locally.
+    The probes of ``run_sweep`` (``audit_dir``, ``ledger``, ``lineage``)
+    are unsupported here: their payloads do not travel through shard
+    result files. Run probed sweeps locally, where the probes combine
+    on one run and share one cache entry per point.
     """
     from repro.experiments.sweep import (
         PointResult,

@@ -180,7 +180,7 @@ def _execute_shard_points(
     # run_shard yields per point in order; interleave cache writes,
     # events and fault boundaries as each point lands.
     done_before_misses = len(records)
-    for n, (idx, summary_dict, wall_s, _tag) in enumerate(
+    for n, (idx, summary_dict, wall_s, *_) in enumerate(
         run_shard(todo, backend=backend, worker=worker_id), start=1
     ):
         point = points_by_index[idx]

@@ -54,6 +54,7 @@ import os
 import re
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -100,6 +101,7 @@ __all__ = [
     "background_iterations",
     "ScenarioSummary",
     "summarize_result",
+    "run_point_probed",
     "run_point",
     "run_point_audited",
     "run_point_ledgered",
@@ -370,6 +372,82 @@ def summarize_result(result: ExperimentResult) -> ScenarioSummary:
     )
 
 
+def run_point_probed(
+    params: Mapping[str, Any],
+    probes: Sequence[str],
+    *,
+    backend: str = "auto",
+) -> Tuple[
+    ScenarioSummary, Dict[str, Any], Optional[TraceLog], Optional[Dict[str, Any]]
+]:
+    """Execute one point with the requested probes attached.
+
+    A probe is one of ``"audit"``, ``"ledger"`` and ``"lineage"``.
+    Returns ``(summary, payloads, trace, profile)``. ``payloads`` maps
+    each requested probe to its JSON-safe payload, which a sweep caches
+    under the probe's name in the entry's extras:
+
+    * ``audit`` — ``{"summary", "records"}``: the LB audit trail (see
+      :func:`repro.telemetry.audit_summary`);
+    * ``ledger`` — :meth:`repro.obs.ledger.TimeLedger.summary`;
+    * ``lineage`` — :meth:`repro.obs.lineage.LineageRecorder.payload`,
+      with each LB step joined against the run's audit trail.
+
+    Only what the probes need is attached: a
+    :class:`~repro.telemetry.Telemetry` for audit or lineage, per-task
+    tracing and the phase profiler for audit, a time ledger for ledger
+    and a lineage recorder for lineage. With no probes nothing is
+    attached. Every probe is strictly observational, so the summary is
+    bit-identical whatever the probes, and so is each payload whatever
+    else rides along — which is why probes combine on one run and share
+    one cache entry.
+
+    ``trace`` and ``profile`` (the exported host wall-clock phase
+    breakdown, :meth:`repro.perf.PhaseProfiler.export`) are None unless
+    audit is requested; they feed the Chrome/Perfetto export and are
+    never cached (the profile is nondeterministic by nature). Audit
+    traces every task, which the fast backend cannot do: ``"auto"``
+    resolves to the event engine then, and ``"fast"`` raises
+    :class:`~repro.sim.fastpath.FastpathUnsupported`.
+    """
+    audit = "audit" in probes
+    scenario = build_scenario(params)
+    telemetry = Telemetry() if audit or "lineage" in probes else None
+    ledger = lineage = None
+    if "ledger" in probes:
+        from repro.obs.ledger import TimeLedger
+
+        ledger = TimeLedger(job="app", core_ids=scenario.app_core_ids)
+    if "lineage" in probes:
+        from repro.obs.lineage import LineageRecorder
+
+        lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
+    if audit:
+        scenario = replace(scenario, tracing=True)
+    with profiled(record_intervals=True) if audit else nullcontext() as prof:
+        result = run_scenario(
+            scenario,
+            backend=backend,
+            telemetry=telemetry,
+            ledger=ledger,
+            lineage=lineage,
+        )
+    payloads: Dict[str, Any] = {}
+    if audit:
+        records = telemetry.audit.records
+        payloads["audit"] = {"summary": audit_summary(records), "records": records}
+    if ledger is not None:
+        payloads["ledger"] = ledger.summary()
+    if lineage is not None:
+        payloads["lineage"] = lineage.payload(audit=telemetry.audit.records)
+    return (
+        summarize_result(result),
+        payloads,
+        result.trace if audit else None,
+        prof.export() if audit else None,
+    )
+
+
 def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSummary:
     """Execute one parameter dict hermetically and summarise it.
 
@@ -377,122 +455,40 @@ def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSu
     :func:`repro.experiments.runner.run_scenario`); summaries are
     bit-identical across backends, so it never enters the cache key.
     """
-    return summarize_result(run_scenario(build_scenario(params), backend=backend))
+    return run_point_probed(params, (), backend=backend)[0]
 
 
 def run_point_audited(
     params: Mapping[str, Any], *, backend: str = "auto"
 ) -> Tuple[ScenarioSummary, List[Dict[str, Any]], TraceLog, Dict[str, Any]]:
-    """Execute one point with telemetry and the phase profiler attached.
-
-    Returns ``(summary, audit_records, trace, profile)``. The summary is
-    bit-identical to :func:`run_point`'s — telemetry, tracing and
-    profiling are strictly observational — so audited and plain runs
-    share cache entries. The audit records carry only simulated
-    quantities and are therefore deterministic across serial/parallel/
-    warm-cache execution; the trace feeds the Chrome/Perfetto export.
-    ``profile`` is the exported host wall-clock phase breakdown
-    (:meth:`repro.perf.PhaseProfiler.export`) — nondeterministic by
-    nature, so it is written next to traces but never cached.
-
-    Audited points trace every task, which the fast backend cannot do:
-    ``backend="auto"`` therefore resolves to the event engine here, and
-    ``backend="fast"`` raises
-    :class:`~repro.sim.fastpath.FastpathUnsupported`.
-    """
-    telemetry = Telemetry()
-    scenario = replace(build_scenario(params), tracing=True)
-    with profiled(record_intervals=True) as prof:
-        result = run_scenario(scenario, telemetry=telemetry, backend=backend)
-    return (
-        summarize_result(result),
-        telemetry.audit.records,
-        result.trace,
-        prof.export(),
+    """``(summary, audit_records, trace, profile)`` of an audited point."""
+    summary, payloads, trace, profile = run_point_probed(
+        params, ("audit",), backend=backend
     )
-
-
-def _execute_point_audited(
-    payload: Tuple[int, Dict[str, Any], str],
-) -> Tuple[int, Dict[str, Any], List[Dict[str, Any]], TraceLog, Dict[str, Any], float, str]:
-    """Worker entry point for audited runs (picklable, top-level)."""
-    index, params, backend = payload
-    t0 = time.perf_counter()
-    summary, records, trace, profile = run_point_audited(params, backend=backend)
-    wall = time.perf_counter() - t0
-    return index, summary.to_dict(), records, trace, profile, wall, f"pid:{os.getpid()}"
+    return summary, payloads["audit"]["records"], trace, profile
 
 
 def run_point_ledgered(
     params: Mapping[str, Any], *, backend: str = "auto"
 ) -> Tuple[ScenarioSummary, Dict[str, Any]]:
-    """Execute one point with a time-attribution ledger attached.
-
-    Returns ``(summary, ledger_summary)`` where ``ledger_summary`` is the
-    JSON-safe :meth:`repro.obs.ledger.TimeLedger.summary` dict. The
-    scenario summary is bit-identical to :func:`run_point`'s (the ledger
-    is strictly observational), and the ledger itself is bit-identical
-    across backends — the parity suite enforces both.
-    """
-    from repro.obs.ledger import TimeLedger
-
-    scenario = build_scenario(params)
-    ledger = TimeLedger(job="app", core_ids=scenario.app_core_ids)
-    result = run_scenario(scenario, backend=backend, ledger=ledger)
-    return summarize_result(result), ledger.summary()
-
-
-def _execute_point_ledgered(
-    payload: Tuple[int, Dict[str, Any], str],
-) -> Tuple[int, Dict[str, Any], Dict[str, Any], float, str]:
-    """Worker entry point for ledgered runs (picklable, top-level)."""
-    index, params, backend = payload
-    t0 = time.perf_counter()
-    summary, ledger = run_point_ledgered(params, backend=backend)
-    wall = time.perf_counter() - t0
-    return index, summary.to_dict(), ledger, wall, f"pid:{os.getpid()}"
+    """``(summary, ledger_summary)`` of a point run with a time ledger."""
+    summary, payloads, _, _ = run_point_probed(params, ("ledger",), backend=backend)
+    return summary, payloads["ledger"]
 
 
 def run_point_lineaged(
     params: Mapping[str, Any], *, backend: str = "auto"
 ) -> Tuple[ScenarioSummary, Dict[str, Any]]:
-    """Execute one point with the chare-lineage observatory attached.
-
-    Returns ``(summary, lineage_payload)`` where ``lineage_payload`` is
-    the JSON-safe :meth:`repro.obs.lineage.LineageRecorder.payload`
-    dict, with each LB step joined against the run's audit trail (a
-    :class:`~repro.telemetry.Telemetry` rides along for the join — both
-    are strictly observational, so the scenario summary is bit-identical
-    to :func:`run_point`'s and lineaged runs share cache entries with
-    plain ones). The payload itself is bit-identical across backends —
-    the parity suite enforces both properties.
-    """
-    from repro.obs.lineage import LineageRecorder
-
-    telemetry = Telemetry()
-    scenario = build_scenario(params)
-    lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
-    result = run_scenario(
-        scenario, backend=backend, telemetry=telemetry, lineage=lineage
-    )
-    return summarize_result(result), lineage.payload(audit=telemetry.audit.records)
-
-
-def _execute_point_lineaged(
-    payload: Tuple[int, Dict[str, Any], str],
-) -> Tuple[int, Dict[str, Any], Dict[str, Any], float, str]:
-    """Worker entry point for lineaged runs (picklable, top-level)."""
-    index, params, backend = payload
-    t0 = time.perf_counter()
-    summary, lineage = run_point_lineaged(params, backend=backend)
-    wall = time.perf_counter() - t0
-    return index, summary.to_dict(), lineage, wall, f"pid:{os.getpid()}"
+    """``(summary, lineage_payload)`` of a point run with a lineage recorder."""
+    summary, payloads, _, _ = run_point_probed(params, ("lineage",), backend=backend)
+    return summary, payloads["lineage"]
 
 
 def run_shard(
     shard_points: Sequence[Tuple[int, Dict[str, Any]]],
     *,
     backend: str = "auto",
+    probes: Sequence[str] = (),
     worker: Optional[str] = None,
 ):
     """Execute an ordered shard of ``(index, params)`` pairs lazily.
@@ -501,26 +497,30 @@ def run_shard(
     on: the in-process serial path, the local process pool
     (:func:`_execute_shard`) and the distributed fabric worker
     (:mod:`repro.experiments.fabric.worker`) all feed it the same pairs
-    and consume the same ``(index, summary_dict, wall_s, worker_tag)``
-    tuples — which is why their summaries are bit-identical by
-    construction. Each point is simulated when its tuple is pulled, so
-    callers can interleave progress events, cache writes and fault
-    boundaries between points. ``worker`` overrides the default
-    ``pid:<n>`` provenance tag.
+    and consume the same ``(index, summary_dict, wall_s, worker_tag,
+    payloads, trace, profile)`` tuples — which is why their summaries
+    are bit-identical by construction. The last three are
+    :func:`run_point_probed`'s outputs for ``probes``. Each point is
+    simulated when its tuple is pulled, so callers can interleave
+    progress events, cache writes and fault boundaries between points.
+    ``worker`` overrides the default ``pid:<n>`` provenance tag.
     """
     tag = worker if worker is not None else f"pid:{os.getpid()}"
     for index, params in shard_points:
         t0 = time.perf_counter()
-        summary = run_point(params, backend=backend)
-        yield index, summary.to_dict(), time.perf_counter() - t0, tag
+        summary, payloads, trace, profile = run_point_probed(
+            params, probes, backend=backend
+        )
+        wall = time.perf_counter() - t0
+        yield index, summary.to_dict(), wall, tag, payloads, trace, profile
 
 
 def _execute_shard(
-    payload: Tuple[List[Tuple[int, Dict[str, Any]]], str],
-) -> List[Tuple[int, Dict[str, Any], float, str]]:
+    payload: Tuple[List[Tuple[int, Dict[str, Any]]], str, Tuple[str, ...]],
+) -> List[tuple]:
     """Pool entry point: drain one shard through :func:`run_shard`."""
-    shard_points, backend = payload
-    return list(run_shard(shard_points, backend=backend))
+    shard_points, backend, probes = payload
+    return list(run_shard(shard_points, backend=backend, probes=probes))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +651,9 @@ class PointResult:
     when the sweep ran with ``ledger=True``, else None. ``lineage`` is
     the point's chare-lineage payload (see
     :meth:`repro.obs.lineage.LineageRecorder.payload`) when the sweep
-    ran with ``lineage=True``, else None.
+    ran with ``lineage=True``, else None. The three probes combine: a
+    sweep run with several of them fills every requested field from one
+    execution (or one cache entry) of the point.
     """
 
     index: int
@@ -739,6 +741,16 @@ def run_sweep(
 ) -> SweepResult:
     """Execute every point of ``spec``; returns ordered results + metrics.
 
+    ``audit_dir``, ``ledger`` and ``lineage`` each request one probe
+    (see :func:`run_point_probed`). Probes combine freely: every point
+    runs once with all requested probes attached, each probe's payload
+    rides the :class:`PointResult` and the point's one cache entry (as
+    an extra named after the probe), and summaries stay bit-identical to
+    an unprobed sweep. A cache hit is served only if it carries every
+    requested payload; otherwise the point is re-executed and the new
+    entry keeps the extras the old one had, so probe sweeps never evict
+    each other's payloads.
+
     Parameters
     ----------
     workers:
@@ -750,16 +762,16 @@ def run_sweep(
     log:
         Structured event sink (see :mod:`repro.experiments.progress`).
     audit_dir:
-        When given, every point runs with telemetry attached: its LB
-        audit trail is written to ``<audit_dir>/<index>-<label>.jsonl``
-        (plus a Chrome/Perfetto trace with counter tracks for executed
-        points) and its audit summary is carried on the
-        :class:`PointResult` and cached alongside the summary. Cache hits
-        lacking an audit payload are re-executed; hits carrying one
-        rewrite byte-identical JSONL from the cached records (no trace —
-        traces are only produced by actual execution). Audit records
-        contain only simulated quantities, so their bytes are identical
-        across serial, parallel, and warm-cache runs.
+        The audit probe: every point's LB audit trail is written to
+        ``<audit_dir>/<index>-<label>.jsonl`` (plus a Chrome/Perfetto
+        trace with counter tracks for executed points) and its audit
+        summary is carried on the :class:`PointResult`. Hits rewrite
+        byte-identical JSONL from the cached records (no trace — traces
+        are only produced by actual execution). Audit records contain
+        only simulated quantities, so their bytes are identical across
+        serial, parallel, and warm-cache runs. Auditing traces every
+        task, so it runs on the event engine under ``backend="auto"``
+        and is rejected with ``backend="fast"``.
     registry:
         Optional :class:`repro.obs.registry.RunRegistry`; when given the
         completed sweep is ingested as one run record (after
@@ -771,16 +783,15 @@ def run_sweep(
         :data:`repro.experiments.runner.BACKENDS` (see
         :func:`repro.experiments.runner.run_scenario`). Summaries are
         bit-identical across backends, so the cache key — and therefore
-        hits — are backend-independent. Audited points (``audit_dir``)
-        require per-task tracing and always run on the event engine
-        under ``"auto"``.
+        hits — are backend-independent.
     driver:
         ``"local"`` (default) executes here — in-process or via a
         process pool; ``"fabric"`` delegates to the distributed
         coordinator (:func:`repro.experiments.fabric.run_fabric_sweep`),
         which runs the same shard core across worker processes with
         crash recovery and resume. Both drivers produce bit-identical
-        summaries for the same spec.
+        summaries for the same spec. Probes require ``"local"``: their
+        payloads do not travel through shard result files.
     fabric_dir:
         Job directory for the fabric driver (defaults to
         ``.repro-fabric/<spec name>``); re-running on a directory with
@@ -790,58 +801,35 @@ def run_sweep(
         :func:`~repro.experiments.fabric.run_fabric_sweep`
         (``num_shards``, ``faults``, ``lease_timeout_s``, ...).
     ledger:
-        When True every point runs with a time-attribution ledger
-        attached (:mod:`repro.obs.ledger`): its conservation-checked
-        summary rides the :class:`PointResult`, the cache entry (as a
-        ``ledger`` extra — hits lacking one are re-executed) and the
-        registry record. Summaries stay bit-identical to un-ledgered
-        runs. Mutually exclusive with ``audit_dir`` and the fabric
-        driver.
+        The ledger probe (:mod:`repro.obs.ledger`): every point's
+        conservation-checked time-attribution summary rides the
+        :class:`PointResult`, the cache entry and the registry record
+        (with a sweep-level aggregate).
     lineage:
-        When True every point runs with a chare-lineage recorder
-        attached (:mod:`repro.obs.lineage`): per-chare load samples,
-        migration residencies, per-iteration imbalance metrics and
-        counterfactual LB bounds ride the :class:`PointResult`, the
-        cache entry (as a ``lineage`` extra — hits lacking one are
-        re-executed) and the registry record. Summaries stay
-        bit-identical to un-lineaged runs. Mutually exclusive with
-        ``audit_dir``, ``ledger`` and the fabric driver.
+        The lineage probe (:mod:`repro.obs.lineage`): every point's
+        per-chare load samples, migration residencies, per-iteration
+        imbalance metrics and counterfactual LB bounds ride the
+        :class:`PointResult`, the cache entry and the registry record
+        (with a sweep-level aggregate).
     """
     if driver not in ("local", "fabric"):
         raise ValueError(f"unknown driver {driver!r}")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if ledger and audit_dir is not None:
-        raise ValueError(
-            "ledger=True and audit_dir are mutually exclusive: each "
-            "requests its own per-point instrumentation run"
+    probes = tuple(
+        name
+        for name, on in (
+            ("audit", audit_dir is not None),
+            ("ledger", ledger),
+            ("lineage", lineage),
         )
-    if lineage and audit_dir is not None:
-        raise ValueError(
-            "lineage=True and audit_dir are mutually exclusive: each "
-            "requests its own per-point instrumentation run"
-        )
-    if lineage and ledger:
-        raise ValueError(
-            "lineage=True and ledger=True are mutually exclusive: each "
-            "requests its own per-point instrumentation run"
-        )
+        if on
+    )
     if driver == "fabric":
-        if ledger:
+        if probes:
             raise ValueError(
-                "ledger=True requires driver='local': ledger payloads do "
-                "not travel through shard result files"
-            )
-        if lineage:
-            raise ValueError(
-                "lineage=True requires driver='local': lineage payloads "
-                "do not travel through shard result files"
-            )
-        if audit_dir is not None:
-            raise ValueError(
-                "audit_dir requires driver='local': audit trails carry "
-                "per-task tracing payloads that do not travel through "
-                "shard result files"
+                f"probe(s) {', '.join(probes)} require driver='local': "
+                "probe payloads do not travel through shard result files"
             )
         from repro.experiments.fabric.coordinator import run_fabric_sweep
 
@@ -857,6 +845,11 @@ def run_sweep(
         )
     if fabric_dir is not None or fabric_options is not None:
         raise ValueError("fabric_dir/fabric_options require driver='fabric'")
+    if audit_dir is not None and backend == "fast":
+        raise ValueError(
+            "audit_dir needs per-task tracing, which backend='fast' cannot "
+            "record; use backend='auto' or 'events'"
+        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     log = log if log is not None else EventLog()
@@ -871,16 +864,31 @@ def run_sweep(
     fingerprint = code_fingerprint()
     keys = {p.index: point_key(p.params, fingerprint=fingerprint) for p in points}
 
-    def audit_stem(p: SweepPoint) -> str:
-        return f"{p.index:03d}-{_point_slug(p.label)}"
+    def audit_file(p: SweepPoint, suffix: str) -> Path:
+        return audit_path / f"{p.index:03d}-{_point_slug(p.label)}{suffix}"
 
-    # the cache extra a hit must carry to be served without re-executing
-    probe = (
-        "audit" if audit_path is not None
-        else "ledger" if ledger
-        else "lineage" if lineage
-        else None
-    )
+    def point_result(
+        p: SweepPoint,
+        summary: ScenarioSummary,
+        wall: float,
+        worker: str,
+        payloads: Mapping[str, Any],
+    ) -> PointResult:
+        audit = payloads.get("audit")
+        return PointResult(
+            index=p.index,
+            label=p.label,
+            params=p.params,
+            key=keys[p.index],
+            summary=summary,
+            cached=worker == "cache",
+            wall_s=wall,
+            worker=worker,
+            audit=None if audit is None else audit["summary"],
+            ledger=payloads.get("ledger"),
+            lineage=payloads.get("lineage"),
+        )
+
     outcomes: Dict[int, PointResult] = {}
     misses: List[SweepPoint] = []
     # extras of hits re-executed for a missing probe payload; the new
@@ -888,34 +896,21 @@ def run_sweep(
     kept_extras: Dict[int, Dict[str, Any]] = {}
     for p in points:
         hit = cache.get(keys[p.index]) if cache is not None else None
-        payload: Optional[Dict[str, Any]] = None
-        if hit is not None and probe is not None:
+        payloads: Dict[str, Any] = {}
+        if hit is not None and probes:
             extras = cache.get_extras(keys[p.index]) or {}
-            payload = extras.get(probe)
-            if payload is None:
+            payloads = {name: extras[name] for name in probes if name in extras}
+            if len(payloads) < len(probes):
                 hit = None
                 kept_extras[p.index] = extras
-        if hit is not None:
-            if probe == "audit":
-                write_audit_jsonl(
-                    payload["records"],
-                    audit_path / f"{audit_stem(p)}.jsonl",
-                )
-            outcomes[p.index] = PointResult(
-                index=p.index,
-                label=p.label,
-                params=p.params,
-                key=keys[p.index],
-                summary=ScenarioSummary.from_dict(hit),
-                cached=True,
-                wall_s=0.0,
-                worker="cache",
-                audit=payload["summary"] if probe == "audit" else None,
-                ledger=payload if probe == "ledger" else None,
-                lineage=payload if probe == "lineage" else None,
-            )
-        else:
+        if hit is None:
             misses.append(p)
+            continue
+        if "audit" in payloads:
+            write_audit_jsonl(payloads["audit"]["records"], audit_file(p, ".jsonl"))
+        outcomes[p.index] = point_result(
+            p, ScenarioSummary.from_dict(hit), 0.0, "cache", payloads
+        )
 
     log.emit(
         "sweep_start",
@@ -935,184 +930,56 @@ def run_sweep(
                 worker="cache",
             )
 
+    by_index = {p.index: p for p in misses}
+
     def finish(
-        p: SweepPoint,
-        summary: ScenarioSummary,
+        index: int,
+        summary_dict: Dict[str, Any],
         wall: float,
         worker: str,
-        records: Optional[List[Dict[str, Any]]] = None,
-        trace: Optional[TraceLog] = None,
-        profile: Optional[Dict[str, Any]] = None,
-        ledger_summary: Optional[Dict[str, Any]] = None,
-        lineage_payload: Optional[Dict[str, Any]] = None,
+        payloads: Dict[str, Any],
+        trace: Optional[TraceLog],
+        profile: Optional[Dict[str, Any]],
     ) -> None:
-        audit_sum = audit_summary(records) if records is not None else None
-        outcomes[p.index] = PointResult(
-            index=p.index,
-            label=p.label,
-            params=p.params,
-            key=keys[p.index],
-            summary=summary,
-            cached=False,
-            wall_s=wall,
-            worker=worker,
-            audit=audit_sum,
-            ledger=ledger_summary,
-            lineage=lineage_payload,
-        )
+        """Record one :func:`run_shard` tuple: result, cache, artefacts."""
+        p = by_index[index]
+        summary = ScenarioSummary.from_dict(summary_dict)
+        outcomes[index] = point_result(p, summary, wall, worker, payloads)
         if cache is not None:
-            extras = kept_extras.get(p.index)
-            if records is not None:
-                extras = {
-                    **(extras or {}),
-                    "audit": {"summary": audit_sum, "records": records},
-                }
-            if ledger_summary is not None:
-                extras = {**(extras or {}), "ledger": ledger_summary}
-            if lineage_payload is not None:
-                extras = {**(extras or {}), "lineage": lineage_payload}
-            cache.put(keys[p.index], p.params, summary.to_dict(), extras=extras)
-        if audit_path is not None and records is not None:
-            stem = audit_stem(p)
-            n = write_audit_jsonl(records, audit_path / f"{stem}.jsonl")
-            if trace is not None:
-                write_chrome_trace(
-                    trace,
-                    str(audit_path / f"{stem}.trace.json"),
-                    job_name=p.label,
-                    audit=records,
-                    profile=profile,
-                )
+            extras = {**kept_extras.get(index, {}), **payloads}
+            cache.put(keys[index], p.params, summary_dict, extras=extras or None)
+        if "audit" in payloads:
+            records = payloads["audit"]["records"]
+            n = write_audit_jsonl(records, audit_file(p, ".jsonl"))
+            write_chrome_trace(
+                trace,
+                str(audit_file(p, ".trace.json")),
+                job_name=p.label,
+                audit=records,
+                profile=profile,
+            )
             _log.debug("%s: wrote %d audit records", p.label, n)
         log.emit(
             "point_done",
             label=p.label,
-            key=keys[p.index],
+            key=keys[index],
             cached=False,
             wall_s=round(wall, 6),
             worker=worker,
         )
 
-    by_index = {p.index: p for p in misses}
     if misses and workers == 1:
-        if audit_path is not None:
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                t0 = time.perf_counter()
-                summary, records, trace, profile = run_point_audited(
-                    p.params, backend=backend
-                )
-                finish(
-                    p, summary, time.perf_counter() - t0, "main",
-                    records=records, trace=trace, profile=profile,
-                )
-        elif ledger:
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                t0 = time.perf_counter()
-                summary, ledger_sum = run_point_ledgered(
-                    p.params, backend=backend
-                )
-                finish(
-                    p, summary, time.perf_counter() - t0, "main",
-                    ledger_summary=ledger_sum,
-                )
-        elif lineage:
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                t0 = time.perf_counter()
-                summary, lineage_payload = run_point_lineaged(
-                    p.params, backend=backend
-                )
-                finish(
-                    p, summary, time.perf_counter() - t0, "main",
-                    lineage_payload=lineage_payload,
-                )
-        else:
-            # one lazy shard: each next() simulates one point, so the
-            # point_start / point_done interleaving is unchanged
-            results = run_shard(
-                [(p.index, p.params) for p in misses],
-                backend=backend,
-                worker="main",
-            )
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                index, summary_dict, wall, worker = next(results)
-                finish(
-                    by_index[index],
-                    ScenarioSummary.from_dict(summary_dict),
-                    wall,
-                    worker,
-                )
-    elif misses and audit_path is not None:
-        # audited pool path: per-point tasks (audit payloads are heavy
-        # enough that shard-granular grouping buys nothing)
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            futures = {}
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (p.index, p.params, backend)
-                futures[pool.submit(_execute_point_audited, task)] = p.index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    (
-                        index, summary_dict, records, trace, profile,
-                        wall, worker,
-                    ) = fut.result()
-                    finish(
-                        by_index[index],
-                        ScenarioSummary.from_dict(summary_dict),
-                        wall,
-                        worker,
-                        records=records,
-                        trace=trace,
-                        profile=profile,
-                    )
-    elif misses and ledger:
-        # ledgered pool path: per-point tasks, like the audited path —
-        # each point carries its own ledger summary back
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            futures = {}
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (p.index, p.params, backend)
-                futures[pool.submit(_execute_point_ledgered, task)] = p.index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    index, summary_dict, ledger_sum, wall, worker = fut.result()
-                    finish(
-                        by_index[index],
-                        ScenarioSummary.from_dict(summary_dict),
-                        wall,
-                        worker,
-                        ledger_summary=ledger_sum,
-                    )
-    elif misses and lineage:
-        # lineaged pool path: per-point tasks — each point carries its
-        # own lineage payload back
-        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
-            futures = {}
-            for p in misses:
-                log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (p.index, p.params, backend)
-                futures[pool.submit(_execute_point_lineaged, task)] = p.index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    index, summary_dict, lin_payload, wall, worker = fut.result()
-                    finish(
-                        by_index[index],
-                        ScenarioSummary.from_dict(summary_dict),
-                        wall,
-                        worker,
-                        lineage_payload=lin_payload,
-                    )
+        # one lazy shard: each next() simulates one point, so the
+        # point_start / point_done interleaving is unchanged
+        results = run_shard(
+            [(p.index, p.params) for p in misses],
+            backend=backend,
+            probes=probes,
+            worker="main",
+        )
+        for p in misses:
+            log.emit("point_start", label=p.label, key=keys[p.index])
+            finish(*next(results))
     elif misses:
         # the local pool is a fabric in miniature: the same shard plan
         # the distributed coordinator publishes, executed by pool
@@ -1130,19 +997,15 @@ def run_sweep(
                 task = (
                     [(i, by_index[i].params) for i in shard.point_indices],
                     backend,
+                    probes,
                 )
                 futures[pool.submit(_execute_shard, task)] = shard.shard_id
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    for index, summary_dict, wall, worker in fut.result():
-                        finish(
-                            by_index[index],
-                            ScenarioSummary.from_dict(summary_dict),
-                            wall,
-                            worker,
-                        )
+                    for row in fut.result():
+                        finish(*row)
 
     elapsed = time.perf_counter() - t_start
     executed = [r for r in outcomes.values() if not r.cached]
@@ -1162,16 +1025,16 @@ def run_sweep(
     ordered = tuple(outcomes[p.index] for p in points)
     result = SweepResult(spec_name=spec.name, results=ordered, metrics=metrics)
     if registry is not None:
-        extra = None
+        extra: Dict[str, Any] = {}
         if ledger:
-            extra = {"ledger": _ledger_aggregate(ordered)}
+            extra["ledger"] = _ledger_aggregate(ordered)
         if lineage:
-            extra = {**(extra or {}), "lineage": _lineage_aggregate(ordered)}
+            extra["lineage"] = _lineage_aggregate(ordered)
         record = registry.ingest_sweep(
             spec,
             result,
             artifacts={"audit_dir": audit_path} if audit_path else None,
-            extra=extra,
+            extra=extra or None,
         )
         log.emit("run_registered", run_id=record["run_id"])
     return result

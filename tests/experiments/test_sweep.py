@@ -21,6 +21,7 @@ from repro.experiments.sweep import (
     run_point,
     run_sweep,
 )
+from repro.experiments.sweep_presets import smoke_spec
 
 #: Cheap scenario base every test here sweeps around (sub-second runs).
 TINY = {"app": "jacobi2d", "scale": 0.05, "iterations": 5, "cores": 4}
@@ -340,6 +341,61 @@ class TestProbeCacheExtras:
                     assert canonical_json(getattr(w, field)) == canonical_json(
                         getattr(c, field)
                     )
+
+
+@pytest.fixture(scope="module")
+def single_probe_smoke(tmp_path_factory):
+    """The smoke sweep run plain and once per probe, each executed cold;
+    returns the sweeps and the audit sweep's directory."""
+    audit_dir = tmp_path_factory.mktemp("single") / "audit"
+    sweeps = {
+        "plain": run_sweep(smoke_spec()),
+        "ledger": run_sweep(smoke_spec(), ledger=True),
+        "lineage": run_sweep(smoke_spec(), lineage=True),
+        "audit": run_sweep(smoke_spec(), audit_dir=audit_dir),
+    }
+    return sweeps, audit_dir
+
+
+class TestCombinedProbes:
+    """Audit, ledger and lineage attached to one run of each point."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_combined_sweep_matches_single_probe_sweeps(
+        self, workers, single_probe_smoke, tmp_path
+    ):
+        single, single_audit = single_probe_smoke
+        cache = ResultCache(tmp_path / "cache")
+        combined = run_sweep(
+            smoke_spec(), workers=workers, cache=cache,
+            ledger=True, lineage=True, audit_dir=tmp_path / "audit",
+        )
+        assert combined.metrics.executed == len(combined.results)
+        assert combined.summaries() == single["plain"].summaries()
+        for probe in ("ledger", "lineage", "audit"):
+            assert [getattr(r, probe) for r in combined.results] == [
+                getattr(r, probe) for r in single[probe].results
+            ]
+        names = sorted(f.name for f in single_audit.glob("*.jsonl"))
+        assert len(names) == len(combined.results)
+        assert sorted(f.name for f in (tmp_path / "audit").glob("*.jsonl")) == names
+        for name in names:
+            assert (tmp_path / "audit" / name).read_bytes() == (
+                single_audit / name
+            ).read_bytes()
+        # the combined run left every probe's payload in one entry per point
+        for probe in ({"ledger": True}, {"lineage": True},
+                      {"audit_dir": tmp_path / "warm-audit"}):
+            assert run_sweep(smoke_spec(), cache=cache, **probe).metrics.hit_rate == 1.0
+
+    def test_audit_on_the_fast_backend_is_a_one_line_error(self, tmp_path):
+        with pytest.raises(ValueError, match="backend='fast'") as err:
+            run_sweep(
+                tiny_spec(), cache=ResultCache(tmp_path / "cache"),
+                backend="fast", audit_dir=tmp_path / "audit",
+            )
+        assert "\n" not in str(err.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSummaryRoundTrip:

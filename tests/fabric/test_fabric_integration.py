@@ -325,7 +325,7 @@ def test_run_sweep_fabric_driver_is_the_coordinator(tmp_path):
 
 
 def test_fabric_driver_rejects_audit_dir(tmp_path):
-    with pytest.raises(ValueError, match="audit_dir requires driver='local'"):
+    with pytest.raises(ValueError, match=r"probe\(s\) audit require driver='local'"):
         run_sweep(SPEC, driver="fabric", audit_dir=tmp_path / "audit")
 
 

@@ -358,15 +358,10 @@ class TestSweepCarriage:
         for point in record["points"]:
             assert point["ledger"]["conserved"]
 
-    def test_audit_and_ledger_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_sweep(
-                smoke_spec(), workers=1, cache=None,
-                ledger=True, audit_dir=tmp_path / "audit",
-            )
-
     def test_fabric_driver_rejects_ledger(self):
-        with pytest.raises(ValueError, match="driver='local'"):
+        with pytest.raises(
+            ValueError, match=r"probe\(s\) ledger require driver='local'"
+        ):
             run_sweep(
                 smoke_spec(), workers=1, cache=None,
                 ledger=True, driver="fabric",

@@ -159,12 +159,35 @@ def test_sweep_rejects_unknown_backend(capsys):
     assert "invalid choice: 'batch'" in capsys.readouterr().err
 
 
-def test_sweep_instrumentation_flags_are_mutually_exclusive(tmp_path, capsys):
-    assert main(["sweep", "--preset", "smoke", "--lineage", "--ledger"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-    assert main(["sweep", "--preset", "smoke", "--lineage",
-                 "--audit", str(tmp_path / "audit")]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+def test_sweep_audit_on_fast_backend_is_a_clean_error(tmp_path, capsys):
+    audit_dir = tmp_path / "audit"
+    rc = main(["sweep", "--preset", "smoke", "--no-cache", "--no-registry",
+               "--backend", "fast", "--audit", str(audit_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro sweep: error:")
+    assert "backend='fast'" in err and err.count("\n") == 1
+    assert not audit_dir.exists()
+
+
+def test_explain_and_lineage_read_one_combined_run(tmp_path, capsys):
+    import json
+
+    from repro.obs.registry import RunRegistry
+
+    reg = tmp_path / "reg"
+    assert main(["sweep", "--preset", "smoke", "--ledger", "--lineage",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--registry", str(reg)]) == 0
+    capsys.readouterr()
+    for command in ("explain", "lineage"):
+        assert main([command, "latest", "--registry", str(reg), "--json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert len(points) == 4
+        assert all(p["recomputed"] is False for p in points)
+    registry = RunRegistry(reg)
+    record = registry.load(registry.resolve("latest"))
+    assert record["ledger"]["points"] == record["lineage"]["points"] == 4
 
 
 def test_sweep_fig2_preset_emits_penalty_and_energy_tables(capsys):
