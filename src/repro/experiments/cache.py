@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.perf.profiler import active as _profiler
+from repro.util.atomic import atomic_write
 
 __all__ = [
     "CACHE_FORMAT",
@@ -162,6 +162,13 @@ class ResultCache:
         audit section) without touching the summary schema the golden
         tests pin.
 
+        Entries are compact: one line of JSON with sorted keys and no
+        indentation. ``json.dumps`` without ``indent`` runs CPython's C
+        encoder (with ``indent`` it falls back to the pure-Python one),
+        which matters for probe entries carrying ledger, lineage and
+        audit payloads. Pipe an entry through ``python -m json.tool`` to
+        read it.
+
         Every entry is stamped with a ``provenance`` section (schema
         version, git SHA, the point's RNG seed, short code fingerprint)
         so registry ingest and post-hoc audits can attribute a cached
@@ -188,17 +195,8 @@ class ResultCache:
         if extras is not None:
             entry["extras"] = extras
         with _profiler().phase("cache.put"):
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(entry, fh, indent=1, sort_keys=True)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with atomic_write(path) as fh:
+                fh.write(json.dumps(entry, sort_keys=True))
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -13,15 +13,31 @@ Exactness
 ---------
 Bit-exact conservation of separately accumulated IEEE-754 sums is
 impossible (per-bucket fold order differs from a single accumulator), so
-the ledger does not accumulate floats: every simulated timestamp is a
-float and therefore an exact dyadic rational, and the ledger accrues
-``fractions.Fraction`` arithmetic over those exact values. Each accrued
-interval contributes ``Fraction(t1) - Fraction(t0)`` split exactly among
-the buckets, intervals are required to tile each core's timeline with no
-gap or overlap (:class:`LedgerError` otherwise), and exact arithmetic is
+the ledger does not accumulate floats. Every simulated timestamp is a
+float, and every finite float is an integer multiple of the float64
+quantum ``2**-1074``; so is any difference of two floats. The ledger
+therefore converts each interval end to an exact integer count of quanta
+(:func:`quanta`) and keeps every accumulator as a Python ``int`` over
+one denominator shared by the whole ledger, ``D = 2**1074 * M``. ``M``
+is the lcm of the weight-share denominators (``w/total_w``,
+``w/app_w``) seen so far: a share ``p/q`` with ``q | M`` scales an
+interval of ``n`` quanta to exactly ``n * p * (M // q)`` units. A share
+whose denominator does not divide ``M`` grows ``M`` and rescales every
+accumulator once by the integer factor, so nothing is ever rounded. The
+shares are derived once per distinct weight combination (a run has a
+handful), and the per-interval work is integer addition and
+multiplication only.
+
+Intervals are required to tile each core's timeline with no gap or
+overlap (:class:`LedgerError` otherwise), and integer arithmetic is
 associative — so conservation holds by telescoping, and the event engine
 and the fast path produce **identical** ledgers even though they
 subdivide the timeline differently (per scheduling change vs. per task).
+:meth:`TimeLedger.totals_exact`, :meth:`TimeLedger.busy_exact` and
+:meth:`TimeLedger.residual_exact` return ``fractions.Fraction`` values
+(``n / D``, reduced). :meth:`TimeLedger.summary` divides the integers
+directly: Python's ``int / int`` is correctly rounded, so each float is
+the one ``float(Fraction(n, D))`` gives.
 
 Bucket semantics
 ----------------
@@ -52,15 +68,18 @@ ledger-free builds.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "LEDGER_SCHEMA",
     "BUCKETS",
+    "QUANTUM_BITS",
     "LedgerError",
     "TimeLedger",
     "format_ledger_text",
+    "quanta",
 ]
 
 #: Version stamp carried by every ledger summary.
@@ -69,11 +88,26 @@ LEDGER_SCHEMA = 1
 #: Bucket names, in reporting order.
 BUCKETS = ("compute", "stolen", "overhead", "idle")
 
+#: Every finite float is an integer multiple of ``2**-QUANTUM_BITS``.
+QUANTUM_BITS = 1074
+
 _COMPUTE, _STOLEN, _OVERHEAD, _IDLE = range(4)
 
 ChareKey = Tuple[str, int]
 
-_ZERO = Fraction(0)
+#: Per-interval multipliers of one weight combination at the current
+#: ``M``: ``(compute, stolen, ((chare compute, chare stolen), ...))``.
+_Shares = Tuple[int, int, Tuple[Tuple[int, int], ...]]
+
+
+def quanta(x: float) -> int:
+    """``x`` as an exact integer count of float quanta (``2**-1074``).
+
+    ``as_integer_ratio`` returns a power-of-two denominator ``2**k``
+    with ``k <= 1074`` for every finite float, so the shift is exact.
+    """
+    n, d = x.as_integer_ratio()
+    return n << (QUANTUM_BITS + 1 - d.bit_length())
 
 
 class LedgerError(RuntimeError):
@@ -101,6 +135,9 @@ class TimeLedger:
       times and LB pause windows (classification boundaries);
     * :meth:`close` — seal the ledger at job completion; every core
       must be accounted exactly to the closing time.
+
+    Every accumulator is an ``int`` in units of ``1 / (2**1074 * M)``
+    seconds (see the module docstring).
     """
 
     def __init__(self, job: str = "app", core_ids: Sequence[int] = ()) -> None:
@@ -108,19 +145,20 @@ class TimeLedger:
         self.core_ids: Tuple[int, ...] = tuple(sorted(int(c) for c in core_ids))
         if len(set(self.core_ids)) != len(self.core_ids):
             raise ValueError("core_ids contains duplicates")
-        self._per_core: Dict[int, List[Fraction]] = {
-            cid: [_ZERO, _ZERO, _ZERO, _ZERO] for cid in self.core_ids
+        self._m = 1
+        self._shares: Dict[Tuple[Tuple[float, ...], Tuple[float, ...]], _Shares] = {}
+        self._per_core: Dict[int, List[int]] = {
+            cid: [0, 0, 0, 0] for cid in self.core_ids
         }
-        self._busy_overhead: Dict[int, Fraction] = {
-            cid: _ZERO for cid in self.core_ids
-        }
-        self._busy_idle: Dict[int, Fraction] = {cid: _ZERO for cid in self.core_ids}
-        self._chares: Dict[ChareKey, List[Fraction]] = {}
-        self._iters: List[List[Fraction]] = []
+        self._busy_overhead: Dict[int, int] = {cid: 0 for cid in self.core_ids}
+        self._busy_idle: Dict[int, int] = {cid: 0 for cid in self.core_ids}
+        self._chares: Dict[ChareKey, List[int]] = {}
+        self._iters: List[List[int]] = []
         self._marks: List[float] = []
-        self._pauses: List[Tuple[float, float]] = []
+        self._mark_q: List[int] = []
         self._pause_edges: List[float] = []
         self._cursor: Dict[int, float] = {cid: 0.0 for cid in self.core_ids}
+        self._cursor_q: Dict[int, int] = {cid: 0 for cid in self.core_ids}
         self.closed_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -138,6 +176,7 @@ class TimeLedger:
         if self._marks and t < self._marks[-1]:
             raise LedgerError("iteration marks must be non-decreasing")
         self._marks.append(t)
+        self._mark_q.append(quanta(t))
 
     def mark_pause(self, t0: float, t1: float) -> None:
         """Record an LB pause window ``[t0, t1)`` (decision + transfer)."""
@@ -147,13 +186,27 @@ class TimeLedger:
             raise LedgerError(f"pause window ends before it starts: {t0}..{t1}")
         if self._pause_edges and t0 < self._pause_edges[-1]:
             raise LedgerError("pause windows must be ordered and disjoint")
-        self._pauses.append((t0, t1))
         self._pause_edges.append(t0)
         self._pause_edges.append(t1)
 
     # ------------------------------------------------------------------
     # accrual
     # ------------------------------------------------------------------
+    def _advance(self, core_id: int, t0: float, t1: float) -> Tuple[int, int]:
+        """Move ``core_id``'s cursor from ``t0`` to ``t1``; returns the
+        two ends in quanta."""
+        cur = self._cursor[core_id]
+        if t0 != cur:
+            raise LedgerError(
+                f"core {core_id}: interval starts at {t0!r} but the core "
+                f"is accounted to {cur!r} (gap or overlap)"
+            )
+        self._cursor[core_id] = t1
+        q1 = quanta(t1)
+        q0 = self._cursor_q[core_id]
+        self._cursor_q[core_id] = q1
+        return q0, q1
+
     def accrue(
         self, core_id: int, t0: float, t1: float, procs: Iterable[Any]
     ) -> None:
@@ -167,42 +220,39 @@ class TimeLedger:
             return
         if t1 <= t0:
             return
-        cur = self._cursor[core_id]
-        if t0 != cur:
-            raise LedgerError(
-                f"core {core_id}: interval starts at {t0!r} but the core "
-                f"is accounted to {cur!r} (gap or overlap)"
-            )
-        self._cursor[core_id] = t1
+        q0, q1 = self._advance(core_id, t0, t1)
 
-        total_w = _ZERO
-        app_procs: List[Tuple[ChareKey, Fraction]] = []
-        has_procs = False
+        job = self.job
+        app_keys: List[ChareKey] = []
+        app_ws: List[float] = []
+        bg_ws: List[float] = []
         for p in procs:
-            has_procs = True
-            w = Fraction(p.weight)
-            total_w += w
-            if p.owner == self.job:
-                app_procs.append((p.key, w))
-        app_w = _ZERO
-        for _, w in app_procs:
-            app_w += w
+            if p.owner == job:
+                app_keys.append(p.key)
+                app_ws.append(p.weight)
+            else:
+                bg_ws.append(p.weight)
+        shares: Optional[_Shares] = None
+        if app_keys:
+            combo = (tuple(app_ws), tuple(bg_ws))
+            shares = self._shares.get(combo)
+            if shares is None:
+                shares = self._derive_shares(combo)
+        busy = bool(bg_ws)
 
         per_core = self._per_core[core_id]
-        chares = self._chares
-        prev = t0
+        prev, prev_q = t0, q0
         for c in self._cuts(t0, t1):
             if c <= prev:
                 continue
+            qc = quanta(c)
             self._segment(
-                core_id, per_core, chares, prev, c,
-                app_procs, app_w, total_w, has_procs,
+                core_id, per_core, prev, qc - prev_q, app_keys, shares, busy
             )
-            prev = c
+            prev, prev_q = c, qc
         if prev < t1:
             self._segment(
-                core_id, per_core, chares, prev, t1,
-                app_procs, app_w, total_w, has_procs,
+                core_id, per_core, prev, q1 - prev_q, app_keys, shares, busy
             )
 
     def accrue_app(
@@ -218,36 +268,87 @@ class TimeLedger:
             return
         if t1 <= t0:
             return
-        cur = self._cursor[core_id]
-        if t0 != cur:
-            raise LedgerError(
-                f"core {core_id}: interval starts at {t0!r} but the core "
-                f"is accounted to {cur!r} (gap or overlap)"
-            )
-        self._cursor[core_id] = t1
+        prev_q, q1 = self._advance(core_id, t0, t1)
         per_core = self._per_core[core_id]
         entry = self._chares.get(key)
         if entry is None:
-            entry = self._chares[key] = [_ZERO, _ZERO]
+            entry = self._chares[key] = [0, 0]
+        m = self._m
         marks = self._marks
-        prev = t0
         i = bisect.bisect_right(marks, t0)
+        # ``row`` is the iteration the segment starting at ``prev``
+        # belongs to; passing mark i (a duplicate too) makes it i
+        row = i - 1
+        prev = t0
         while i < len(marks) and marks[i] < t1:
             c = marks[i]
+            if c > prev:
+                qc = self._mark_q[i]
+                dt = (qc - prev_q) * m
+                per_core[_COMPUTE] += dt
+                entry[0] += dt
+                self._iter_row(row)[_COMPUTE] += dt
+                prev, prev_q = c, qc
+            row = i
             i += 1
-            if c <= prev:
-                continue
-            dt = Fraction(c) - Fraction(prev)
-            per_core[_COMPUTE] += dt
-            entry[0] += dt
-            self._iter_bucket(prev)[_COMPUTE] += dt
-            prev = c
-        dt = Fraction(t1) - Fraction(prev)
+        dt = (q1 - prev_q) * m
         per_core[_COMPUTE] += dt
         entry[0] += dt
-        self._iter_bucket(prev)[_COMPUTE] += dt
+        self._iter_row(row)[_COMPUTE] += dt
 
     # -- internals ------------------------------------------------------
+    def _derive_shares(
+        self, combo: Tuple[Tuple[float, ...], Tuple[float, ...]]
+    ) -> _Shares:
+        """The integer multipliers of one weight combination, growing
+        ``M`` first if a share's denominator does not divide it."""
+        app_ws, bg_ws = combo
+        ws = [Fraction(w) for w in app_ws]
+        app_w = sum(ws, Fraction(0))
+        total_w = app_w + sum((Fraction(w) for w in bg_ws), Fraction(0))
+        comp = app_w / total_w
+        per = [(w / total_w, w / app_w - w / total_w) for w in ws]
+        self._grow(
+            math.lcm(
+                comp.denominator,
+                *(c.denominator for c, _ in per),
+                *(s.denominator for _, s in per),
+            )
+        )
+        m = self._m
+        k_comp = comp.numerator * (m // comp.denominator)
+        shares = (
+            k_comp,
+            m - k_comp,
+            tuple(
+                (
+                    c.numerator * (m // c.denominator),
+                    s.numerator * (m // s.denominator),
+                )
+                for c, s in per
+            ),
+        )
+        self._shares[combo] = shares
+        return shares
+
+    def _grow(self, q: int) -> None:
+        """Make ``q`` divide ``M``, rescaling every accumulator in place."""
+        m = self._m
+        if m % q == 0:
+            return
+        grown = math.lcm(m, q)
+        f = grown // m
+        for row in (
+            *self._per_core.values(), *self._chares.values(), *self._iters
+        ):
+            for j in range(len(row)):
+                row[j] *= f
+        for busy in (self._busy_overhead, self._busy_idle):
+            for cid in busy:
+                busy[cid] *= f
+        self._m = grown
+        self._shares.clear()
+
     def _cuts(self, t0: float, t1: float) -> List[float]:
         """Classification boundaries strictly inside ``(t0, t1)``."""
         cuts: List[float] = []
@@ -264,57 +365,58 @@ class TimeLedger:
         cuts.sort()
         return cuts
 
-    def _iter_bucket(self, t: float) -> List[Fraction]:
-        idx = bisect.bisect_right(self._marks, t) - 1
+    def _iter_row(self, idx: int) -> List[int]:
         if idx < 0:
             idx = 0
         iters = self._iters
         while len(iters) <= idx:
-            iters.append([_ZERO, _ZERO, _ZERO, _ZERO])
+            iters.append([0, 0, 0, 0])
         return iters[idx]
 
     def _in_pause(self, t: float) -> bool:
-        starts = self._pause_edges[::2]
-        j = bisect.bisect_right(starts, t) - 1
-        return j >= 0 and t < self._pauses[j][1]
+        # edges alternate start, end: t lies in some [start, end) iff an
+        # odd number of edges is <= t
+        return bisect.bisect_right(self._pause_edges, t) % 2 == 1
 
     def _segment(
         self,
         core_id: int,
-        per_core: List[Fraction],
-        chares: Dict[ChareKey, List[Fraction]],
+        per_core: List[int],
         s0: float,
-        s1: float,
-        app_procs: List[Tuple[ChareKey, Fraction]],
-        app_w: Fraction,
-        total_w: Fraction,
-        has_procs: bool,
+        dt: int,
+        app_keys: List[ChareKey],
+        shares: Optional[_Shares],
+        busy: bool,
     ) -> None:
-        dt = Fraction(s1) - Fraction(s0)
-        it = self._iter_bucket(s0)
-        if app_procs:
-            comp = dt * app_w / total_w
-            stol = dt - comp
+        """Accrue ``dt`` quanta starting at ``s0`` (no cut inside)."""
+        it = self._iter_row(bisect.bisect_right(self._marks, s0) - 1)
+        if shares is not None:
+            k_comp, k_stol, per_app = shares
+            comp = dt * k_comp
+            stol = dt * k_stol
             per_core[_COMPUTE] += comp
             per_core[_STOLEN] += stol
             it[_COMPUTE] += comp
             it[_STOLEN] += stol
-            for key, w in app_procs:
+            chares = self._chares
+            for key, (k_c, k_s) in zip(app_keys, per_app):
                 entry = chares.get(key)
                 if entry is None:
-                    entry = chares[key] = [_ZERO, _ZERO]
-                c_p = dt * w / total_w
-                entry[0] += c_p
-                entry[1] += dt * w / app_w - c_p
+                    entry = chares[key] = [0, 0]
+                entry[0] += dt * k_c
+                entry[1] += dt * k_s
         else:
-            bucket = _OVERHEAD if self._in_pause(s0) else _IDLE
-            per_core[bucket] += dt
-            it[bucket] += dt
-            if has_procs:
-                if bucket == _OVERHEAD:
-                    self._busy_overhead[core_id] += dt
-                else:
-                    self._busy_idle[core_id] += dt
+            d = dt * self._m
+            if self._in_pause(s0):
+                per_core[_OVERHEAD] += d
+                it[_OVERHEAD] += d
+                if busy:
+                    self._busy_overhead[core_id] += d
+            else:
+                per_core[_IDLE] += d
+                it[_IDLE] += d
+                if busy:
+                    self._busy_idle[core_id] += d
 
     # ------------------------------------------------------------------
     # closing / invariants
@@ -340,13 +442,36 @@ class TimeLedger:
     def closed(self) -> bool:
         return self.closed_at is not None
 
+    @property
+    def _denominator(self) -> int:
+        """``D``: every accumulator is a count of ``1/D`` seconds."""
+        return self._m << QUANTUM_BITS
+
+    def _totals(self) -> List[int]:
+        out = [0, 0, 0, 0]
+        for buckets in self._per_core.values():
+            for j in range(4):
+                out[j] += buckets[j]
+        return out
+
+    def _busy(self, totals: List[int]) -> List[int]:
+        return [
+            totals[_COMPUTE],
+            totals[_STOLEN],
+            sum(self._busy_overhead.values()),
+            sum(self._busy_idle.values()),
+        ]
+
+    def _residual(self, totals: List[int]) -> int:
+        if self.closed_at is None:
+            raise LedgerError("ledger still open — close() it first")
+        wall = quanta(self.closed_at) * self._m * len(self.core_ids)
+        return sum(totals) - wall
+
     def totals_exact(self) -> Dict[str, Fraction]:
         """Exact bucket totals summed over every core."""
-        out = {b: _ZERO for b in BUCKETS}
-        for buckets in self._per_core.values():
-            for i, b in enumerate(BUCKETS):
-                out[b] += buckets[i]
-        return out
+        d = self._denominator
+        return {b: Fraction(v, d) for b, v in zip(BUCKETS, self._totals())}
 
     def busy_exact(self) -> Dict[str, Fraction]:
         """Exact *busy* core-seconds by bucket.
@@ -356,22 +481,13 @@ class TimeLedger:
         kept the core busy. This is the partition the energy
         decomposition splits dynamic joules by.
         """
-        totals = self.totals_exact()
-        return {
-            "compute": totals["compute"],
-            "stolen": totals["stolen"],
-            "overhead": sum(self._busy_overhead.values(), _ZERO),
-            "idle": sum(self._busy_idle.values(), _ZERO),
-        }
+        d = self._denominator
+        busy = self._busy(self._totals())
+        return {b: Fraction(v, d) for b, v in zip(BUCKETS, busy)}
 
     def residual_exact(self) -> Fraction:
         """``sum(buckets) - wall x cores`` — zero iff conserved."""
-        if self.closed_at is None:
-            raise LedgerError("ledger still open — close() it first")
-        total = _ZERO
-        for v in self.totals_exact().values():
-            total += v
-        return total - Fraction(self.closed_at) * len(self.core_ids)
+        return Fraction(self._residual(self._totals()), self._denominator)
 
     @property
     def conserved(self) -> bool:
@@ -383,32 +499,33 @@ class TimeLedger:
     def summary(self) -> Dict[str, Any]:
         """JSON-safe reduction (floats derived from the exact values).
 
-        Deterministic: keys sorted, so two identical runs — and the two
-        backends — serialise byte-identically.
+        Every float is an ``int / int`` of the exact accumulators, which
+        Python rounds correctly. Deterministic: keys sorted, so two
+        identical runs — and the two backends — serialise
+        byte-identically.
         """
         if self.closed_at is None:
             raise LedgerError("ledger still open — close() it first")
         wall = self.closed_at
-        totals = self.totals_exact()
-        busy = self.busy_exact()
-        denom = Fraction(wall) * len(self.core_ids)
-        residual = self.residual_exact()
+        d = self._denominator
+        totals = self._totals()
+        busy = self._busy(totals)
+        residual = self._residual(totals)
+        # totals[j] / D over wall x cores, with the 2**1074 cancelled
+        share_d = quanta(wall) * self._m * len(self.core_ids)
         per_iteration = []
         for i, start in enumerate(self._marks):
-            buckets = (
-                self._iters[i] if i < len(self._iters)
-                else [_ZERO, _ZERO, _ZERO, _ZERO]
-            )
-            row = {"iteration": i, "start_s": start}
+            row: Dict[str, Any] = {"iteration": i, "start_s": start}
+            buckets = self._iters[i] if i < len(self._iters) else (0, 0, 0, 0)
             for j, b in enumerate(BUCKETS):
-                row[b] = float(buckets[j])
+                row[b] = buckets[j] / d
             per_iteration.append(row)
         chares = {}
         for key in sorted(self._chares):
             comp, stol = self._chares[key]
             chares[f"{key[0]}[{key[1]}]"] = {
-                "compute": float(comp),
-                "stolen": float(stol),
+                "compute": comp / d,
+                "stolen": stol / d,
             }
         return {
             "schema": LEDGER_SCHEMA,
@@ -416,15 +533,16 @@ class TimeLedger:
             "wall_s": wall,
             "cores": list(self.core_ids),
             "conserved": residual == 0,
-            "residual_s": float(residual),
-            "totals": {b: float(totals[b]) for b in BUCKETS},
+            "residual_s": residual / d,
+            "totals": {b: totals[j] / d for j, b in enumerate(BUCKETS)},
             "fractions": {
-                b: (float(totals[b] / denom) if denom else 0.0) for b in BUCKETS
+                b: (totals[j] / share_d if share_d else 0.0)
+                for j, b in enumerate(BUCKETS)
             },
-            "busy": {b: float(busy[b]) for b in BUCKETS},
+            "busy": {b: busy[j] / d for j, b in enumerate(BUCKETS)},
             "per_core": {
                 str(cid): {
-                    b: float(self._per_core[cid][j])
+                    b: self._per_core[cid][j] / d
                     for j, b in enumerate(BUCKETS)
                 }
                 for cid in self.core_ids

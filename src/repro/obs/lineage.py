@@ -21,13 +21,18 @@ iteration number only — never of the mapping — so replaying an interval
 under a different placement with the recorded samples is exact, not an
 estimate.
 
-Like the ledger, the recorder never *accumulates* floats: every sample
-is an exact dyadic rational, and all aggregation happens in
-:class:`fractions.Fraction`, so the headline invariants hold exactly
-rather than to within rounding: λ ≥ 1, Gini ∈ [0, 1), CoV = 0 iff the
-loads are perfectly balanced, oracle ≤ observed for every step, and the
-metrics are permutation-invariant over cores. Floats appear only in the
-JSON payload, derived from the exact values — which is also why the two
+Like the ledger, the recorder never *accumulates* floats. Every sample
+and every interference snapshot is a float, so it is an exact integer
+count of float quanta (``2**-1074``, see :func:`repro.obs.ledger.quanta`),
+and all aggregation is Python ``int`` arithmetic at that fixed quantum.
+The oracle bound (total/P) is the one division; the counterfactuals
+carry it exactly by counting in units of ``1 / (P * 2**1074)``. So the
+headline invariants hold exactly rather than to within rounding: λ ≥ 1,
+Gini ∈ [0, 1), CoV = 0 iff the loads are perfectly balanced, oracle ≤
+observed for every step, and the metrics are permutation-invariant over
+cores. Floats appear only in the JSON payload, each one an ``int / int``
+of the exact values — Python rounds that division correctly, so it is
+the float ``fractions.Fraction`` would give — which is also why the two
 backends produce payloads that compare ``==``.
 
 The null-hook doctrine applies: backends carry a ``lineage`` attribute
@@ -40,7 +45,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from repro.obs.ledger import QUANTUM_BITS, quanta
 
 __all__ = [
     "LINEAGE_SCHEMA",
@@ -56,7 +63,14 @@ LINEAGE_SCHEMA = 1
 
 ChareKey = Tuple[str, int]
 
-_ZERO = Fraction(0)
+#: Float quanta per second: samples are counted in units of ``1/_Q``.
+_Q = 1 << QUANTUM_BITS
+
+#: The :meth:`LineageRecorder.counterfactuals` entries that are loads.
+_CF_LOADS = (
+    "interference", "observed_max", "nolb_max", "oracle_max",
+    "recovered", "recoverable",
+)
 
 
 class LineageError(RuntimeError):
@@ -90,34 +104,45 @@ def imbalance_metrics(loads: Sequence[Any]) -> Dict[str, float]:
     xs = [Fraction(x) for x in loads]
     if any(x < 0 for x in xs):
         raise ValueError("core loads must be non-negative")
+    unit = math.lcm(*(x.denominator for x in xs))
+    return _imbalance([x.numerator * (unit // x.denominator) for x in xs], unit)
+
+
+def _imbalance(xs: Sequence[int], unit: int) -> Dict[str, float]:
+    """:func:`imbalance_metrics` of the loads ``x / unit``, from integer
+    sums: with ``S = Σx``, ``cov² = (n·Σx² − S²)/S²`` and
+    ``gini = Σ(2i−n+1)·x₍ᵢ₎/(n·S)`` over the ascending order ``x₍ᵢ₎``.
+    Each float is one correctly rounded ``int / int``."""
     n = len(xs)
-    total = sum(xs, _ZERO)
+    total = sum(xs)
     if total == 0:
         return {
             "lambda": 1.0, "cov": 0.0, "gini": 0.0,
             "max_s": 0.0, "mean_s": 0.0, "total_s": 0.0,
         }
-    mean = total / n
     mx = max(xs)
-    var = sum(((x - mean) ** 2 for x in xs), _ZERO) / n
-    # Gini via the sorted-rank identity: sum_i (2i - n + 1) x_(i) / (n T)
-    ranked = sorted(xs)
-    gini = sum(
-        ((2 * i - n + 1) * x for i, x in enumerate(ranked)), _ZERO
-    ) / (n * total)
+    sq = total * total
+    gini = sum((2 * i - n + 1) * x for i, x in enumerate(sorted(xs)))
     return {
-        "lambda": float(mx / mean),
-        "cov": math.sqrt(float(var / (mean * mean))),
-        "gini": float(gini),
-        "max_s": float(mx),
-        "mean_s": float(mean),
-        "total_s": float(total),
+        "lambda": mx * n / total,
+        "cov": math.sqrt((n * sum(x * x for x in xs) - sq) / sq),
+        "gini": gini / (n * total),
+        "max_s": mx / unit,
+        "mean_s": total / (n * unit),
+        "total_s": total / unit,
     }
 
 
 # ---------------------------------------------------------------------------
 # the recorder
 # ---------------------------------------------------------------------------
+
+
+class _Loads(NamedTuple):
+    """Exact loads in float quanta (see :meth:`LineageRecorder._loads`)."""
+
+    by_iteration: List[Dict[int, int]]
+    by_span: List[Dict[ChareKey, int]]
 
 
 class LineageRecorder:
@@ -346,21 +371,34 @@ class LineageRecorder:
     # ------------------------------------------------------------------
     # exact aggregation
     # ------------------------------------------------------------------
-    def _interval_loads(
-        self, lo: int, hi: int, mapping: Optional[Mapping[ChareKey, int]] = None
-    ) -> Dict[int, Fraction]:
-        """Exact per-core load over iterations ``[lo, hi)``.
+    def _loads(self) -> _Loads:
+        """Every sample summed exactly, each converted to quanta once.
 
-        With ``mapping`` the samples are re-assigned to the given cores
-        (a counterfactual replay); without it the observed cores are
-        used.
+        Returns per-iteration per-core loads and, for every span between
+        LB steps (span ``j`` starts at step ``j - 1``; span 0 at the run
+        start), per-chare loads — all a counterfactual replay needs,
+        without holding one integer per sample.
         """
-        loads: Dict[int, Fraction] = {cid: _ZERO for cid in self.core_ids}
-        for i in range(lo, hi):
+        bounds = [step["iteration"] for step in self._steps]
+        by_iteration: List[Dict[int, int]] = []
+        by_span: List[Dict[ChareKey, int]] = [{} for _ in range(len(bounds) + 1)]
+        j = 0
+        for i in range(self.n_iterations):
+            while j < len(bounds) and bounds[j] <= i:
+                j += 1
+            loads = dict.fromkeys(self.core_ids, 0)
+            span = by_span[j]
             for key, (core, cpu) in self._samples.get(i, {}).items():
-                cid = core if mapping is None else mapping[key]
-                loads[cid] += Fraction(cpu)
-        return loads
+                q = quanta(cpu)
+                loads[core] += q
+                span[key] = span.get(key, 0) + q
+            by_iteration.append(loads)
+        return _Loads(by_iteration, by_span)
+
+    def _observed_loads(self, loads: _Loads, lo: int, hi: int) -> Dict[int, int]:
+        """Exact per-core load over iterations ``[lo, hi)``, in quanta."""
+        rows = loads.by_iteration[lo:hi]
+        return {cid: sum(row[cid] for row in rows) for cid in self.core_ids}
 
     def _step_bounds(self) -> List[Tuple[int, int]]:
         """Iteration interval ``[lo, hi)`` governed by each LB step."""
@@ -372,33 +410,69 @@ class LineageRecorder:
             bounds.append((lo, hi))
         return bounds
 
-    def _bg_snapshots(self) -> List[Optional[Dict[int, Fraction]]]:
-        """Cumulative interference at each boundary: run start, every
-        LB step, run end. ``None`` where no snapshot was recorded."""
-        zero = {cid: _ZERO for cid in self.core_ids}
-        snaps: List[Optional[Dict[int, Fraction]]] = [zero]
-        for step in self._steps:
-            bg = step["bg_cpu"]
+    def _bg_snapshots(self) -> List[Optional[Dict[int, int]]]:
+        """Cumulative interference at each boundary, in quanta: run
+        start, every LB step, run end. ``None`` where no snapshot was
+        recorded."""
+        snaps: List[Optional[Dict[int, int]]] = [{cid: 0 for cid in self.core_ids}]
+        for bg in [step["bg_cpu"] for step in self._steps] + [self._close_bg]:
             snaps.append(
                 None if bg is None
-                else {cid: Fraction(bg.get(cid, 0.0)) for cid in self.core_ids}
+                else {cid: quanta(bg.get(cid, 0.0)) for cid in self.core_ids}
             )
-        bg = self._close_bg
-        snaps.append(
-            None if bg is None
-            else {cid: Fraction(bg.get(cid, 0.0)) for cid in self.core_ids}
-        )
         return snaps
 
     @staticmethod
     def _bg_delta(
-        a: Optional[Dict[int, Fraction]],
-        b: Optional[Dict[int, Fraction]],
+        a: Optional[Dict[int, int]],
+        b: Optional[Dict[int, int]],
         core_ids: Tuple[int, ...],
-    ) -> Dict[int, Fraction]:
+    ) -> Dict[int, int]:
         if a is None or b is None:
-            return {cid: _ZERO for cid in core_ids}
+            return {cid: 0 for cid in core_ids}
         return {cid: b[cid] - a[cid] for cid in core_ids}
+
+    def _counterfactuals(self, loads: _Loads) -> List[Dict[str, Any]]:
+        """:meth:`counterfactuals` with every quantity an ``int`` in
+        units of ``1 / (P * 2**1074)`` seconds, so the oracle mean
+        total/P stays exact."""
+        snaps = self._mappings()
+        bg_snaps = self._bg_snapshots()
+        P = len(self.core_ids)
+        out = []
+        for k, (lo, hi) in enumerate(self._step_bounds()):
+            interference = self._bg_delta(
+                bg_snaps[k + 1], bg_snaps[k + 2], self.core_ids
+            )
+            app_obs = self._observed_loads(loads, lo, hi)
+            # replay step k's span under the pre-step mapping
+            app_nolb = dict.fromkeys(self.core_ids, 0)
+            for key, q in loads.by_span[k + 1].items():
+                app_nolb[snaps[k][key]] += q
+            observed = [app_obs[c] + interference[c] for c in self.core_ids]
+            nolb = [app_nolb[c] + interference[c] for c in self.core_ids]
+            obs_max = max(observed, default=0) * P
+            nolb_max = max(nolb, default=0) * P
+            oracle = sum(observed)
+            recovered = nolb_max - obs_max
+            recoverable = nolb_max - oracle
+            out.append(
+                {
+                    "step": k,
+                    "interval": (lo, hi),
+                    "interference": sum(interference.values()) * P,
+                    "observed_max": obs_max,
+                    "nolb_max": nolb_max,
+                    "oracle_max": oracle,
+                    "recovered": recovered,
+                    "recoverable": recoverable,
+                    "efficiency": (
+                        recovered / recoverable if recoverable > 0 else None
+                    ),
+                    "sane": oracle <= obs_max <= nolb_max,
+                }
+            )
+        return out
 
     def counterfactuals(self) -> List[Dict[str, Any]]:
         """Per-step counterfactual bounds on *effective* load, exactly.
@@ -417,43 +491,14 @@ class LineageRecorder:
         the fractional-balance lower bound (total/P, i.e. the mean).
         ``oracle ≤ observed`` holds by construction (a mean never
         exceeds a max); ``observed ≤ nolb`` is the genuine claim that
-        the step helped, reported via ``sane``.
+        the step helped, reported via ``sane``. Loads are
+        ``fractions.Fraction`` seconds.
         """
-        snaps = self._mappings()
-        bg_snaps = self._bg_snapshots()
-        P = len(self.core_ids)
-        out = []
-        for k, (lo, hi) in enumerate(self._step_bounds()):
-            interference = self._bg_delta(
-                bg_snaps[k + 1], bg_snaps[k + 2], self.core_ids
-            )
-            app_obs = self._interval_loads(lo, hi)
-            app_nolb = self._interval_loads(lo, hi, mapping=snaps[k])
-            observed = {c: app_obs[c] + interference[c] for c in self.core_ids}
-            nolb = {c: app_nolb[c] + interference[c] for c in self.core_ids}
-            obs_max = max(observed.values(), default=_ZERO)
-            nolb_max = max(nolb.values(), default=_ZERO)
-            total = sum(observed.values(), _ZERO)
-            oracle = total / P
-            recovered = nolb_max - obs_max
-            recoverable = nolb_max - oracle
-            out.append(
-                {
-                    "step": k,
-                    "interval": (lo, hi),
-                    "interference": sum(interference.values(), _ZERO),
-                    "observed_max": obs_max,
-                    "nolb_max": nolb_max,
-                    "oracle_max": oracle,
-                    "recovered": recovered,
-                    "recoverable": recoverable,
-                    "efficiency": (
-                        float(recovered / recoverable) if recoverable > 0 else None
-                    ),
-                    "sane": oracle <= obs_max <= nolb_max,
-                }
-            )
-        return out
+        unit = len(self.core_ids) << QUANTUM_BITS
+        return [
+            {**cf, **{key: Fraction(cf[key], unit) for key in _CF_LOADS}}
+            for cf in self._counterfactuals(self._loads())
+        ]
 
     # ------------------------------------------------------------------
     # payload
@@ -477,11 +522,12 @@ class LineageRecorder:
                 f"{len(self._steps)}"
             )
         n = self.n_iterations
+        exact = self._loads()
         per_iteration = []
         for i in range(n):
-            loads = self._interval_loads(i, i + 1)
-            metrics = imbalance_metrics([loads[cid] for cid in self.core_ids])
-            total = sum(loads.values(), _ZERO)
+            loads = exact.by_iteration[i]
+            metrics = _imbalance([loads[cid] for cid in self.core_ids], _Q)
+            total = sum(loads.values())
             row = {
                 "iteration": i,
                 "start_s": self._marks[i],
@@ -490,18 +536,19 @@ class LineageRecorder:
                 "gini": metrics["gini"],
                 "max_s": metrics["max_s"],
                 "total_s": metrics["total_s"],
-                "loads": {str(cid): float(loads[cid]) for cid in self.core_ids},
+                "loads": {str(cid): loads[cid] / _Q for cid in self.core_ids},
                 "shares": {
-                    str(cid): (float(loads[cid] / total) if total else 0.0)
+                    str(cid): (loads[cid] / total if total else 0.0)
                     for cid in self.core_ids
                 },
             }
             per_iteration.append(row)
 
         steps = []
-        recovered_total = _ZERO
-        recoverable_total = _ZERO
-        for k, cf in enumerate(self.counterfactuals()):
+        recovered_total = 0
+        recoverable_total = 0
+        unit = len(self.core_ids) << QUANTUM_BITS
+        for k, cf in enumerate(self._counterfactuals(exact)):
             step = self._steps[k]
             record = audit[k] if audit is not None else None
             if record is not None and record.get("iteration") is not None:
@@ -532,20 +579,20 @@ class LineageRecorder:
                         record.get("strategy") if record is not None else None
                     ),
                     "rejected": _count_rejected(record),
-                    "interference_s": float(cf["interference"]),
-                    "observed_max_s": float(cf["observed_max"]),
-                    "nolb_max_s": float(cf["nolb_max"]),
-                    "oracle_max_s": float(cf["oracle_max"]),
+                    "interference_s": cf["interference"] / unit,
+                    "observed_max_s": cf["observed_max"] / unit,
+                    "nolb_max_s": cf["nolb_max"] / unit,
+                    "oracle_max_s": cf["oracle_max"] / unit,
                     "lambda_observed": (
-                        float(cf["observed_max"] / cf["oracle_max"])
+                        cf["observed_max"] / cf["oracle_max"]
                         if cf["oracle_max"] > 0 else 1.0
                     ),
                     "lambda_nolb": (
-                        float(cf["nolb_max"] / cf["oracle_max"])
+                        cf["nolb_max"] / cf["oracle_max"]
                         if cf["oracle_max"] > 0 else 1.0
                     ),
-                    "recovered_s": float(cf["recovered"]),
-                    "recoverable_s": float(cf["recoverable"]),
+                    "recovered_s": cf["recovered"] / unit,
+                    "recoverable_s": cf["recoverable"] / unit,
                     "efficiency": cf["efficiency"],
                     "sane": cf["sane"],
                 }
@@ -568,56 +615,59 @@ class LineageRecorder:
             "residencies": residencies,
             "per_iteration": per_iteration,
             "steps": steps,
-            "run": self._run_block(steps, recovered_total, recoverable_total),
+            "run": self._run_block(
+                steps, exact, recovered_total, recoverable_total, unit
+            ),
         }
 
     def _run_block(
         self,
         steps: List[Dict[str, Any]],
-        recovered: Fraction,
-        recoverable: Fraction,
+        exact: _Loads,
+        recovered: int,
+        recoverable: int,
+        unit: int,
     ) -> Dict[str, Any]:
+        """The run summary; ``recovered``/``recoverable`` count ``1/unit``
+        seconds (see :meth:`_counterfactuals`). Called on validated
+        samples only, so every chare sits on its final core throughout
+        the last span."""
         n = self.n_iterations
         final_lo = self._steps[-1]["iteration"] if self._steps else 0
         bg_snaps = self._bg_snapshots()
         interference = self._bg_delta(bg_snaps[-2], bg_snaps[-1], self.core_ids)
-        app_loads = self._interval_loads(final_lo, n)
+        app_loads = self._observed_loads(exact, final_lo, n)
         loads = {c: app_loads[c] + interference[c] for c in self.core_ids}
         hotspot = None
-        total = sum(loads.values(), _ZERO)
+        total = sum(loads.values())
         if total > 0:
             # max effective load wins; ties break to the lowest core id
             hot = max(self.core_ids, key=lambda cid: (loads[cid], -cid))
+            final = self._mappings()[-1]
             on_core = sorted(
                 (
-                    (sum(
-                        (Fraction(self._samples[i][key][1])
-                         for i in range(final_lo, n)
-                         if self._samples.get(i, {}).get(key, (None,))[0] == hot),
-                        _ZERO,
-                    ), key)
-                    for key in self._placement
+                    (q, key) for key, q in exact.by_span[-1].items()
+                    if final[key] == hot and q > 0
                 ),
                 key=lambda pair: (-pair[0], pair[1]),
             )
             hotspot = {
                 "core": hot,
-                "load_s": float(loads[hot]),
-                "interference_s": float(interference[hot]),
-                "share": float(loads[hot] / total),
+                "load_s": loads[hot] / _Q,
+                "interference_s": interference[hot] / _Q,
+                "share": loads[hot] / total,
                 "chares": [
-                    {"chare": _chare_str(key), "cpu_s": float(cpu)}
-                    for cpu, key in on_core[:3]
-                    if cpu > 0
+                    {"chare": _chare_str(key), "cpu_s": q / _Q}
+                    for q, key in on_core[:3]
                 ],
             }
         return {
             "lb_steps": len(steps),
             "migrations": sum(len(s["migrations"]) for s in steps),
-            "recovered_s": float(recovered),
-            "recoverable_s": float(recoverable),
+            "recovered_s": recovered / unit,
+            "recoverable_s": recoverable / unit,
             "efficiency": (
-                float(recovered / recoverable) if recoverable > 0 else None
+                recovered / recoverable if recoverable > 0 else None
             ),
             "sane": all(s["sane"] for s in steps),
             "residual_hotspot": hotspot,

@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.perf.profiler import PhaseProfiler, phase_trace_events
 from repro.runtime.tracing import TraceLog
+from repro.util.atomic import atomic_write
 
 __all__ = [
     "to_trace_events",
@@ -27,6 +28,11 @@ __all__ = [
 ]
 
 _US = 1e6  # seconds -> microseconds
+
+#: Events per ``json.dumps`` call when writing a trace: each call runs
+#: CPython's C encoder (``json.dump`` never does), and a bounded batch
+#: keeps the encoded text small next to the event list itself.
+_BATCH = 256
 
 
 def to_trace_events(
@@ -277,6 +283,10 @@ def write_chrome_trace(
     host wall-clock phase breakdown as its own process lane.
     Simulated-time and host-time lanes share one timeline axis but not
     an origin — compare durations, not positions.
+
+    The file is byte-identical to ``json.dump(events, fh)``. It is
+    written to a temporary sibling and renamed into place, so a sweep
+    killed mid-export never leaves a truncated trace at ``path``.
     """
     events = to_trace_events(trace, job_name=job_name, pid=1)
     for i, other in enumerate(extra or (), start=2):
@@ -289,6 +299,21 @@ def write_chrome_trace(
         events.extend(lineage_counter_events(lineage, pid=1))
     if profile is not None:
         events.extend(phase_trace_events(profile))
-    with open(path, "w") as fh:
-        json.dump(events, fh)
+    _write_json_array(events, path)
     return len(events)
+
+
+def _write_json_array(items: Sequence[Any], path: str) -> None:
+    """Atomically write ``items`` as the text ``json.dumps(items)``.
+
+    Batches of at most :data:`_BATCH` items are encoded one
+    ``json.dumps`` call each and joined with the encoder's own ``", "``
+    item separator.
+    """
+    with atomic_write(path, ".json.tmp") as fh:
+        fh.write("[")
+        for start in range(0, len(items), _BATCH):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(items[start:start + _BATCH])[1:-1])
+        fh.write("]")

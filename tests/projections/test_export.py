@@ -95,3 +95,82 @@ def test_multiple_jobs_get_distinct_pids(tmp_path):
     write_chrome_trace(rt1.trace, str(path), extra=[rt2.trace])
     data = json.loads(path.read_text())
     assert {e["pid"] for e in data} == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# batched encoding + atomic write
+# ---------------------------------------------------------------------------
+
+
+def _ledger_rows(n):
+    """A ledger summary with ``n`` per-iteration rows (one event each)."""
+    return {
+        "per_iteration": [
+            {"start_s": i * 0.1, "compute": 0.25 * i, "stolen": 1 / 3,
+             "overhead": 0.0, "idle": 1e-9 * i}
+            for i in range(n)
+        ]
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 256, 257, 513])
+def test_json_array_writer_matches_json_dumps(tmp_path, n):
+    from repro.projections.export import _write_json_array
+
+    items = [{"i": i, "x": i / 7, "s": f"e{i}", "l": [i, None]} for i in range(n)]
+    path = tmp_path / "items.json"
+    _write_json_array(items, str(path))
+    assert path.read_text() == json.dumps(items)
+    assert [p.name for p in tmp_path.iterdir()] == ["items.json"]
+
+
+@pytest.mark.parametrize("n", [1, 256, 257])
+def test_chrome_trace_is_byte_identical_to_json_dumps(tmp_path, n):
+    from repro.projections.export import ledger_counter_events
+    from repro.runtime.tracing import TraceLog
+
+    # an empty trace exports one process_name event; each ledger row one
+    # counter event
+    trace = TraceLog()
+    ledger = _ledger_rows(n - 1)
+    path = tmp_path / "t.trace.json"
+    assert write_chrome_trace(trace, str(path), ledger=ledger) == n
+    expected = to_trace_events(trace) + ledger_counter_events(ledger)
+    assert path.read_text() == json.dumps(expected)
+
+
+def test_audited_trace_with_profile_lane_is_byte_identical(tmp_path):
+    from repro.experiments.sweep import run_point_audited
+    from repro.perf.profiler import phase_trace_events
+    from repro.projections.export import audit_counter_events
+
+    _, records, trace, profile = run_point_audited(
+        {"app": "jacobi2d", "scale": 0.05, "iterations": 10, "cores": 4,
+         "bg": True, "balancer": "refine-vm"}
+    )
+    path = tmp_path / "p.trace.json"
+    n = write_chrome_trace(
+        trace, str(path), job_name="p", audit=records, profile=profile
+    )
+    expected = (
+        to_trace_events(trace, job_name="p")
+        + audit_counter_events(records)
+        + phase_trace_events(profile)
+    )
+    assert n == len(expected) > 256
+    assert any(e.get("cat") == "lb-audit" for e in expected)
+    assert path.read_text() == json.dumps(expected)
+
+
+def test_failed_export_keeps_the_previous_trace(tmp_path):
+    from repro.runtime.tracing import TraceLog
+
+    path = tmp_path / "t.trace.json"
+    path.write_text("[]")
+    ledger = _ledger_rows(300)
+    # the bad row sits in the second batch: the first is already written
+    ledger["per_iteration"][290]["idle"] = object()
+    with pytest.raises(TypeError):
+        write_chrome_trace(TraceLog(), str(path), ledger=ledger)
+    assert path.read_text() == "[]"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.trace.json"]
