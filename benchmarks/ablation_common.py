@@ -6,8 +6,8 @@ from repro.core import LBPolicy
 from repro.core.balancer import LoadBalancer
 from repro.cluster.netmodel import NetworkModel
 from repro.experiments import BackgroundSpec, Scenario, run_scenario
-from repro.experiments.figures import _bg_model, _estimate_iteration_time, paper_app
 from repro.experiments.runner import ExperimentResult
+from repro.experiments.sweep import _bg_model, background_job_iterations, paper_app
 
 
 def interference_run(
@@ -25,15 +25,15 @@ def interference_run(
     """One app-under-interference run with an arbitrary balancer.
 
     Mirrors the Figure-2 setup (2-core Wave2D background job on cores
-    0-1, sized to outlast the run) but leaves the strategy free — that is
-    the variable the ablations sweep.
+    0-1, sized by the sweep's own rule to outlast the run) but leaves the
+    strategy free — that is the variable the ablations sweep.
     """
     net = net or NetworkModel.native()
     model = app if app is not None else paper_app(app_name, scale)
     bg = _bg_model(scale)
-    app_est = _estimate_iteration_time(model, cores) * iterations
-    bg_iter = _estimate_iteration_time(bg, 2)
-    bg_iterations = max(int(1.2 * (1 + bg_weight) * app_est / bg_iter), 1)
+    bg_iterations = background_job_iterations(
+        model, cores, iterations, bg, weight=bg_weight
+    )
     return run_scenario(
         Scenario(
             app=model,

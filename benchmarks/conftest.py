@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-The Figure 2 and Figure 4 benchmarks derive from the same run matrix
-(exactly as in the paper, where both figures report the same runs), so
-the matrix is built once per session.
+The Figure 2 and Figure 4 benchmarks derive from the same runs
+(exactly as in the paper, where both figures report the same runs): the
+fig2 sweep's points, run once per session.
 
 Environment knobs:
 
@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import run_matrix
+from repro.experiments import run_sweep
+from repro.experiments.sweep_presets import fig2_sweep_spec
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 BENCH_ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "200"))
@@ -38,6 +39,6 @@ def write_artifact(name: str, text: str) -> Path:
 
 
 @pytest.fixture(scope="session")
-def fig24_matrix():
-    """The full Figure 2/4 run matrix (3 apps x 4 core counts x 5 runs)."""
-    return run_matrix(scale=BENCH_SCALE, iterations=BENCH_ITERATIONS)
+def fig24_sweep():
+    """The full Figure 2/4 sweep (3 apps x 4 core counts x 5 runs)."""
+    return run_sweep(fig2_sweep_spec(scale=BENCH_SCALE, iterations=BENCH_ITERATIONS))

@@ -25,7 +25,9 @@ import pytest
 from benchmarks.ablation_common import interference_run
 from benchmarks.conftest import write_artifact
 from repro.core import GreedyLB, NoLB, RefineLB, RefineVMInterferenceLB
-from repro.experiments import format_table
+from repro.experiments import format_table, run_point
+from repro.experiments.sweep import summarize_result
+from repro.experiments.sweep_presets import _ABLATION_BASE
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +98,22 @@ def test_greedy_churn_is_ruinous(lineup):
 def test_paper_scheme_is_best_or_tied(lineup):
     best = min(res.app_time for res in lineup.values())
     assert lineup["refine-vm-interference"].app_time <= best * 1.05
+
+
+@pytest.mark.parametrize(
+    "name, balancer",
+    [
+        ("refine (oblivious)", "refine"),
+        ("refine-vm-interference", "refine-vm"),
+        ("greedy (oblivious)", "greedy"),
+        ("greedy (aware)", "greedy-aware"),
+    ],
+)
+def test_lineup_runs_the_ablation_sweep_scenario(lineup, name, balancer):
+    """The line-up and the ABL sweep presets run the same scenario.
+
+    Both size the background job with one rule, so a strategy's run here
+    is bit-identical to the matching point at the presets' ABL base.
+    """
+    point = run_point({**_ABLATION_BASE, "balancer": balancer})
+    assert summarize_result(lineup[name]) == point

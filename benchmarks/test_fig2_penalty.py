@@ -15,20 +15,22 @@ Shape assertions (the paper's qualitative findings):
 * the balancer also relieves the background job for Jacobi2D/Wave2D.
 """
 
-import pytest
-
 from benchmarks.conftest import (
     BENCH_ITERATIONS,
     BENCH_SCALE,
     write_artifact,
 )
-from repro.experiments import fig2, run_case
-from repro.experiments.figures import PAPER_CORE_COUNTS
+from repro.experiments import PAPER_CORE_COUNTS, fig2
 
 
-def test_fig2_regenerate(fig24_matrix, benchmark):
+def _cells(sweep):
+    """``(app, cores) -> Fig2Row`` of the Figure 2/4 sweep."""
+    return {(r.app_name, r.cores): r for r in fig2(sweep=sweep).rows}
+
+
+def test_fig2_regenerate(fig24_sweep, benchmark):
     res = benchmark.pedantic(
-        fig2, kwargs=dict(matrix=fig24_matrix), rounds=1, iterations=1
+        fig2, kwargs=dict(sweep=fig24_sweep), rounds=1, iterations=1
     )
     write_artifact("fig2_timing_penalty", res.text())
     by_app = {}
@@ -43,27 +45,33 @@ def test_fig2_regenerate(fig24_matrix, benchmark):
         assert lbs[-1] < lbs[0], f"{app}: LB penalty did not fall with cores"
 
 
-def test_fig2_mol3d_shows_os_preference(fig24_matrix):
+def test_fig2_mol3d_shows_os_preference(fig24_sweep):
+    cells = _cells(fig24_sweep)
     for cores in PAPER_CORE_COUNTS:
-        mol = fig24_matrix[("mol3d", cores)]
-        jac = fig24_matrix[("jacobi2d", cores)]
-        assert mol.penalty_nolb > 1.5 * jac.penalty_nolb
-        assert mol.bg_penalty_nolb < jac.bg_penalty_nolb
+        mol = cells[("mol3d", cores)]
+        jac = cells[("jacobi2d", cores)]
+        assert mol.nolb > 1.5 * jac.nolb
+        assert mol.bg_nolb < jac.bg_nolb
 
 
-def test_fig2_bg_job_relieved_by_lb(fig24_matrix):
+def test_fig2_bg_job_relieved_by_lb(fig24_sweep):
+    cells = _cells(fig24_sweep)
     for app in ("jacobi2d", "wave2d"):
         for cores in PAPER_CORE_COUNTS:
-            case = fig24_matrix[(app, cores)]
-            assert case.bg_penalty_lb < case.bg_penalty_nolb
+            case = cells[(app, cores)]
+            assert case.bg_lb < case.bg_nolb
 
 
 def test_fig2_single_case_cost_jacobi32(benchmark):
     """Wall-clock cost of one full Figure-2 cell (5 simulated runs)."""
     benchmark.pedantic(
-        run_case,
-        args=("jacobi2d", 32),
-        kwargs=dict(scale=BENCH_SCALE, iterations=BENCH_ITERATIONS),
+        fig2,
+        kwargs=dict(
+            apps=["jacobi2d"],
+            core_counts=[32],
+            scale=BENCH_SCALE,
+            iterations=BENCH_ITERATIONS,
+        ),
         rounds=1,
         iterations=1,
     )

@@ -12,9 +12,9 @@ from repro.experiments import format_table, headline_reductions
 from repro.experiments.figures import PAPER_CLAIM_PERCENT
 
 
-def test_headline_reductions(fig24_matrix, benchmark):
+def test_headline_reductions(fig24_sweep, benchmark):
     rows = benchmark.pedantic(
-        headline_reductions, args=(fig24_matrix,), rounds=1, iterations=1
+        headline_reductions, args=(fig24_sweep,), rounds=1, iterations=1
     )
     text = format_table(
         ["app", "min penalty reduction %", "min energy reduction %", "claim met"],

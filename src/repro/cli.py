@@ -710,12 +710,11 @@ def _cmd_fig3(args) -> int:
     return 0
 
 
-def _matrix(args):
-    from repro.experiments.figures import PAPER_CORE_COUNTS, run_matrix
-
-    return run_matrix(
+def _fig2_spec_kwargs(args) -> dict:
+    """``fig2_sweep_spec`` keywords from ``--apps/--cores/--scale/--iterations``."""
+    return dict(
         apps=args.apps,
-        core_counts=tuple(args.cores) if args.cores else PAPER_CORE_COUNTS,
+        core_counts=args.cores,
         scale=args.scale,
         iterations=args.iterations,
     )
@@ -724,7 +723,7 @@ def _matrix(args):
 def _cmd_fig2(args) -> int:
     from repro.experiments import fig2
 
-    res = fig2(matrix=_matrix(args))
+    res = fig2(**_fig2_spec_kwargs(args))
     _emit(res.text(), "fig2", args.output)
     return 0
 
@@ -732,16 +731,17 @@ def _cmd_fig2(args) -> int:
 def _cmd_fig4(args) -> int:
     from repro.experiments import fig4
 
-    res = fig4(matrix=_matrix(args))
+    res = fig4(**_fig2_spec_kwargs(args))
     _emit(res.text(), "fig4", args.output)
     return 0
 
 
 def _cmd_headline(args) -> int:
-    from repro.experiments import format_table, headline_reductions
+    from repro.experiments import format_table, headline_reductions, run_sweep
     from repro.experiments.figures import PAPER_CLAIM_PERCENT
+    from repro.experiments.sweep_presets import fig2_sweep_spec
 
-    rows = headline_reductions(_matrix(args))
+    rows = headline_reductions(run_sweep(fig2_sweep_spec(**_fig2_spec_kwargs(args))))
     text = format_table(
         ["app", "min penalty reduction %", "min energy reduction %", "claim met"],
         [
@@ -755,19 +755,23 @@ def _cmd_headline(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from repro.experiments import (
-        format_table,
-        percent_increase,
-        run_case,
-    )
+    from repro.experiments import fig2, format_table
 
-    case = run_case(
-        args.app, args.cores, scale=args.scale, iterations=args.iterations
+    res = fig2(
+        apps=[args.app],
+        core_counts=[args.cores],
+        scale=args.scale,
+        iterations=args.iterations,
+    )
+    (row,) = res.rows
+    base, nolb, lb = (
+        res.sweep[f"{args.app}/{args.cores}/{variant}"]
+        for variant in ("base", "nolb", "lb")
     )
     rows = [
-        ("alone (base)", case.base.app_time, 0.0, case.base.avg_power_w),
-        ("interfered, noLB", case.nolb.app_time, case.penalty_nolb, case.power_nolb_w),
-        ("interfered, LB", case.lb.app_time, case.penalty_lb, case.power_lb_w),
+        ("alone (base)", base.app_time, 0.0, base.avg_power_w),
+        ("interfered, noLB", nolb.app_time, row.nolb, nolb.avg_power_w),
+        ("interfered, LB", lb.app_time, row.lb, lb.avg_power_w),
     ]
     text = format_table(
         ["run", "time (s)", "penalty %", "avg power W"],
@@ -780,42 +784,51 @@ def _cmd_demo(args) -> int:
 
 
 def _sweep_spec_from_args(args):
+    """The ``--spec``/``--preset`` sweep; raises ValueError or OSError
+    before any point runs on a bad parameter or an incomplete fig2 cell."""
     from repro.experiments.sweep import SweepSpec
     from repro.experiments.sweep_presets import (
         ablation_epsilon_spec,
         ablation_period_spec,
+        fig2_cells,
         fig2_sweep_spec,
         smoke_spec,
     )
 
     if args.spec is not None:
-        return SweepSpec.from_file(args.spec)
-    if args.preset == "fig2":
-        return fig2_sweep_spec(
-            apps=args.apps,
-            core_counts=args.cores,
-            scale=args.scale,
-            iterations=args.iterations,
-        )
-    if args.preset == "abl-eps":
-        return ablation_epsilon_spec(scale=args.scale)
-    if args.preset == "abl-period":
-        return ablation_period_spec(scale=args.scale)
-    return smoke_spec()
+        spec = SweepSpec.from_file(args.spec)
+    elif args.preset == "fig2":
+        spec = fig2_sweep_spec(**_fig2_spec_kwargs(args))
+    elif args.preset == "abl-eps":
+        spec = ablation_epsilon_spec(scale=args.scale)
+    elif args.preset == "abl-period":
+        spec = ablation_period_spec(scale=args.scale)
+    else:
+        spec = smoke_spec()
+    labels = [p.label for p in spec.expand()]
+    if spec.name == "fig2":
+        fig2_cells(labels)
+    return spec
+
+
+def _sweep_text(spec, result) -> str:
+    """A sweep's table, plus the Figure 2 and 4 tables for a fig2 sweep."""
+    from repro.experiments import fig2, fig4
+
+    text = result.text()
+    if spec.name == "fig2":
+        text += "\n\n" + fig2(sweep=result).text()
+        text += "\n\n" + fig4(sweep=result).text()
+    return text
 
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.cache import ResultCache, default_cache_dir
     from repro.experiments.progress import EventLog
     from repro.experiments.sweep import run_sweep
-    from repro.experiments.sweep_presets import (
-        fig2_table_from_sweep,
-        fig4_table_from_sweep,
-    )
 
     try:
         spec = _sweep_spec_from_args(args)
-        spec.expand()  # validate parameters before touching cache/pool
     except (ValueError, OSError) as exc:
         print(f"repro sweep: error: {exc}", file=sys.stderr)
         return 2
@@ -868,11 +881,7 @@ def _cmd_sweep(args) -> int:
     for event in log.of_type("run_registered"):
         print(f"[registered as run {event['run_id']}]", file=sys.stderr)
 
-    text = result.text()
-    if args.preset == "fig2" or (args.spec and spec.name == "fig2"):
-        text += "\n\n" + fig2_table_from_sweep(result)
-        text += "\n\n" + fig4_table_from_sweep(result)
-    _emit(text, f"sweep_{spec.name}", args.output)
+    _emit(_sweep_text(spec, result), f"sweep_{spec.name}", args.output)
     return 0
 
 
@@ -895,14 +904,9 @@ def _cmd_fabric_run(args) -> int:
     )
     from repro.experiments.progress import EventLog
     from repro.experiments.sweep import run_sweep
-    from repro.experiments.sweep_presets import (
-        fig2_table_from_sweep,
-        fig4_table_from_sweep,
-    )
 
     try:
         spec = _sweep_spec_from_args(args)
-        spec.expand()  # validate parameters before touching cache/workers
         faults = tuple(parse_fault(f) for f in (args.fault or ()))
     except (ValueError, OSError) as exc:
         print(f"repro fabric run: error: {exc}", file=sys.stderr)
@@ -978,11 +982,7 @@ def _cmd_fabric_run(args) -> int:
     for event in log.of_type("run_registered"):
         print(f"[registered as run {event['run_id']}]", file=sys.stderr)
 
-    text = result.text()
-    if args.preset == "fig2" or (args.spec and spec.name == "fig2"):
-        text += "\n\n" + fig2_table_from_sweep(result)
-        text += "\n\n" + fig4_table_from_sweep(result)
-    _emit(text, f"sweep_{spec.name}", args.output)
+    _emit(_sweep_text(spec, result), f"sweep_{spec.name}", args.output)
     return 0
 
 

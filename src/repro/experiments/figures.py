@@ -17,6 +17,10 @@ The paper has no numbered tables; its results are Figures 1–4:
   balancing cuts the timing penalty and the energy overhead by at least
   5 % for every application (our reproduction typically far exceeds it).
 
+Figures 2 and 4 and the headline claim read one sweep: the points of
+:func:`~repro.experiments.sweep_presets.fig2_sweep_spec`, five runs per
+(app, cores) cell. This module only turns that sweep into tables.
+
 Every generator takes a ``scale`` knob (grid size / particle count
 multiplier) so the identical code path runs both as a quick test and as
 the full-size benchmark.
@@ -24,32 +28,25 @@ the full-size benchmark.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.apps import Jacobi2D, Mol3D, Wave2D
-from repro.apps.base import AppModel
+from repro.apps import Wave2D
 from repro.cluster.background import Interferer
 from repro.cluster.cluster import Cluster
-from repro.cluster.netmodel import NetworkModel
 from repro.core.interference import RefineVMInterferenceLB
 from repro.core.policies import LBPolicy
-from repro.experiments.penalty import percent_increase
-from repro.experiments.runner import ExperimentResult, run_scenario
-from repro.experiments.scenario import BackgroundSpec, Scenario
+from repro.experiments.sweep import SweepResult, run_sweep
+from repro.experiments.sweep_presets import (
+    fig2_rows_from_sweep,
+    fig2_sweep_spec,
+    fig4_rows_from_sweep,
+)
 from repro.experiments.tables import format_table
 from repro.projections import extract_timelines, render_timelines
 from repro.sim.engine import SimulationEngine
-from repro.util import check_positive
 
 __all__ = [
-    "PAPER_CORE_COUNTS",
-    "paper_app_names",
-    "paper_app",
-    "CaseResult",
-    "run_case",
-    "run_matrix",
     "Fig1Result",
     "fig1",
     "Fig2Row",
@@ -63,228 +60,6 @@ __all__ = [
     "HeadlineRow",
     "headline_reductions",
 ]
-
-#: Core counts swept in Figure 2/4. The testbed allocates whole 4-core
-#: nodes, topping out at 8 nodes = 32 cores; with the background job
-#: pinned to 2 cores, 8 is the smallest allocation where shedding the two
-#: interfered cores can beat no-LB at all (below that, losing 2 of P
-#: cores costs as much as the interference itself).
-PAPER_CORE_COUNTS: Tuple[int, ...] = (8, 16, 24, 32)
-
-#: OS share weight of the background job per application scenario. The
-#: paper: "we saw a significant preference to the background load in the
-#: case of Mol3D" — reproduced as a larger weight for that scenario.
-_BG_WEIGHT: Dict[str, float] = {"jacobi2d": 1.0, "wave2d": 1.0, "mol3d": 4.0}
-
-
-def paper_app_names() -> Tuple[str, ...]:
-    """The three evaluated applications, figure order."""
-    return ("jacobi2d", "wave2d", "mol3d")
-
-
-def paper_app(name: str, scale: float = 1.0, *, seed: int = 0) -> AppModel:
-    """Build one of the paper's applications at a size multiplier.
-
-    ``scale=1.0`` is the full evaluation size; tests use ~0.1 for speed.
-    ``seed`` varies the run-to-run sources (stencil jitter phases,
-    Mol3D's density realisation) — the paper's "three similar runs" are
-    three seeds (see :mod:`repro.experiments.repeat`).
-    """
-    check_positive("scale", scale)
-    if name == "jacobi2d":
-        return Jacobi2D(grid_size=max(int(4096 * scale), 64), jitter_seed=seed)
-    if name == "wave2d":
-        return Wave2D(grid_size=max(int(4096 * scale), 64), jitter_seed=seed)
-    if name == "mol3d":
-        return Mol3D(
-            total_particles=max(int(48_000 * scale), 512), seed=42 + seed
-        )
-    raise ValueError(f"unknown paper app {name!r}; known: {paper_app_names()}")
-
-
-def _bg_model(scale: float) -> Wave2D:
-    """The paper's interfering job: a 2-core Wave2D, scaled with the apps."""
-    return Wave2D.background(grid_size=max(int(1448 * scale), 32))
-
-
-def _estimate_iteration_time(model: AppModel, num_cores: int) -> float:
-    """Rough per-iteration wall time: total chare work / cores."""
-    array = model.build_array(num_cores)
-    total = sum(c.work(0) for c in array)
-    return total / num_cores
-
-
-# ---------------------------------------------------------------------------
-# shared Figure 2/4 machinery
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    """All runs for one (application, core count) cell of Figures 2/4.
-
-    ``base`` is the application alone without balancing; ``base_lb`` is
-    the application alone *with* the balancer. ``nolb``/``lb`` add the
-    2-core background job; ``bg_alone_time`` is the background job by
-    itself. Each variant's penalty uses the matching baseline so the
-    number isolates *interference*: Mol3D has internal imbalance the
-    balancer fixes even without interference, and comparing an LB run
-    against an unbalanced base would conflate the two effects (producing
-    nonsense like negative penalties).
-    """
-
-    app_name: str
-    cores: int
-    base: ExperimentResult
-    base_lb: ExperimentResult
-    nolb: ExperimentResult
-    lb: ExperimentResult
-    bg_alone_time: float
-
-    # -- Figure 2 quantities -------------------------------------------
-    @property
-    def penalty_nolb(self) -> float:
-        """App timing penalty (%) without load balancing."""
-        return percent_increase(self.nolb.app_time, self.base.app_time)
-
-    @property
-    def penalty_lb(self) -> float:
-        """App timing penalty (%) with the interference-aware balancer."""
-        return percent_increase(self.lb.app_time, self.base_lb.app_time)
-
-    @property
-    def bg_penalty_nolb(self) -> float:
-        """Background job's timing penalty (%) in the noLB run."""
-        return percent_increase(self.nolb.bg_time, self.bg_alone_time)
-
-    @property
-    def bg_penalty_lb(self) -> float:
-        """Background job's timing penalty (%) in the LB run."""
-        return percent_increase(self.lb.bg_time, self.bg_alone_time)
-
-    # -- Figure 4 quantities -------------------------------------------
-    @property
-    def power_base_w(self) -> float:
-        return self.base.avg_power_w
-
-    @property
-    def power_nolb_w(self) -> float:
-        return self.nolb.avg_power_w
-
-    @property
-    def power_lb_w(self) -> float:
-        return self.lb.avg_power_w
-
-    @property
-    def energy_overhead_nolb(self) -> float:
-        """Energy overhead (%) vs the interference-free base run."""
-        return percent_increase(self.nolb.energy.energy_j, self.base.energy.energy_j)
-
-    @property
-    def energy_overhead_lb(self) -> float:
-        """Energy overhead (%) vs the interference-free *balanced* base."""
-        return percent_increase(self.lb.energy.energy_j, self.base_lb.energy.energy_j)
-
-
-def run_case(
-    app_name: str,
-    cores: int,
-    *,
-    scale: float = 1.0,
-    iterations: int = 200,
-    lb_period: int = 5,
-    epsilon: float = 0.05,
-    bg_overlap: Optional[float] = None,
-    net: Optional[NetworkModel] = None,
-    seed: int = 0,
-) -> CaseResult:
-    """Execute the four runs behind one Figure 2/4 cell.
-
-    The background job (2-core Wave2D on cores 0–1, per the paper) is
-    sized so that, alone, it lasts ``bg_overlap`` x the application's
-    estimated interference-free duration. The default overlap is
-    ``1.2 * (1 + bg_weight)``: an un-balanced application stretches by
-    about ``(1 + bg_weight)``, and the background job must keep
-    interfering for that whole run (the paper started both jobs together
-    and kept the background load present throughout).
-    """
-    net = net or NetworkModel.native()
-    model = paper_app(app_name, scale, seed=seed)
-    bg = _bg_model(scale)
-    bg_weight = _BG_WEIGHT[app_name]
-    policy = LBPolicy(period_iterations=lb_period, decision_overhead_s=2e-4)
-    if bg_overlap is None:
-        bg_overlap = 1.2 * (1.0 + bg_weight)
-
-    app_est = _estimate_iteration_time(model, cores) * iterations
-    bg_iter_est = _estimate_iteration_time(bg, 2)
-    bg_iterations = max(int(math.ceil(bg_overlap * app_est / bg_iter_est)), 1)
-
-    def bg_spec() -> BackgroundSpec:
-        return BackgroundSpec(
-            model=bg, core_ids=(0, 1), iterations=bg_iterations, weight=bg_weight
-        )
-
-    base = run_scenario(
-        Scenario(app=model, num_cores=cores, iterations=iterations, net=net)
-    )
-    base_lb = run_scenario(
-        Scenario(
-            app=model,
-            num_cores=cores,
-            iterations=iterations,
-            net=net,
-            balancer=RefineVMInterferenceLB(epsilon),
-            policy=policy,
-        )
-    )
-    nolb = run_scenario(
-        Scenario(
-            app=model, num_cores=cores, iterations=iterations, net=net, bg=bg_spec()
-        )
-    )
-    lb = run_scenario(
-        Scenario(
-            app=model,
-            num_cores=cores,
-            iterations=iterations,
-            net=net,
-            bg=bg_spec(),
-            balancer=RefineVMInterferenceLB(epsilon),
-            policy=policy,
-        )
-    )
-    bg_alone = run_scenario(
-        Scenario(app=bg, num_cores=2, iterations=bg_iterations, net=net)
-    )
-    return CaseResult(
-        app_name=app_name,
-        cores=cores,
-        base=base,
-        base_lb=base_lb,
-        nolb=nolb,
-        lb=lb,
-        bg_alone_time=bg_alone.app_time,
-    )
-
-
-def run_matrix(
-    *,
-    apps: Optional[Sequence[str]] = None,
-    core_counts: Sequence[int] = PAPER_CORE_COUNTS,
-    scale: float = 1.0,
-    iterations: int = 200,
-    **case_kwargs,
-) -> Dict[Tuple[str, int], CaseResult]:
-    """All Figure 2/4 cells: ``(app, cores) -> CaseResult``."""
-    apps = tuple(apps) if apps is not None else paper_app_names()
-    matrix = {}
-    for name in apps:
-        for cores in core_counts:
-            matrix[(name, cores)] = run_case(
-                name, cores, scale=scale, iterations=iterations, **case_kwargs
-            )
-    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +164,7 @@ class Fig2Result:
     """Reproduction of Figure 2 (timing penalties)."""
 
     rows: Tuple[Fig2Row, ...]
-    matrix: Dict[Tuple[str, int], CaseResult]
+    sweep: SweepResult
 
     def text(self) -> str:
         return format_table(
@@ -402,25 +177,18 @@ class Fig2Result:
         )
 
 
-def fig2(
-    *,
-    matrix: Optional[Dict[Tuple[str, int], CaseResult]] = None,
-    **matrix_kwargs,
-) -> Fig2Result:
-    """Reproduce Figure 2. Pass ``matrix`` to reuse Figure 4's runs."""
-    matrix = matrix if matrix is not None else run_matrix(**matrix_kwargs)
-    rows = tuple(
-        Fig2Row(
-            app_name=case.app_name,
-            cores=case.cores,
-            nolb=case.penalty_nolb,
-            lb=case.penalty_lb,
-            bg_nolb=case.bg_penalty_nolb,
-            bg_lb=case.bg_penalty_lb,
-        )
-        for case in matrix.values()
-    )
-    return Fig2Result(rows=rows, matrix=matrix)
+def fig2(*, sweep: Optional[SweepResult] = None, **spec_kwargs) -> Fig2Result:
+    """Reproduce Figure 2 from the fig2 sweep's points.
+
+    Without ``sweep``, runs :func:`~repro.experiments.sweep_presets.fig2_sweep_spec`
+    (``spec_kwargs``: ``apps``, ``core_counts``, ``scale``, ``iterations``,
+    ``lb_period``, ``epsilon``, ``seed``) serially with no cache. Pass
+    ``sweep`` to reuse Figure 4's runs or a parallel, cached sweep.
+    """
+    if sweep is None:
+        sweep = run_sweep(fig2_sweep_spec(**spec_kwargs))
+    rows = tuple(Fig2Row(*row) for row in fig2_rows_from_sweep(sweep))
+    return Fig2Result(rows=rows, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +334,7 @@ class Fig4Result:
     """Reproduction of Figure 4 (power and normalised energy)."""
 
     rows: Tuple[Fig4Row, ...]
-    matrix: Dict[Tuple[str, int], CaseResult]
+    sweep: SweepResult
 
     def text(self) -> str:
         return format_table(
@@ -593,25 +361,16 @@ class Fig4Result:
         )
 
 
-def fig4(
-    *,
-    matrix: Optional[Dict[Tuple[str, int], CaseResult]] = None,
-    **matrix_kwargs,
-) -> Fig4Result:
-    """Reproduce Figure 4. Pass ``matrix`` to reuse Figure 2's runs."""
-    matrix = matrix if matrix is not None else run_matrix(**matrix_kwargs)
-    rows = tuple(
-        Fig4Row(
-            app_name=case.app_name,
-            cores=case.cores,
-            power_nolb_w=case.power_nolb_w,
-            power_lb_w=case.power_lb_w,
-            energy_overhead_nolb=case.energy_overhead_nolb,
-            energy_overhead_lb=case.energy_overhead_lb,
-        )
-        for case in matrix.values()
-    )
-    return Fig4Result(rows=rows, matrix=matrix)
+def fig4(*, sweep: Optional[SweepResult] = None, **spec_kwargs) -> Fig4Result:
+    """Reproduce Figure 4 from the fig2 sweep's points.
+
+    The same runs as Figure 2; ``sweep`` and ``spec_kwargs`` as in
+    :func:`fig2`.
+    """
+    if sweep is None:
+        sweep = run_sweep(fig2_sweep_spec(**spec_kwargs))
+    rows = tuple(Fig4Row(*row) for row in fig4_rows_from_sweep(sweep))
+    return Fig4Result(rows=rows, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -654,26 +413,27 @@ def _reduction_percent(lb: float, nolb: float) -> float:
     return 100.0 * (1.0 - lb / nolb)
 
 
-def headline_reductions(
-    matrix: Dict[Tuple[str, int], CaseResult]
-) -> List[HeadlineRow]:
-    """Check the abstract's claim on a Figure 2/4 matrix.
+def headline_reductions(sweep: SweepResult) -> List[HeadlineRow]:
+    """Check the abstract's claim on a Figure 2/4 sweep.
 
     Reduction = ``100 * (1 - LB / noLB)`` for the timing penalty and the
     energy overhead; the row reports each application's *worst* core
     count.  Cases whose noLB baseline is zero contribute a 0 % reduction
     (nothing to reduce at that scale) instead of crashing.
     """
-    apps = sorted({app for app, _ in matrix})
+    penalties = fig2(sweep=sweep).rows
+    energies = fig4(sweep=sweep).rows
     rows = []
-    for app in apps:
-        cases = [c for (a, _), c in matrix.items() if a == app]
+    for app in sorted({r.app_name for r in penalties}):
         pen = min(
-            _reduction_percent(c.penalty_lb, c.penalty_nolb) for c in cases
+            _reduction_percent(r.lb, r.nolb)
+            for r in penalties
+            if r.app_name == app
         )
         en = min(
-            _reduction_percent(c.energy_overhead_lb, c.energy_overhead_nolb)
-            for c in cases
+            _reduction_percent(r.energy_overhead_lb, r.energy_overhead_nolb)
+            for r in energies
+            if r.app_name == app
         )
         rows.append(
             HeadlineRow(

@@ -4,7 +4,7 @@ The paper: "All the results shown are averages over three similar runs."
 Our simulator is deterministic for a given seed, so "similar runs" are
 realised by re-seeding the applications' run-to-run variation sources
 (stencil jitter phases, Mol3D's density field) and repeating the whole
-Figure-2 cell. :func:`repeat_case` returns per-metric
+Figure-2 cell as a one-cell fig2 sweep. :func:`repeat_case` returns per-metric
 mean/std/min/max across seeds plus a formatted table — the reproduction's
 analogue of the paper's error-free averaged bars.
 """
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-from repro.experiments.figures import CaseResult, run_case
+from repro.experiments.figures import Fig2Row, Fig4Row, fig2, fig4
 from repro.experiments.tables import format_table
 
 __all__ = ["RunStatistics", "RepeatedCase", "summarize", "repeat_case"]
@@ -52,16 +52,17 @@ def summarize(values: Sequence[float]) -> RunStatistics:
     )
 
 
-#: The Figure-2/4 metrics aggregated by :func:`repeat_case`.
-_METRICS: Dict[str, Callable[[CaseResult], float]] = {
-    "penalty_nolb": lambda c: c.penalty_nolb,
-    "penalty_lb": lambda c: c.penalty_lb,
-    "bg_penalty_nolb": lambda c: c.bg_penalty_nolb,
-    "bg_penalty_lb": lambda c: c.bg_penalty_lb,
-    "power_nolb_w": lambda c: c.power_nolb_w,
-    "power_lb_w": lambda c: c.power_lb_w,
-    "energy_overhead_nolb": lambda c: c.energy_overhead_nolb,
-    "energy_overhead_lb": lambda c: c.energy_overhead_lb,
+#: The Figure-2/4 metrics aggregated by :func:`repeat_case`, read from a
+#: cell's Figure 2 and Figure 4 rows.
+_METRICS: Dict[str, Callable[[Fig2Row, Fig4Row], float]] = {
+    "penalty_nolb": lambda pen, en: pen.nolb,
+    "penalty_lb": lambda pen, en: pen.lb,
+    "bg_penalty_nolb": lambda pen, en: pen.bg_nolb,
+    "bg_penalty_lb": lambda pen, en: pen.bg_lb,
+    "power_nolb_w": lambda pen, en: en.power_nolb_w,
+    "power_lb_w": lambda pen, en: en.power_lb_w,
+    "energy_overhead_nolb": lambda pen, en: en.energy_overhead_nolb,
+    "energy_overhead_lb": lambda pen, en: en.energy_overhead_lb,
 }
 
 
@@ -95,21 +96,26 @@ def repeat_case(
     cores: int,
     *,
     seeds: Sequence[int] = (0, 1, 2),
-    **case_kwargs,
+    **spec_kwargs,
 ) -> RepeatedCase:
     """Run one Figure-2/4 cell once per seed and aggregate.
 
-    ``case_kwargs`` are forwarded to
-    :func:`~repro.experiments.figures.run_case` (scale, iterations,
-    lb_period, ...). Three seeds is the paper's own repetition count.
+    Each seed runs a one-cell
+    :func:`~repro.experiments.sweep_presets.fig2_sweep_spec` sweep;
+    ``spec_kwargs`` are forwarded to it (scale, iterations, lb_period,
+    epsilon). Three seeds is the paper's own repetition count.
     """
     if not seeds:
         raise ValueError("repeat_case needs at least one seed")
-    cases = [
-        run_case(app_name, cores, seed=seed, **case_kwargs) for seed in seeds
-    ]
+    cells = []
+    for seed in seeds:
+        f2 = fig2(apps=(app_name,), core_counts=(cores,), seed=seed, **spec_kwargs)
+        (pen,) = f2.rows
+        (en,) = fig4(sweep=f2.sweep).rows
+        cells.append((pen, en))
     metrics = {
-        name: summarize([fn(c) for c in cases]) for name, fn in _METRICS.items()
+        name: summarize([fn(*cell) for cell in cells])
+        for name, fn in _METRICS.items()
     }
     return RepeatedCase(
         app_name=app_name,

@@ -74,6 +74,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (no runtime import)
 
 import json
 
+from repro.apps import Jacobi2D, Mol3D, Wave2D
+from repro.apps.base import AppModel
 from repro.core import GreedyLB, RefineLB, RefineVMInterferenceLB
 from repro.core.balancer import LoadBalancer
 from repro.core.policies import LBPolicy
@@ -92,12 +94,16 @@ from repro.perf.profiler import profiled
 from repro.projections.export import write_chrome_trace
 from repro.runtime.tracing import TraceLog
 from repro.telemetry import Telemetry, audit_summary, write_audit_jsonl
-from repro.util import derive_seed, get_logger
+from repro.util import check_positive, derive_seed, get_logger
 
 __all__ = [
+    "PAPER_CORE_COUNTS",
+    "paper_app_names",
+    "paper_app",
     "PARAM_DEFAULTS",
     "normalize_params",
     "build_scenario",
+    "background_job_iterations",
     "background_iterations",
     "ScenarioSummary",
     "summarize_result",
@@ -115,6 +121,55 @@ __all__ = [
 ]
 
 _log = get_logger(__name__)
+
+#: Core counts swept in Figure 2/4. The testbed allocates whole 4-core
+#: nodes, topping out at 8 nodes = 32 cores; with the background job
+#: pinned to 2 cores, 8 is the smallest allocation where shedding the two
+#: interfered cores can beat no-LB at all (below that, losing 2 of P
+#: cores costs as much as the interference itself).
+PAPER_CORE_COUNTS: Tuple[int, ...] = (8, 16, 24, 32)
+
+#: OS share weight of the background job per application scenario. The
+#: paper: "we saw a significant preference to the background load in the
+#: case of Mol3D" — reproduced as a larger weight for that scenario.
+_BG_WEIGHT: Dict[str, float] = {"jacobi2d": 1.0, "wave2d": 1.0, "mol3d": 4.0}
+
+
+def paper_app_names() -> Tuple[str, ...]:
+    """The three evaluated applications, figure order."""
+    return ("jacobi2d", "wave2d", "mol3d")
+
+
+def paper_app(name: str, scale: float = 1.0, *, seed: int = 0) -> AppModel:
+    """Build one of the paper's applications at a size multiplier.
+
+    ``scale=1.0`` is the full evaluation size; tests use ~0.1 for speed.
+    ``seed`` varies the run-to-run sources (stencil jitter phases,
+    Mol3D's density realisation) — the paper's "three similar runs" are
+    three seeds (see :mod:`repro.experiments.repeat`).
+    """
+    check_positive("scale", scale)
+    if name == "jacobi2d":
+        return Jacobi2D(grid_size=max(int(4096 * scale), 64), jitter_seed=seed)
+    if name == "wave2d":
+        return Wave2D(grid_size=max(int(4096 * scale), 64), jitter_seed=seed)
+    if name == "mol3d":
+        return Mol3D(
+            total_particles=max(int(48_000 * scale), 512), seed=42 + seed
+        )
+    raise ValueError(f"unknown paper app {name!r}; known: {paper_app_names()}")
+
+
+def _bg_model(scale: float) -> Wave2D:
+    """The paper's interfering job: a 2-core Wave2D, scaled with the apps."""
+    return Wave2D.background(grid_size=max(int(1448 * scale), 32))
+
+
+def _estimate_iteration_time(model: AppModel, num_cores: int) -> float:
+    """Rough per-iteration wall time: total chare work / cores."""
+    array = model.build_array(num_cores)
+    total = sum(c.work(0) for c in array)
+    return total / num_cores
 
 #: Default value of every scenario parameter (the normalised form always
 #: carries every key, so cache keys never shift when defaults are spelled
@@ -197,18 +252,43 @@ def _make_balancer(name: str, epsilon: float) -> Optional[LoadBalancer]:
     raise ValueError(f"unknown balancer {name!r}")  # pragma: no cover
 
 
-def _app_model(name: str, scale: float, seed: int):
-    from repro.experiments.figures import _bg_model, paper_app
-
+def _app_model(name: str, scale: float, seed: int) -> AppModel:
     if name == "bg":
         return _bg_model(scale)
     return paper_app(name, scale, seed=seed)
 
 
-def _bg_weight_default(app_name: str) -> float:
-    from repro.experiments.figures import _BG_WEIGHT
+def _bg_weight(p: Mapping[str, Any]) -> float:
+    """A normalised point's background share weight (null = per-app default)."""
+    if p["bg_weight"] is not None:
+        return p["bg_weight"]
+    return _BG_WEIGHT.get(p["app"], 1.0)
 
-    return _BG_WEIGHT.get(app_name, 1.0)
+
+def background_job_iterations(
+    model: AppModel,
+    cores: int,
+    iterations: int,
+    bg: AppModel,
+    *,
+    weight: float,
+    overlap: Optional[float] = None,
+) -> int:
+    """Iterations of the 2-core background job ``bg`` next to ``model``.
+
+    The one sizing rule for the paper's interfering job: alone, it must
+    last ``overlap`` x the application's estimated interference-free
+    duration (``iterations`` on ``cores``), rounded up. The default
+    overlap is ``1.2 * (1 + weight)``: an unbalanced application
+    stretches by about ``1 + weight``, and the background job must keep
+    interfering for that whole run (the paper started both jobs together
+    and kept the background load present throughout).
+    """
+    if overlap is None:
+        overlap = 1.2 * (1.0 + weight)
+    app_est = _estimate_iteration_time(model, cores) * iterations
+    bg_iter_est = _estimate_iteration_time(bg, 2)
+    return max(int(math.ceil(overlap * app_est / bg_iter_est)), 1)
 
 
 #: canonical params JSON -> background iteration count (pure function)
@@ -218,33 +298,27 @@ _BG_ITERATIONS_MEMO: Dict[str, int] = {}
 def background_iterations(params: Mapping[str, Any]) -> int:
     """Iterations of the 2-core background job for a ``bg=True`` point.
 
-    Sized exactly as :func:`~repro.experiments.figures.run_case` sizes
-    it: the job alone must last ``overlap`` x the application's estimated
-    interference-free duration (default overlap ``1.2 * (1 + weight)``),
-    so the interference persists for the whole stretched run.
-    Deterministic in the point's parameters, which keeps sweep points
-    pure and lets the Fig. 2 preset compute the matching ``bg``-alone
-    run up front. That determinism also makes the result memoisable:
-    the estimate builds throwaway model instances, which would otherwise
-    dominate repeated ``build_scenario`` calls on the same point.
+    :func:`background_job_iterations` for the point's application, core
+    count, iterations, ``bg_weight`` and ``bg_overlap``. Deterministic in
+    the point's parameters, which keeps sweep points pure and lets the
+    Fig. 2 preset compute the matching ``bg``-alone run up front. That
+    determinism also makes the result memoisable: the estimate builds
+    throwaway model instances, which would otherwise dominate repeated
+    ``build_scenario`` calls on the same point.
     """
-    from repro.experiments.figures import _bg_model, _estimate_iteration_time
-
     p = normalize_params(dict(params))
     memo_key = canonical_json(p)
     hit = _BG_ITERATIONS_MEMO.get(memo_key)
     if hit is not None:
         return hit
-    weight = p["bg_weight"]
-    if weight is None:
-        weight = _bg_weight_default(p["app"])
-    overlap = p["bg_overlap"]
-    if overlap is None:
-        overlap = 1.2 * (1.0 + weight)
-    model = _app_model(p["app"], p["scale"], p["seed"])
-    app_est = _estimate_iteration_time(model, p["cores"]) * p["iterations"]
-    bg_iter_est = _estimate_iteration_time(_bg_model(p["scale"]), 2)
-    n = max(int(math.ceil(overlap * app_est / bg_iter_est)), 1)
+    n = background_job_iterations(
+        _app_model(p["app"], p["scale"], p["seed"]),
+        p["cores"],
+        p["iterations"],
+        _bg_model(p["scale"]),
+        weight=_bg_weight(p),
+        overlap=p["bg_overlap"],
+    )
     if len(_BG_ITERATIONS_MEMO) >= 4096:  # unbounded-growth backstop
         _BG_ITERATIONS_MEMO.clear()
     _BG_ITERATIONS_MEMO[memo_key] = n
@@ -266,16 +340,11 @@ def build_scenario(params: Mapping[str, Any]) -> Scenario:
     )
     bg = None
     if p["bg"]:
-        from repro.experiments.figures import _bg_model
-
-        weight = p["bg_weight"]
-        if weight is None:
-            weight = _bg_weight_default(p["app"])
         bg = BackgroundSpec(
             model=_bg_model(p["scale"]),
             core_ids=(0, 1),
             iterations=background_iterations(p),
-            weight=weight,
+            weight=_bg_weight(p),
         )
     return Scenario(
         app=model,

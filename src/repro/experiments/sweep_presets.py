@@ -5,10 +5,12 @@ These port the paper's evaluation loops onto the parallel sweep engine:
 * :func:`fig2_sweep_spec` — the full Figure 2/4 run matrix (every
   (app, cores) cell's five runs: base, balanced base, interfered noLB,
   interfered LB, and the background job alone) as independent sweep
-  points, so a 4-worker pool runs the whole figure ~4x faster and a
-  re-run is a pure cache hit. :func:`fig2_rows_from_sweep` /
-  :func:`fig4_rows_from_sweep` reassemble the paper's penalty and
-  energy tables from the summaries.
+  points. It is the only code that builds a Figure 2/4 cell: the
+  figure generators (``fig2``, ``fig4``, the headline check,
+  ``repeat_case`` and ``repro demo``) run it serially with no cache,
+  and ``repro sweep --preset fig2`` adds workers and the result cache.
+  :func:`fig2_rows_from_sweep` / :func:`fig4_rows_from_sweep` reduce the
+  summaries to the paper's penalty and energy rows.
 * :func:`ablation_epsilon_spec` / :func:`ablation_period_spec` — the
   ABL-EPS and ABL-PERIOD benchmark sweeps (interference run with the
   paper's balancer, sweeping ε / the LB period).
@@ -17,22 +19,22 @@ These port the paper's evaluation loops onto the parallel sweep engine:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.penalty import percent_increase
 from repro.experiments.sweep import (
+    PAPER_CORE_COUNTS,
     SweepResult,
     SweepSpec,
     background_iterations,
+    paper_app_names,
 )
-from repro.experiments.tables import format_table
 
 __all__ = [
     "fig2_sweep_spec",
+    "fig2_cells",
     "fig2_rows_from_sweep",
-    "fig2_table_from_sweep",
     "fig4_rows_from_sweep",
-    "fig4_table_from_sweep",
     "ablation_epsilon_spec",
     "ablation_period_spec",
     "smoke_spec",
@@ -58,8 +60,6 @@ def fig2_sweep_spec(
     seed: int = 0,
 ) -> SweepSpec:
     """The Figure 2/4 matrix as one flat sweep (5 points per cell)."""
-    from repro.experiments.figures import PAPER_CORE_COUNTS, paper_app_names
-
     apps = tuple(apps) if apps is not None else paper_app_names()
     core_counts = tuple(core_counts) if core_counts is not None else PAPER_CORE_COUNTS
     base = {
@@ -95,11 +95,26 @@ def fig2_sweep_spec(
     return SweepSpec(name="fig2", base=base, points=tuple(points))
 
 
-def _fig2_cells(result: SweepResult) -> List[Tuple[str, int]]:
+def fig2_cells(labels: Iterable[str]) -> List[Tuple[str, int]]:
+    """The ``(app, cores)`` cells named by Figure 2/4 point labels, in order.
+
+    A cell is named by its ``<app>/<cores>/base`` label. Raises
+    ValueError naming the first of a cell's five labels that ``labels``
+    lacks, so an incomplete ``fig2`` spec is refused before it runs.
+    """
+    labels = list(labels)
+    have = set(labels)
     cells = []
-    for r in result.results:
-        parts = r.label.split("/")
+    for label in labels:
+        parts = label.split("/")
         if len(parts) == 3 and parts[2] == "base":
+            cell = f"{parts[0]}/{parts[1]}"
+            for variant in ("base_lb", "nolb", "lb", "bg_alone"):
+                if f"{cell}/{variant}" not in have:
+                    raise ValueError(
+                        f"Figure 2/4 cell {cell} has no point labelled "
+                        f"{cell}/{variant}"
+                    )
             cells.append((parts[0], int(parts[1])))
     return cells
 
@@ -107,13 +122,16 @@ def _fig2_cells(result: SweepResult) -> List[Tuple[str, int]]:
 def fig2_rows_from_sweep(result: SweepResult) -> List[Tuple[str, int, float, float, float, float]]:
     """Figure 2 penalty rows ``(app, cores, noLB, LB, bg_noLB, bg_LB)``.
 
-    Penalties follow :class:`~repro.experiments.figures.CaseResult`: each
-    variant is compared against the matching baseline (LB run vs the
-    *balanced* interference-free run) so the number isolates
-    interference.
+    Each variant is compared against the matching baseline, so the
+    number isolates *interference*: the noLB run against the unbalanced
+    base, the LB run against the *balanced* interference-free run
+    (Mol3D has internal imbalance the balancer fixes even without
+    interference, and comparing an LB run against an unbalanced base
+    would conflate the two effects), and the background job against its
+    own run alone.
     """
     rows = []
-    for app, cores in _fig2_cells(result):
+    for app, cores in fig2_cells(r.label for r in result.results):
         get = lambda variant: result[f"{app}/{cores}/{variant}"]
         base, base_lb = get("base"), get("base_lb")
         nolb, lb, bg_alone = get("nolb"), get("lb"), get("bg_alone")
@@ -130,19 +148,13 @@ def fig2_rows_from_sweep(result: SweepResult) -> List[Tuple[str, int, float, flo
     return rows
 
 
-def fig2_table_from_sweep(result: SweepResult) -> str:
-    """The Figure 2 penalty table, regenerated from sweep summaries."""
-    return format_table(
-        ["app", "cores", "noLB %", "LB %", "BG noLB %", "BG LB %"],
-        fig2_rows_from_sweep(result),
-        title="Figure 2 — timing penalty vs. interference (percent, via sweep)",
-    )
-
-
 def fig4_rows_from_sweep(result: SweepResult) -> List[Tuple[str, int, float, float, float, float]]:
-    """Figure 4 rows ``(app, cores, noLB W, LB W, noLB energy %, LB energy %)``."""
+    """Figure 4 rows ``(app, cores, noLB W, LB W, noLB energy %, LB energy %)``.
+
+    Energy overheads use the same baselines as the Figure 2 penalties.
+    """
     rows = []
-    for app, cores in _fig2_cells(result):
+    for app, cores in fig2_cells(r.label for r in result.results):
         get = lambda variant: result[f"{app}/{cores}/{variant}"]
         base, base_lb = get("base"), get("base_lb")
         nolb, lb = get("nolb"), get("lb")
@@ -157,15 +169,6 @@ def fig4_rows_from_sweep(result: SweepResult) -> List[Tuple[str, int, float, flo
             )
         )
     return rows
-
-
-def fig4_table_from_sweep(result: SweepResult) -> str:
-    """The Figure 4 power/energy table, regenerated from sweep summaries."""
-    return format_table(
-        ["app", "cores", "noLB power W", "LB power W", "noLB energy %", "LB energy %"],
-        fig4_rows_from_sweep(result),
-        title="Figure 4 — power draw and energy overhead (via sweep)",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,23 @@ from repro.experiments import (
     headline_reductions,
     paper_app,
     paper_app_names,
-    run_case,
+    run_sweep,
 )
-from repro.experiments.figures import run_matrix
+from repro.experiments.sweep_presets import fig2_sweep_spec
+
+
+def one_cell(app, cores, **spec_kwargs):
+    """The Figure 2 and Figure 4 rows of a one-cell fig2 sweep, and the sweep."""
+    sweep = run_sweep(fig2_sweep_spec(apps=[app], core_counts=[cores], **spec_kwargs))
+    (pen,) = fig2(sweep=sweep).rows
+    (en,) = fig4(sweep=sweep).rows
+    return pen, en, sweep
 
 
 @pytest.fixture(scope="module")
 def small_case():
     """One moderately sized Figure 2/4 cell, shared across tests."""
-    return run_case("jacobi2d", 16, scale=0.5, iterations=100, lb_period=5)
+    return one_cell("jacobi2d", 16, scale=0.5, iterations=100, lb_period=5)
 
 
 def test_paper_app_registry():
@@ -66,47 +74,53 @@ class TestFig1:
 
 class TestFig2AndFig4:
     def test_lb_reduces_timing_penalty(self, small_case):
-        assert small_case.penalty_lb < small_case.penalty_nolb
+        pen, _, _ = small_case
+        assert pen.lb < pen.nolb
 
     def test_nolb_penalty_reflects_fair_sharing(self, small_case):
         # fair 1:1 sharing doubles the interfered cores' compute; the
         # (unstretched) communication share dilutes it somewhat
-        assert 50.0 < small_case.penalty_nolb < 130.0
+        pen, _, _ = small_case
+        assert 50.0 < pen.nolb < 130.0
 
     def test_bg_job_benefits_from_lb_too(self, small_case):
-        assert small_case.bg_penalty_lb < small_case.bg_penalty_nolb
+        pen, _, _ = small_case
+        assert pen.bg_lb < pen.bg_nolb
 
     def test_lb_draws_more_power_but_less_energy_overhead(self, small_case):
-        assert small_case.power_lb_w > small_case.power_nolb_w
-        assert small_case.energy_overhead_lb < small_case.energy_overhead_nolb
+        _, en, _ = small_case
+        assert en.power_lb_w > en.power_nolb_w
+        assert en.energy_overhead_lb < en.energy_overhead_nolb
 
     def test_penalty_decreases_with_cores(self):
-        c8 = run_case("jacobi2d", 8, scale=0.5, iterations=100)
-        c16 = run_case("jacobi2d", 16, scale=0.5, iterations=100)
-        assert c16.penalty_lb < c8.penalty_lb
+        c8, _, _ = one_cell("jacobi2d", 8, scale=0.5, iterations=100)
+        c16, _, _ = one_cell("jacobi2d", 16, scale=0.5, iterations=100)
+        assert c16.lb < c8.lb
 
     def test_mol3d_bias_inflates_nolb_penalty(self):
-        mol = run_case("mol3d", 8, scale=0.5, iterations=40)
-        jac = run_case("jacobi2d", 8, scale=0.5, iterations=40)
+        mol, _, _ = one_cell("mol3d", 8, scale=0.5, iterations=40)
+        jac, _, _ = one_cell("jacobi2d", 8, scale=0.5, iterations=40)
         # the OS preference to the BG job (weight 4) hits Mol3D much harder
-        assert mol.penalty_nolb > 1.5 * jac.penalty_nolb
+        assert mol.nolb > 1.5 * jac.nolb
         # and shields the BG job itself
-        assert mol.bg_penalty_nolb < jac.bg_penalty_nolb
+        assert mol.bg_nolb < jac.bg_nolb
 
     def test_fig2_fig4_share_matrix(self):
-        matrix = run_matrix(
-            apps=["jacobi2d"], core_counts=(8,), scale=0.25, iterations=30
+        sweep = run_sweep(
+            fig2_sweep_spec(
+                apps=["jacobi2d"], core_counts=(8,), scale=0.25, iterations=30
+            )
         )
-        f2 = fig2(matrix=matrix)
-        f4 = fig4(matrix=matrix)
-        assert f2.matrix is matrix and f4.matrix is matrix
+        f2 = fig2(sweep=sweep)
+        f4 = fig4(sweep=sweep)
+        assert f2.sweep is sweep and f4.sweep is sweep
         assert len(f2.rows) == 1 and len(f4.rows) == 1
         assert "Figure 2" in f2.text()
         assert "Figure 4" in f4.text()
 
     def test_headline_claim_on_small_matrix(self, small_case):
-        matrix = {("jacobi2d", 16): small_case}
-        rows = headline_reductions(matrix)
+        _, _, sweep = small_case
+        rows = headline_reductions(sweep)
         assert len(rows) == 1
         assert rows[0].meets_claim  # >= 5% reduction in both metrics
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.experiments import RunStatistics, repeat_case, summarize
-from repro.experiments.figures import paper_app
+from repro.experiments import RunStatistics, paper_app, repeat_case, summarize
 
 
 class TestSummarize:

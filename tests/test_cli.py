@@ -191,14 +191,42 @@ def test_explain_and_lineage_read_one_combined_run(tmp_path, capsys):
 
 
 def test_sweep_fig2_preset_emits_penalty_and_energy_tables(capsys):
-    rc = main(
-        ["sweep", "--preset", "fig2", "--apps", "jacobi2d", "--cores", "4",
-         "--scale", "0.05", "--iterations", "5", "--no-cache"]
-    )
+    cell = ["--apps", "jacobi2d", "--cores", "4", "--scale", "0.05",
+            "--iterations", "5"]
+    rc = main(["sweep", "--preset", "fig2", *cell, "--no-cache", "--no-registry"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "Figure 2 — timing penalty vs. interference (percent, via sweep)" in out
-    assert "Figure 4 — power draw and energy overhead (via sweep)" in out
+    assert "Figure 2 — timing penalty vs. interference (percent)" in out
+    assert "Figure 4 — power draw and energy overhead" in out
+    # the figure commands print the very tables the sweep appends
+    for figure in ("fig2", "fig4"):
+        assert main([figure, *cell]) == 0
+        table = capsys.readouterr().out
+        assert table.count("\n") > 3 and table in out
+
+
+def test_sweep_fig2_spec_missing_a_cell_point_is_refused(tmp_path, capsys):
+    import json
+
+    from repro.obs.registry import RunRegistry
+
+    spec = tmp_path / "fig2.json"
+    spec.write_text(json.dumps({
+        "name": "fig2",
+        "base": {"scale": 0.05, "iterations": 5},
+        "points": [{"app": "jacobi2d", "cores": 4, "label": "jacobi2d/4/base"}],
+    }))
+    reg = tmp_path / "reg"
+    for command, prog in ((["sweep"], "repro sweep"),
+                          (["fabric", "run"], "repro fabric run")):
+        rc = main([*command, "--spec", str(spec), "--no-cache",
+                   "--registry", str(reg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"{prog}: error: Figure 2/4 cell jacobi2d/4 has no point "
+            "labelled jacobi2d/4/base_lb\n"
+        )
+    assert RunRegistry(reg).list() == []
 
 
 def test_sweep_audit_then_inspect(tmp_path, capsys):
