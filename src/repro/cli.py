@@ -22,8 +22,6 @@ writing code::
     python -m repro explain latest
     python -m repro lineage latest
     python -m repro report
-    python -m repro bench --suite micro
-    python -m repro bench --compare benchmarks/trajectory/baseline.json
 
 All commands print the regenerated table/timeline to stdout; ``--output
 DIR`` additionally writes it to ``DIR/<figure>.txt``. The heavy commands
@@ -428,12 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         "$REPRO_REGISTRY_DIR)",
     )
     prep.add_argument(
-        "--trajectory-dir", type=Path, default=Path("benchmarks/trajectory"),
-        metavar="DIR",
-        help="bench trajectory directory to trend "
-        "(default: benchmarks/trajectory)",
-    )
-    prep.add_argument(
         "--output", type=Path, default=Path("results/report.html"),
         metavar="FILE",
         help="where to write the HTML (default: results/report.html)",
@@ -475,10 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     prc.add_argument(
         "ref", nargs="?", default="latest", metavar="REF",
         help="run to check (default: latest)",
-    )
-    prc.add_argument(
-        "--trajectory-dir", type=Path, default=None, metavar="DIR",
-        help="also check the bench trajectory in DIR for regressions",
     )
     prc.add_argument(
         "--json", action="store_true",
@@ -584,82 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", type=Path, default=None, metavar="DIR",
         help="also write the result into DIR/lineage.txt "
         "(DIR/lineage.json with --json, DIR/lineage.dot with --dot)",
-    )
-
-    pb = sub.add_parser(
-        "bench",
-        help="run the curated perf suite; write/compare BENCH_*.json",
-    )
-    pb.add_argument(
-        "--suite",
-        choices=["micro", "macro", "all"],
-        default="all",
-        help="which suites to run (default: all)",
-    )
-    pb.add_argument(
-        "--repeats", type=int, default=5,
-        help="measured iterations per metric (default: 5)",
-    )
-    pb.add_argument(
-        "--warmup", type=int, default=2,
-        help="discarded warmup iterations per metric (default: 2)",
-    )
-    pb.add_argument(
-        "--filter", default=None, metavar="SUBSTR",
-        help="only run metrics whose name contains SUBSTR",
-    )
-    pb.add_argument(
-        "--trajectory-dir", type=Path, default=Path("benchmarks/trajectory"),
-        metavar="DIR",
-        help="where BENCH_<git-sha>.json entries accumulate "
-        "(default: benchmarks/trajectory)",
-    )
-    pb.add_argument(
-        "--no-save", action="store_true",
-        help="do not append this run to the trajectory directory",
-    )
-    pb.add_argument(
-        "--registry", type=Path, default=None, metavar="DIR",
-        help="run registry location for saved runs (default: "
-        "results/registry, or $REPRO_REGISTRY_DIR)",
-    )
-    pb.add_argument(
-        "--no-registry", action="store_true",
-        help="do not record this bench run in the run registry",
-    )
-    pb.add_argument(
-        "--compare", type=Path, default=None, metavar="BASELINE",
-        help="compare against a baseline BENCH_*.json; exit 1 on regression",
-    )
-    pb.add_argument(
-        "--replay", type=Path, default=None, metavar="CURRENT",
-        help="compare an existing BENCH_*.json instead of running the suite "
-        "(requires --compare)",
-    )
-    pb.add_argument(
-        "--rel-threshold", type=float, default=None, metavar="FRAC",
-        help="relative noise floor for the regression gate (default: 0.25)",
-    )
-    pb.add_argument(
-        "--iqr-factor", type=float, default=None, metavar="X",
-        help="how many relative IQRs widen the tolerance band (default: 4)",
-    )
-    pb.add_argument(
-        "--allow-env-mismatch", action="store_true",
-        help="compare results from different machines anyway",
-    )
-    pb.add_argument(
-        "--profile", type=Path, default=None, metavar="DIR",
-        help="additionally run one profiled smoke scenario and write "
-        "profile.json + profile.trace.json into DIR",
-    )
-    pb.add_argument(
-        "--json", action="store_true",
-        help="emit the result (and comparison) as JSON instead of tables",
-    )
-    pb.add_argument(
-        "--output", type=Path, default=None, metavar="DIR",
-        help="also write the report into DIR/bench.txt",
     )
 
     pin = sub.add_parser(
@@ -1067,120 +979,6 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.perf import (
-        DEFAULT_IQR_FACTOR,
-        DEFAULT_REL_THRESHOLD,
-        SUITES,
-        bench_filename,
-        compare_bench,
-        format_bench_text,
-        format_compare_text,
-        load_bench,
-        run_bench,
-        save_bench,
-    )
-
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    if args.replay is not None and args.compare is None:
-        print(
-            "repro bench: error: --replay requires --compare", file=sys.stderr
-        )
-        return 2
-
-    def progress(name: str, i: int, total: int) -> None:
-        print(f"[{i + 1}/{total}] {name}", file=sys.stderr)
-
-    try:
-        if args.replay is not None:
-            current = load_bench(args.replay)
-        else:
-            current = run_bench(
-                suites=suites,
-                repeats=args.repeats,
-                warmup=args.warmup,
-                name_filter=args.filter,
-                progress=None if args.json else progress,
-            )
-    except (ValueError, OSError) as exc:
-        print(f"repro bench: error: {exc}", file=sys.stderr)
-        return 2
-
-    saved: Optional[Path] = None
-    if args.replay is None and not args.no_save:
-        saved = save_bench(current, args.trajectory_dir / bench_filename(current))
-        if not args.no_registry:
-            from repro.obs.registry import RunRegistry, default_registry_dir
-
-            registry = RunRegistry(args.registry or default_registry_dir())
-            record = registry.ingest_bench(
-                current, artifacts={"trajectory_entry": saved}
-            )
-            print(
-                f"[registered as run {record['run_id']}]", file=sys.stderr
-            )
-
-    report = None
-    if args.compare is not None:
-        try:
-            baseline = load_bench(args.compare)
-            report = compare_bench(
-                baseline,
-                current,
-                rel_threshold=(
-                    args.rel_threshold
-                    if args.rel_threshold is not None
-                    else DEFAULT_REL_THRESHOLD
-                ),
-                iqr_factor=(
-                    args.iqr_factor
-                    if args.iqr_factor is not None
-                    else DEFAULT_IQR_FACTOR
-                ),
-                allow_env_mismatch=args.allow_env_mismatch,
-            )
-        except (ValueError, OSError) as exc:
-            print(f"repro bench: error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.profile is not None:
-        from repro.experiments.sweep import run_point_audited
-        from repro.projections.export import write_chrome_trace
-
-        _, records, trace, profile = run_point_audited(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 10, "cores": 4,
-             "bg": True, "balancer": "refine-vm"}
-        )
-        args.profile.mkdir(parents=True, exist_ok=True)
-        (args.profile / "profile.json").write_text(
-            json.dumps(profile, indent=1, sort_keys=True) + "\n"
-        )
-        write_chrome_trace(
-            trace,
-            str(args.profile / "profile.trace.json"),
-            job_name="profiled-smoke",
-            audit=records,
-            profile=profile,
-        )
-        print(f"[profile written to {args.profile}]", file=sys.stderr)
-
-    if args.json:
-        payload: dict = {"result": current}
-        if report is not None:
-            payload["comparison"] = report.to_dict()
-        text = json.dumps(payload, indent=1, sort_keys=True)
-    else:
-        text = format_bench_text(current)
-        if report is not None:
-            text += "\n\n" + format_compare_text(report)
-    _emit(text, "bench", args.output)
-    if saved is not None:
-        print(f"[trajectory entry: {saved}]", file=sys.stderr)
-    return 0 if report is None or report.ok else 1
-
-
 def _cmd_watch(args) -> int:
     from repro.obs.watch import watch_file
 
@@ -1216,11 +1014,7 @@ def _cmd_report(args) -> int:
     from repro.obs.report import write_report
 
     try:
-        data = write_report(
-            args.output,
-            args.registry or default_registry_dir(),
-            trajectory_dir=args.trajectory_dir,
-        )
+        data = write_report(args.output, args.registry or default_registry_dir())
     except (ValueError, OSError) as exc:
         print(f"repro report: error: {exc}", file=sys.stderr)
         return 2
@@ -1254,7 +1048,7 @@ def _cmd_runs(args) -> int:
     import json
 
     from repro.experiments.tables import format_table
-    from repro.obs.anomaly import check_bench_trajectory, check_run, has_errors
+    from repro.obs.anomaly import check_run, has_errors
     from repro.obs.registry import RunRegistry, default_registry_dir, diff_runs
 
     registry = RunRegistry(args.registry or default_registry_dir())
@@ -1324,12 +1118,6 @@ def _cmd_runs(args) -> int:
             before=record["run_id"],
         )
         findings = check_run(record, history)
-        if args.trajectory_dir is not None:
-            from repro.obs.report import _load_trajectory
-
-            findings = findings + check_bench_trajectory(
-                _load_trajectory(args.trajectory_dir)
-            )
     except (ValueError, OSError) as exc:
         print(f"repro runs: error: {exc}", file=sys.stderr)
         return 2
@@ -1620,7 +1408,6 @@ _COMMANDS = {
     "runs": _cmd_runs,
     "explain": _cmd_explain,
     "lineage": _cmd_lineage,
-    "bench": _cmd_bench,
     "inspect": _cmd_inspect,
 }
 

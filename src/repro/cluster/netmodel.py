@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf.profiler import active as _profiler
 from repro.util import check_non_negative, check_positive
 
 __all__ = ["NetworkModel"]
@@ -75,18 +74,12 @@ class NetworkModel:
     # costs
     # ------------------------------------------------------------------
     def message_time(self, nbytes: float) -> float:
-        """Wall time to deliver one ``nbytes`` message.
-
-        Too cheap to scope-time (two clock reads would dwarf the
-        arithmetic), so the profiler records a clock-free tally of call
-        count and bytes costed instead.
-        """
+        """Wall time to deliver one ``nbytes`` message."""
         # hot path (one call per halo exchange / reduction hop): inline
         # comparisons accept the common case; the full checker handles the rest
         t = type(nbytes)
         if not ((t is float or t is int) and 0 <= nbytes < _INF):
             check_non_negative("nbytes", nbytes)
-        _profiler().tally("net.message_time", nbytes)
         return self.latency_s + self.per_message_overhead_s + nbytes / self.bandwidth_Bps
 
     def migration_time(self, state_bytes: float) -> float:
@@ -96,5 +89,4 @@ class NetworkModel:
         (the Charm++ migration protocol's pack/unpack handshake).
         """
         check_non_negative("state_bytes", state_bytes)
-        _profiler().tally("net.migration_time", state_bytes)
         return self.message_time(state_bytes) + 2 * self.message_time(64)

@@ -23,11 +23,9 @@ collapses to a ``None`` check per step and a ``None`` check per
 from __future__ import annotations
 
 import abc
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.database import ChareKey, LBView, Migration, validate_migrations
-from repro.perf.profiler import active as _profiler
 from repro.util import get_logger
 
 __all__ = ["LoadBalancer"]
@@ -64,7 +62,7 @@ class LoadBalancer(abc.ABC):
         """Attach (or detach, with None) the audit sink for this strategy.
 
         The sink must expose ``on_step(strategy=, view=, migrations=,
-        candidates=, t_avg=, epsilon_s=, decide_wall_s=)`` —
+        candidates=, t_avg=, epsilon_s=)`` —
         :class:`repro.telemetry.Telemetry` does.
         """
         self._audit_sink = sink
@@ -126,19 +124,15 @@ class LoadBalancer(abc.ABC):
         """
         sink = self._audit_sink
         if sink is None:
-            with _profiler().phase("lb.decide"):
-                migrations = self.decide(view)
+            migrations = self.decide(view)
             validate_migrations(view, migrations)
             return migrations
 
         self._step_candidates = []
-        t0 = time.perf_counter()
         try:
-            with _profiler().phase("lb.decide"):
-                migrations = self.decide(view)
+            migrations = self.decide(view)
         finally:
             candidates, self._step_candidates = self._step_candidates, None
-        decide_wall_s = time.perf_counter() - t0
         validate_migrations(view, migrations)
         t_avg, epsilon_s = self.audit_thresholds(view)
         sink.on_step(
@@ -148,7 +142,6 @@ class LoadBalancer(abc.ABC):
             candidates=candidates,
             t_avg=t_avg,
             epsilon_s=epsilon_s,
-            decide_wall_s=decide_wall_s,
         )
         _log.debug(
             "%s: audited LB step -> %d migrations, %d candidates",

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.database import ChareKey, TaskRecord
 from repro.core.interference import RefineVMInterferenceLB
-from repro.perf.profiler import active as _profiler
 from repro.telemetry.audit import (
     ACCEPTED,
     REASON_ACCEPTED,
@@ -89,16 +88,13 @@ class CommAwareRefineLB(RefineVMInterferenceLB):
                     REJECTED, REASON_RECEIVER_WOULD_EXCEED,
                 )
                 continue
-            # the affinity ranking is this strategy's only extra work
-            # over the base algorithm, so it gets its own phase
-            with _profiler().phase("lb.commaware.affinity"):
-                affinity: Dict[int, float] = {cid: 0.0 for cid in feasible}
-                if location is not None:
-                    for other, nbytes in task.comm:
-                        cid = location.get(other)
-                        if cid in affinity:
-                            affinity[cid] += nbytes
-                feasible.sort(key=lambda cid: (-affinity[cid], load[cid], cid))
+            affinity: Dict[int, float] = {cid: 0.0 for cid in feasible}
+            if location is not None:
+                for other, nbytes in task.comm:
+                    cid = location.get(other)
+                    if cid in affinity:
+                        affinity[cid] += nbytes
+            feasible.sort(key=lambda cid: (-affinity[cid], load[cid], cid))
             self.note_candidate(
                 task.chare, donor, feasible[0], task.cpu_time,
                 ACCEPTED, REASON_ACCEPTED,

@@ -19,7 +19,6 @@ from typing import List
 
 from repro.core.balancer import LoadBalancer
 from repro.core.database import LBView, Migration
-from repro.perf.profiler import active as _profiler
 from repro.telemetry.audit import (
     ACCEPTED,
     NOTED,
@@ -49,11 +48,10 @@ class GreedyLB(LoadBalancer):
 
     def decide(self, view: LBView) -> List[Migration]:
         current = view.task_map()
-        with _profiler().phase("lb.greedy.sort"):
-            all_tasks = sorted(
-                (t for c in view.cores for t in c.tasks),
-                key=lambda t: (-t.cpu_time, t.chare),
-            )
+        all_tasks = sorted(
+            (t for c in view.cores for t in c.tasks),
+            key=lambda t: (-t.cpu_time, t.chare),
+        )
         # min-heap of (load, core_id)
         heap = [
             ((c.bg_load if self.aware else 0.0), c.core_id) for c in view.cores

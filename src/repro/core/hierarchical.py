@@ -34,9 +34,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.balancer import LoadBalancer
-from repro.core.database import ChareKey, LBView, Migration
+from repro.core.database import LBView, Migration
 from repro.core.interference import RefineVMInterferenceLB
-from repro.perf.profiler import active as _profiler
 from repro.telemetry.audit import (
     NOTED,
     REASON_REDIRECT_INTRA_NODE,
@@ -126,21 +125,6 @@ class HierarchicalLB(LoadBalancer):
 
         redirected: List[Migration] = []
         self.last_intra = self.last_inter = 0
-        with _profiler().phase("lb.hierarchical.redirect"):
-            self._redirect(decided, redirected, groups, load, cpu, t_avg, eps)
-        return redirected
-
-    def _redirect(
-        self,
-        decided: List[Migration],
-        redirected: List[Migration],
-        groups: Dict[int, List[int]],
-        load: Dict[int, float],
-        cpu: Dict[ChareKey, float],
-        t_avg: float,
-        eps: float,
-    ) -> None:
-        """The locality pass: retarget each migration intra-group."""
         for m in decided:
             task_time = cpu[m.chare]
             dst = m.dst
@@ -169,3 +153,4 @@ class HierarchicalLB(LoadBalancer):
             load[m.src] -= task_time
             load[dst] += task_time
             redirected.append(Migration(chare=m.chare, src=m.src, dst=dst))
+        return redirected

@@ -26,7 +26,6 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.perf.profiler import active as _profiler
 from repro.util.atomic import atomic_write
 
 __all__ = [
@@ -110,12 +109,11 @@ class ResultCache:
 
     def _entry(self, key: str) -> Optional[Dict[str, Any]]:
         path = self._path(key)
-        with _profiler().phase("cache.get"):
-            try:
-                with open(path) as fh:
-                    entry = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                return None
+        try:
+            with open(path) as fh:
+                entry = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            return None
         if entry.get("format") != CACHE_FORMAT or entry.get("key") != key:
             return None
         return entry
@@ -194,9 +192,8 @@ class ResultCache:
         }
         if extras is not None:
             entry["extras"] = extras
-        with _profiler().phase("cache.put"):
-            with atomic_write(path) as fh:
-                fh.write(json.dumps(entry, sort_keys=True))
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(entry, sort_keys=True))
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -33,13 +33,13 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.progress import parse_progress_line
 from repro.util import get_logger, utc_timestamp
+from repro.util.atomic import atomic_write_json
 
 __all__ = ["JOB_SCHEMA", "FileTransport", "EventTailer"]
 
@@ -47,22 +47,6 @@ __all__ = ["JOB_SCHEMA", "FileTransport", "EventTailer"]
 JOB_SCHEMA = 1
 
 _log = get_logger(__name__)
-
-
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -120,9 +104,9 @@ class FileTransport:
         """Write the immutable job description + one queue marker per shard."""
         if self.has_job():
             raise ValueError(f"{self.job_path} already holds a job")
-        _atomic_write_json(self.job_path, dict(job))
+        atomic_write_json(self.job_path, dict(job))
         for shard in job.get("shards", ()):
-            _atomic_write_json(
+            atomic_write_json(
                 self.queue_path(shard["shard_id"]),
                 {"shard_id": shard["shard_id"]},
             )
@@ -154,7 +138,7 @@ class FileTransport:
     # workers
     # ------------------------------------------------------------------
     def register_worker(self, worker_id: str) -> None:
-        _atomic_write_json(
+        atomic_write_json(
             self.worker_path(worker_id),
             {
                 "worker": worker_id,
@@ -179,7 +163,7 @@ class FileTransport:
         proof of life even when the writer's wall clock is skewed or
         stepped relative to the observer's.
         """
-        _atomic_write_json(
+        atomic_write_json(
             self.lease_path(shard_id),
             {
                 "shard": shard_id,
@@ -300,7 +284,7 @@ class FileTransport:
         Duplicate submissions overwrite with identical content (records
         are pure functions of the points), so redelivery is harmless.
         """
-        _atomic_write_json(
+        atomic_write_json(
             self.result_path(shard_id),
             {
                 "schema": JOB_SCHEMA,

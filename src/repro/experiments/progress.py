@@ -109,8 +109,7 @@ class EventLog:
         Optional callback fired with every record as it is emitted (the
         live-monitoring ingest hook: ``repro sweep --live`` attaches the
         TTY renderer here). None — the default — keeps the emit path at
-        a single falsy check, so observation stays opt-in exactly like
-        the null profiler.
+        a single falsy check, so observation stays opt-in.
     clock:
         When True every record additionally carries ``t_wall``
         (``time.time()``) and ``t_mono`` (``time.monotonic()``) — the

@@ -54,7 +54,6 @@ import os
 import re
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -90,7 +89,6 @@ from repro.experiments.progress import EventLog, SweepMetrics
 from repro.experiments.runner import BACKENDS, ExperimentResult, run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
 from repro.experiments.tables import format_table
-from repro.perf.profiler import profiled
 from repro.projections.export import write_chrome_trace
 from repro.runtime.tracing import TraceLog
 from repro.telemetry import Telemetry, audit_summary, write_audit_jsonl
@@ -446,13 +444,11 @@ def run_point_probed(
     probes: Sequence[str],
     *,
     backend: str = "auto",
-) -> Tuple[
-    ScenarioSummary, Dict[str, Any], Optional[TraceLog], Optional[Dict[str, Any]]
-]:
+) -> Tuple[ScenarioSummary, Dict[str, Any], Optional[TraceLog]]:
     """Execute one point with the requested probes attached.
 
     A probe is one of ``"audit"``, ``"ledger"`` and ``"lineage"``.
-    Returns ``(summary, payloads, trace, profile)``. ``payloads`` maps
+    Returns ``(summary, payloads, trace)``. ``payloads`` maps
     each requested probe to its JSON-safe payload, which a sweep caches
     under the probe's name in the entry's extras:
 
@@ -464,19 +460,17 @@ def run_point_probed(
 
     Only what the probes need is attached: a
     :class:`~repro.telemetry.Telemetry` for audit or lineage, per-task
-    tracing and the phase profiler for audit, a time ledger for ledger
+    tracing for audit, a time ledger for ledger
     and a lineage recorder for lineage. With no probes nothing is
     attached. Every probe is strictly observational, so the summary is
     bit-identical whatever the probes, and so is each payload whatever
     else rides along — which is why probes combine on one run and share
     one cache entry.
 
-    ``trace`` and ``profile`` (the exported host wall-clock phase
-    breakdown, :meth:`repro.perf.PhaseProfiler.export`) are None unless
-    audit is requested; they feed the Chrome/Perfetto export and are
-    never cached (the profile is nondeterministic by nature). Audit
-    traces every task, which the fast backend cannot do: ``"auto"``
-    resolves to the event engine then, and ``"fast"`` raises
+    ``trace`` is None unless audit is requested; it feeds the
+    Chrome/Perfetto export and is never cached. Audit traces every
+    task, which the fast backend cannot do: ``"auto"`` resolves to the
+    event engine then, and ``"fast"`` raises
     :class:`~repro.sim.fastpath.FastpathUnsupported`.
     """
     audit = "audit" in probes
@@ -493,14 +487,13 @@ def run_point_probed(
         lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
     if audit:
         scenario = replace(scenario, tracing=True)
-    with profiled(record_intervals=True) if audit else nullcontext() as prof:
-        result = run_scenario(
-            scenario,
-            backend=backend,
-            telemetry=telemetry,
-            ledger=ledger,
-            lineage=lineage,
-        )
+    result = run_scenario(
+        scenario,
+        backend=backend,
+        telemetry=telemetry,
+        ledger=ledger,
+        lineage=lineage,
+    )
     payloads: Dict[str, Any] = {}
     if audit:
         records = telemetry.audit.records
@@ -509,12 +502,7 @@ def run_point_probed(
         payloads["ledger"] = ledger.summary()
     if lineage is not None:
         payloads["lineage"] = lineage.payload(audit=telemetry.audit.records)
-    return (
-        summarize_result(result),
-        payloads,
-        result.trace if audit else None,
-        prof.export() if audit else None,
-    )
+    return summarize_result(result), payloads, result.trace if audit else None
 
 
 def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSummary:
@@ -529,19 +517,17 @@ def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSu
 
 def run_point_audited(
     params: Mapping[str, Any], *, backend: str = "auto"
-) -> Tuple[ScenarioSummary, List[Dict[str, Any]], TraceLog, Dict[str, Any]]:
-    """``(summary, audit_records, trace, profile)`` of an audited point."""
-    summary, payloads, trace, profile = run_point_probed(
-        params, ("audit",), backend=backend
-    )
-    return summary, payloads["audit"]["records"], trace, profile
+) -> Tuple[ScenarioSummary, List[Dict[str, Any]], TraceLog]:
+    """``(summary, audit_records, trace)`` of an audited point."""
+    summary, payloads, trace = run_point_probed(params, ("audit",), backend=backend)
+    return summary, payloads["audit"]["records"], trace
 
 
 def run_point_ledgered(
     params: Mapping[str, Any], *, backend: str = "auto"
 ) -> Tuple[ScenarioSummary, Dict[str, Any]]:
     """``(summary, ledger_summary)`` of a point run with a time ledger."""
-    summary, payloads, _, _ = run_point_probed(params, ("ledger",), backend=backend)
+    summary, payloads, _ = run_point_probed(params, ("ledger",), backend=backend)
     return summary, payloads["ledger"]
 
 
@@ -549,7 +535,7 @@ def run_point_lineaged(
     params: Mapping[str, Any], *, backend: str = "auto"
 ) -> Tuple[ScenarioSummary, Dict[str, Any]]:
     """``(summary, lineage_payload)`` of a point run with a lineage recorder."""
-    summary, payloads, _, _ = run_point_probed(params, ("lineage",), backend=backend)
+    summary, payloads, _ = run_point_probed(params, ("lineage",), backend=backend)
     return summary, payloads["lineage"]
 
 
@@ -567,8 +553,8 @@ def run_shard(
     (:func:`_execute_shard`) and the distributed fabric worker
     (:mod:`repro.experiments.fabric.worker`) all feed it the same pairs
     and consume the same ``(index, summary_dict, wall_s, worker_tag,
-    payloads, trace, profile)`` tuples — which is why their summaries
-    are bit-identical by construction. The last three are
+    payloads, trace)`` tuples — which is why their summaries are
+    bit-identical by construction. The last two are
     :func:`run_point_probed`'s outputs for ``probes``. Each point is
     simulated when its tuple is pulled, so callers can interleave
     progress events, cache writes and fault boundaries between points.
@@ -577,11 +563,9 @@ def run_shard(
     tag = worker if worker is not None else f"pid:{os.getpid()}"
     for index, params in shard_points:
         t0 = time.perf_counter()
-        summary, payloads, trace, profile = run_point_probed(
-            params, probes, backend=backend
-        )
+        summary, payloads, trace = run_point_probed(params, probes, backend=backend)
         wall = time.perf_counter() - t0
-        yield index, summary.to_dict(), wall, tag, payloads, trace, profile
+        yield index, summary.to_dict(), wall, tag, payloads, trace
 
 
 def _execute_shard(
@@ -1008,7 +992,6 @@ def run_sweep(
         worker: str,
         payloads: Dict[str, Any],
         trace: Optional[TraceLog],
-        profile: Optional[Dict[str, Any]],
     ) -> None:
         """Record one :func:`run_shard` tuple: result, cache, artefacts."""
         p = by_index[index]
@@ -1025,7 +1008,6 @@ def run_sweep(
                 str(audit_file(p, ".trace.json")),
                 job_name=p.label,
                 audit=records,
-                profile=profile,
             )
             _log.debug("%s: wrote %d audit records", p.label, n)
         log.emit(

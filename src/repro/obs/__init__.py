@@ -1,17 +1,16 @@
 """Cross-run observability: registry, live monitoring, anomalies, reports.
 
 The layers below answer per-run questions — :mod:`repro.telemetry`
-records what one balancer did, :mod:`repro.perf` measures what one
-build costs. This package is the cross-run layer:
+records what one balancer did. This package is the cross-run layer:
 
-* :mod:`repro.obs.registry` — every sweep/bench run recorded forever
+* :mod:`repro.obs.registry` — every sweep run recorded forever
   (config, git SHA, seeds, env fingerprint, metrics), queryable via
   ``repro runs list/show/diff``;
 * :mod:`repro.obs.watch` — live sweep monitoring over the ``schema: 1``
   progress event stream (``repro watch``, ``repro sweep --live``);
 * :mod:`repro.obs.anomaly` — rule-based detectors (Eq. 2 drift, timing
-  penalty outliers, migration spikes, bench regressions, fabric steal
-  storms / respawn burn / straggler shards) behind ``repro runs check``;
+  penalty outliers, migration spikes, fabric steal storms / respawn
+  burn / straggler shards) behind ``repro runs check``;
 * :mod:`repro.obs.fabtrace` — the fabric flight recorder: assembles
   every worker's span stream into one clock-rebased causal timeline
   with health metrics, critical path and a Perfetto export
@@ -30,7 +29,6 @@ from repro.obs.anomaly import (
     SEV_WARNING,
     Finding,
     Thresholds,
-    check_bench_trajectory,
     check_fabric,
     check_run,
     has_errors,
@@ -70,7 +68,6 @@ __all__ = [
     "SEV_WARNING",
     "SEV_ERROR",
     "check_run",
-    "check_bench_trajectory",
     "check_fabric",
     "max_severity",
     "has_errors",

@@ -19,9 +19,6 @@ more structured :class:`Finding`\\ s with a severity:
   its matched noLB point (the paper's directional Fig. 2 claim). Tiny
   smoke scenarios legitimately violate this (LB overhead dominates), so
   it is a warning, never an error;
-* ``bench-regression`` — the latest bench trajectory entry slower than
-  the median of prior entries, direction-normalised like
-  :mod:`repro.perf.compare`;
 * ``steal-storm`` — fabric work stealing beyond fault recovery: any
   steal is reported (info — the CI drills grep for it), and a steal
   *ratio* (steals / shards) past the thresholds means leases are
@@ -72,7 +69,6 @@ __all__ = [
     "check_estimation_drift",
     "check_lb_benefit",
     "check_history_outliers",
-    "check_bench_trajectory",
     "check_fabric",
     "check_ledger",
     "check_lineage",
@@ -125,9 +121,6 @@ class Thresholds:
     migration_error: float = 4.0
     #: ... provided at least this many migrations moved (absolute floor).
     migration_min: int = 4
-    #: direction-normalised bench slowdown factor that warns / errors.
-    bench_warn: float = 1.25
-    bench_error: float = 2.0
     #: minimum prior runs before history rules fire at all.
     min_history: int = 1
     #: steals / shards ratio that warns / errors (any steal is info).
@@ -381,65 +374,6 @@ def check_history_outliers(
                             ),
                         )
                     )
-    return findings
-
-
-def check_bench_trajectory(
-    entries: Sequence[Mapping[str, Any]],
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> List[Finding]:
-    """Latest bench entry vs the median of the prior trajectory.
-
-    ``entries`` are BENCH_*.json dicts ordered oldest -> newest (the
-    caller sorts, typically by ``created_utc``). The slowdown factor is
-    direction-normalised exactly like :mod:`repro.perf.compare`: > 1
-    always means worse.
-    """
-    findings: List[Finding] = []
-    if len(entries) < 2:
-        return findings
-    latest = entries[-1]
-    prior = entries[:-1]
-    sha = latest.get("env", {}).get("git_sha", "?")
-    for name, metric in sorted(latest.get("metrics", {}).items()):
-        current = metric.get("median")
-        if not isinstance(current, (int, float)) or current <= 0:
-            continue
-        past = [
-            p["metrics"][name]["median"]
-            for p in prior
-            if isinstance(p.get("metrics", {}).get(name, {}).get("median"), (int, float))
-            and p["metrics"][name]["median"] > 0
-        ]
-        if not past:
-            continue
-        baseline = _median(past)
-        if metric.get("direction") == "lower":
-            factor = float(current) / baseline
-        else:
-            factor = baseline / float(current)
-        severity = _severity(factor, thresholds.bench_warn, thresholds.bench_error)
-        if severity is not None:
-            findings.append(
-                Finding(
-                    rule="bench-regression",
-                    severity=severity,
-                    subject=f"bench:{sha}:{name}",
-                    message=(
-                        f"{name} is {factor:.2f}x slower than the median of "
-                        f"{len(past)} prior trajectory entr"
-                        f"{'y' if len(past) == 1 else 'ies'} "
-                        f"({baseline:,.1f} -> {float(current):,.1f} "
-                        f"{metric.get('unit', '')})"
-                    ),
-                    value=factor,
-                    threshold=(
-                        thresholds.bench_error
-                        if severity == SEV_ERROR
-                        else thresholds.bench_warn
-                    ),
-                )
-            )
     return findings
 
 

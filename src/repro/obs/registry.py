@@ -1,6 +1,6 @@
-"""The cross-run registry: every sweep/bench run, queryable forever.
+"""The cross-run registry: every sweep run, queryable forever.
 
-Per-run artifacts (sweep tables, audit JSONL, bench trajectory entries)
+Per-run artifacts (sweep tables, audit JSONL, ledger and lineage JSON)
 answer "what happened in *this* run"; nothing before this module
 answered "what happened *across* runs" — which is where drift, outliers
 and regressions live. The registry is an append-only store under
@@ -17,7 +17,9 @@ only, so concurrent sweeps can ingest safely and a killed writer can
 never corrupt history. Reading tolerates a truncated final index line
 (the audit-reader policy) and re-derives missing index lines from the
 ``runs/`` directory, so the index is a cache of the records, never the
-source of truth.
+source of truth. Registries may also hold ``kind: "bench"`` records
+from older versions; they are listed, shown and reported like any
+other record.
 
 Everything is queryable via ``repro runs list/show/diff/check`` (see
 :mod:`repro.cli`) and feeds the anomaly detectors
@@ -30,12 +32,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import platform
+import sys
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.experiments.cache import canonical_json, code_fingerprint
 from repro.util import get_logger, git_sha, utc_timestamp
+from repro.util.atomic import atomic_write_json
+from repro.version import __version__
 
 __all__ = [
     "RUN_SCHEMA",
@@ -58,20 +63,18 @@ def default_registry_dir() -> Path:
     return Path.cwd() / "results" / "registry"
 
 
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _env_block() -> Dict[str, Any]:
+    """The interpreter, host and source tree a run executed on."""
+    return {
+        "repro_version": __version__,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": sys.platform,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
+        "git_sha": git_sha(),
+        "code_fingerprint": code_fingerprint()[:16],
+    }
 
 
 class RunRegistry:
@@ -130,7 +133,7 @@ class RunRegistry:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
     def _ingest(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        _atomic_write_json(self._run_path(record["run_id"]), record)
+        atomic_write_json(self._run_path(record["run_id"]), record)
         self._append_index(record)
         _log.info("registered run %s (%s)", record["run_id"], record["kind"])
         return record
@@ -155,8 +158,6 @@ class RunRegistry:
         health block this way); reserved record keys are never
         clobbered.
         """
-        from repro.perf.bench import environment_fingerprint
-
         created = created_utc or utc_timestamp()
         points = [
             {
@@ -181,7 +182,7 @@ class RunRegistry:
             "created_utc": created,
             "git_sha": git_sha(),
             "code_fingerprint": code_fingerprint()[:16],
-            "env": environment_fingerprint(),
+            "env": _env_block(),
             "spec": spec.to_dict(),
             "metrics": result.metrics.to_dict(),
             "points": points,
@@ -196,52 +197,6 @@ class RunRegistry:
                     record[key] = value
         record["run_id"] = self._new_run_id(
             "sweep", spec.name, created, [p["key"] for p in points]
-        )
-        return self._ingest(record)
-
-    def ingest_bench(
-        self,
-        result: Mapping[str, Any],
-        *,
-        artifacts: Optional[Mapping[str, Any]] = None,
-        created_utc: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Record one ``repro bench`` result dict; returns the record."""
-        created = created_utc or result.get("created_utc") or utc_timestamp()
-        metrics = result.get("metrics", {})
-        points = [
-            {
-                "label": name,
-                "summary": {
-                    "median": m.get("median"),
-                    "iqr": m.get("iqr"),
-                    "p90": m.get("p90"),
-                    "unit": m.get("unit"),
-                    "direction": m.get("direction"),
-                    "suite": m.get("suite"),
-                },
-            }
-            for name, m in sorted(metrics.items())
-        ]
-        env = dict(result.get("env", {}))
-        record: Dict[str, Any] = {
-            "schema": RUN_SCHEMA,
-            "kind": "bench",
-            "name": "bench",
-            "created_utc": created,
-            "git_sha": env.get("git_sha") or git_sha(),
-            "code_fingerprint": env.get("code_fingerprint", ""),
-            "env": env,
-            "config": dict(result.get("config", {})),
-            "metrics": {"elapsed_s": result.get("elapsed_s")},
-            "points": points,
-            "artifacts": {
-                k: (None if v is None else str(v))
-                for k, v in (artifacts or {}).items()
-            },
-        }
-        record["run_id"] = self._new_run_id(
-            "bench", "bench", created, [p["label"] for p in points]
         )
         return self._ingest(record)
 
@@ -339,7 +294,10 @@ class RunRegistry:
         if not path.is_file():
             path = self._run_path(self.resolve(ref))
         with open(path) as fh:
-            record = json.load(fh)
+            try:
+                record = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: corrupt run record ({exc})") from exc
         if not isinstance(record, dict) or record.get("schema") != RUN_SCHEMA:
             raise ValueError(f"{path}: not a schema-{RUN_SCHEMA} run record")
         return record

@@ -1,8 +1,7 @@
 """``repro report``: a self-contained HTML observability dashboard.
 
 One static file — inline CSS, inline SVG sparklines, **zero external
-JavaScript or assets** — summarising everything the registry and the
-perf trajectory know:
+JavaScript or assets** — summarising everything the registry knows:
 
 * headline stat tiles (runs registered, points simulated, current SHA);
 * paper-figure validation: for the latest run of each sweep, every
@@ -19,7 +18,6 @@ perf trajectory know:
   per-iteration λ sparkline and one Sankey-style migration-flow strip
   per point, with the run's counterfactual LB efficiency
   (see :mod:`repro.obs.lineage`);
-* bench trajectory trends as per-metric sparklines;
 * anomaly findings from :mod:`repro.obs.anomaly`, worst first.
 
 Self-containment is the deployment story: CI uploads the single file as
@@ -33,16 +31,14 @@ the same hues rather than inverted.
 from __future__ import annotations
 
 import html
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from repro.obs.anomaly import (
     DEFAULT_THRESHOLDS,
     Finding,
     Thresholds,
     _lb_pairs,
-    check_bench_trajectory,
     check_run,
 )
 from repro.obs.registry import RunRegistry
@@ -329,30 +325,9 @@ def _sev_cell(severity: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_trajectory(trajectory_dir: Optional[Union[str, Path]]) -> List[Dict[str, Any]]:
-    """BENCH_*.json entries sorted oldest -> newest by ``created_utc``."""
-    if trajectory_dir is None:
-        return []
-    root = Path(trajectory_dir)
-    if not root.is_dir():
-        return []
-    entries: List[Dict[str, Any]] = []
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(data, dict) and isinstance(data.get("metrics"), dict):
-            entries.append(data)
-    entries.sort(key=lambda e: e.get("created_utc", ""))
-    return entries
-
-
 def build_report(
     registry_dir: Union[str, Path],
     *,
-    trajectory_dir: Optional[Union[str, Path]] = None,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> Dict[str, Any]:
     """Assemble everything the dashboard renders into one plain dict.
@@ -453,23 +428,6 @@ def build_report(
                 }
             )
 
-    trajectory = _load_trajectory(trajectory_dir)
-    findings.extend(check_bench_trajectory(trajectory, thresholds))
-
-    # per-metric median series for the sparklines
-    trends: Dict[str, Dict[str, Any]] = {}
-    for entry in trajectory:
-        for metric, m in entry.get("metrics", {}).items():
-            median = m.get("median")
-            if not isinstance(median, (int, float)):
-                continue
-            slot = trends.setdefault(
-                metric,
-                {"unit": m.get("unit", ""), "direction": m.get("direction", ""),
-                 "values": []},
-            )
-            slot["values"].append(float(median))
-
     git_shas = [line.get("git_sha", "") for line in index]
     return {
         "runs": index,
@@ -479,8 +437,6 @@ def build_report(
         "fabric_rows": fabric_rows,
         "ledger_rows": ledger_rows,
         "lineage_rows": lineage_rows,
-        "trends": trends,
-        "trajectory_entries": len(trajectory),
         "findings": [f.to_dict() for f in findings],
     }
 
@@ -498,7 +454,6 @@ def render_report(data: Mapping[str, Any]) -> str:
     fabric_rows: Sequence[Mapping[str, Any]] = data.get("fabric_rows", ())
     ledger_rows: Sequence[Mapping[str, Any]] = data.get("ledger_rows", ())
     lineage_rows: Sequence[Mapping[str, Any]] = data.get("lineage_rows", ())
-    trends: Mapping[str, Mapping[str, Any]] = data.get("trends", {})
     errors = sum(1 for f in findings if f.get("severity") == "error")
     warnings = sum(1 for f in findings if f.get("severity") == "warning")
 
@@ -509,9 +464,8 @@ def render_report(data: Mapping[str, Any]) -> str:
     out.append(f"<style>{_CSS}</style></head><body>")
     out.append("<h1>repro observability report</h1>")
     out.append(
-        '<p class="muted">Cross-run registry, paper-figure validation, '
-        "bench trajectory and anomaly findings — one static page, "
-        "no external assets.</p>"
+        '<p class="muted">Cross-run registry, paper-figure validation '
+        "and anomaly findings — one static page, no external assets.</p>"
     )
 
     # stat tiles
@@ -519,7 +473,6 @@ def render_report(data: Mapping[str, Any]) -> str:
     for value, label in (
         (len(runs), "runs registered"),
         (data.get("total_points", 0), "points recorded"),
-        (data.get("trajectory_entries", 0), "bench entries"),
         (f"{errors} / {warnings}", "errors / warnings"),
         (str(data.get("latest_sha", "unknown"))[:12], "latest git sha"),
     ):
@@ -706,31 +659,6 @@ def render_report(data: Mapping[str, Any]) -> str:
             "<code>repro fabric run</code>).</p>"
         )
 
-    # bench trends
-    out.append("<h2>Bench trajectory</h2>")
-    if trends:
-        out.append(
-            "<table><thead><tr><th>metric</th><th>trend (oldest &rarr; "
-            'newest)</th><th class="num">latest median</th><th>unit</th>'
-            "</tr></thead><tbody>"
-        )
-        for metric in sorted(trends):
-            slot = trends[metric]
-            values = slot.get("values", [])
-            latest = f"{values[-1]:,.1f}" if values else "-"
-            out.append(
-                f"<tr><td><code>{_esc(metric)}</code></td>"
-                f"<td>{_sparkline_svg(values)}</td>"
-                f'<td class="num">{_esc(latest)}</td>'
-                f"<td>{_esc(slot.get('unit', ''))}</td></tr>"
-            )
-        out.append("</tbody></table>")
-    else:
-        out.append(
-            '<p class="muted">No bench trajectory entries '
-            "(run <code>repro bench --save DIR</code>).</p>"
-        )
-
     # findings
     out.append("<h2>Anomaly findings</h2>")
     if findings:
@@ -763,13 +691,10 @@ def write_report(
     path: Union[str, Path],
     registry_dir: Union[str, Path],
     *,
-    trajectory_dir: Optional[Union[str, Path]] = None,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> Dict[str, Any]:
     """Build and write the dashboard; returns the underlying data dict."""
-    data = build_report(
-        registry_dir, trajectory_dir=trajectory_dir, thresholds=thresholds
-    )
+    data = build_report(registry_dir, thresholds=thresholds)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_report(data))

@@ -11,10 +11,9 @@ two modes:
   :class:`~repro.experiments.progress.EventLog` ``on_event`` hook.
 
 Either way the engine hot path is untouched: the renderer only ever
-*consumes* events the sweep already emits (the same null-hook doctrine
-as :mod:`repro.perf.profiler` — observation is opt-in and strictly
-read-only). Unknown event types and unknown fields are ignored, so the
-renderer keeps working against streams from newer code.
+*consumes* events the sweep already emits (observation is opt-in and
+strictly read-only). Unknown event types and unknown fields are
+ignored, so the renderer keeps working against streams from newer code.
 
 :class:`WatchRenderer` itself is pure state + string rendering (feed
 events in, ask for a frame), which is what makes live monitoring

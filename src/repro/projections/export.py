@@ -13,9 +13,8 @@ Times are exported in microseconds, as the format requires.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.perf.profiler import PhaseProfiler, phase_trace_events
 from repro.runtime.tracing import TraceLog
 from repro.util.atomic import atomic_write
 
@@ -266,7 +265,6 @@ def write_chrome_trace(
     job_name: str = "app",
     extra: Optional[Sequence[TraceLog]] = None,
     audit: Optional[Sequence[Mapping[str, Any]]] = None,
-    profile: Optional[Union[PhaseProfiler, Mapping[str, Any]]] = None,
     ledger: Optional[Mapping[str, Any]] = None,
     lineage: Optional[Mapping[str, Any]] = None,
 ) -> int:
@@ -278,11 +276,8 @@ def write_chrome_trace(
     main job's lane; ``ledger`` (a time-ledger summary dict) adds the
     per-iteration attribution buckets as one stacked counter track;
     ``lineage`` (a lineage payload dict) adds per-iteration imbalance
-    (λ/CoV/Gini) and per-core load counter tracks;
-    ``profile`` (a :class:`PhaseProfiler` or its exported dict) adds the
-    host wall-clock phase breakdown as its own process lane.
-    Simulated-time and host-time lanes share one timeline axis but not
-    an origin — compare durations, not positions.
+    (λ/CoV/Gini) and per-core load counter tracks. Every lane is in
+    simulated time, so identical runs write identical files.
 
     The file is byte-identical to ``json.dump(events, fh)``. It is
     written to a temporary sibling and renamed into place, so a sweep
@@ -297,8 +292,6 @@ def write_chrome_trace(
         events.extend(ledger_counter_events(ledger, pid=1))
     if lineage is not None:
         events.extend(lineage_counter_events(lineage, pid=1))
-    if profile is not None:
-        events.extend(phase_trace_events(profile))
     _write_json_array(events, path)
     return len(events)
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional
 
-from repro.perf.profiler import active as _profiler
 from repro.util import check_non_negative, get_logger
 
 __all__ = ["EventHandle", "SimulationEngine"]
@@ -235,28 +234,25 @@ class SimulationEngine:
         fired = 0
         heap = self._heap
         heappop = heapq.heappop
-        # one scoped timer per run() call (never per event), so the
-        # disabled profiler costs nothing measurable in the event loop
         try:
-            with _profiler().phase("engine.run"):
-                while heap:
-                    if max_events is not None and fired >= max_events:
-                        return
-                    handle = heap[0]
-                    if handle.cancelled:
-                        heappop(heap)
-                        self._stale -= 1
-                        continue
-                    if until is not None and handle.time > until:
-                        break
+            while heap:
+                if max_events is not None and fired >= max_events:
+                    return
+                handle = heap[0]
+                if handle.cancelled:
                     heappop(heap)
-                    self._now = handle.time
-                    handle.fired = True
-                    self._events_fired += 1
-                    handle.callback(*handle.args)
-                    fired += 1
-                if until is not None and until > self._now:
-                    self._now = until
+                    self._stale -= 1
+                    continue
+                if until is not None and handle.time > until:
+                    break
+                heappop(heap)
+                self._now = handle.time
+                handle.fired = True
+                self._events_fired += 1
+                handle.callback(*handle.args)
+                fired += 1
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
             _log.debug(

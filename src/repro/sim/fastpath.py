@@ -75,7 +75,6 @@ from repro.cluster.netmodel import NetworkModel
 from repro.core.database import LBDatabase
 from repro.core.policies import LBPolicy
 from repro.experiments.scenario import Scenario
-from repro.perf.profiler import active as _profiler
 from repro.power.meter import EnergyReading
 from repro.power.model import PowerModel
 from repro.runtime.runtime import (
@@ -1421,8 +1420,7 @@ def run_scenario_fast(
     if bg is not None:
         bg.start(scenario.bg.iterations, at=scenario.bg.start)
 
-    with _profiler().phase("fastpath.run"):
-        sim.run()
+    sim.run()
 
     if app.finished_at is None or (bg is not None and bg.finished_at is None):
         raise RuntimeError(

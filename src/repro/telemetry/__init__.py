@@ -77,9 +77,8 @@ class Telemetry:
     -----
     The object doubles as the balancer-side audit sink: the base
     balancer's :meth:`~repro.core.balancer.LoadBalancer.balance` calls
-    :meth:`on_step` with the decision; the *host wall-clock* of the
-    decision goes into the metrics registry only — audit records carry
-    exclusively simulated (deterministic) quantities.
+    :meth:`on_step` with the decision. Audit records carry exclusively
+    simulated (deterministic) quantities.
     """
 
     def __init__(
@@ -103,9 +102,7 @@ class Telemetry:
         candidates: Sequence[Dict[str, Any]],
         t_avg: float,
         epsilon_s: Optional[float],
-        decide_wall_s: float,
     ) -> None:
-        self.metrics.counter("lb_decide_wall_s").inc(decide_wall_s)
         self.audit.on_step(
             strategy=strategy,
             view=view,

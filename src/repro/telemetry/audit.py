@@ -30,7 +30,7 @@ import os
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.util import get_logger
-from repro.util.atomic import atomic_write
+from repro.util.atomic import atomic_write, atomic_write_json
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -218,9 +218,7 @@ def write_json_artifact(payload: Mapping[str, Any], path: Union[str, "Path"]) ->
     output) that ride next to audit trails. Returns the final path.
     """
     path = os.fspath(path)
-    with atomic_write(path, ".json.tmp") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    atomic_write_json(path, payload)
     return path
 
 

@@ -31,52 +31,10 @@ __all__ = [
     "NULL_REGISTRY",
     "DEFAULT_DURATION_BUCKETS_S",
     "SUMMARY_QUANTILES",
-    "sample_quantile",
-    "summarize_samples",
 ]
 
-#: The quantiles every summary in the repo reports (``repro inspect``
-#: percentile tables, ``repro bench`` metric summaries, histogram
-#: snapshots) — one shared definition so the numbers are comparable.
+#: The quantiles a histogram snapshot reports.
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
-def sample_quantile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-quantile of raw samples, linearly interpolated.
-
-    This is the exact (type-7 / numpy-default) quantile over the sorted
-    samples, shared by every summary producer in the repo. Returns 0.0
-    for an empty sequence so callers can summarise unconditionally.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
-
-
-def summarize_samples(samples: Sequence[float]) -> Dict[str, float]:
-    """Shared scalar summary of raw samples: count/mean/p50/p90/p99.
-
-    The single implementation behind ``repro inspect`` percentile rows
-    and ``repro bench`` reports (satisfying one definition of "p99"
-    across the repo).
-    """
-    n = len(samples)
-    out: Dict[str, float] = {
-        "count": float(n),
-        "mean": (sum(samples) / n) if n else 0.0,
-    }
-    for q in SUMMARY_QUANTILES:
-        out[f"p{int(q * 100)}"] = sample_quantile(samples, q)
-    return out
 
 #: Default histogram bucket upper bounds for durations in seconds
 #: (geometric, spanning sub-millisecond LB decisions to minute-long
@@ -150,8 +108,7 @@ class Histogram:
         (the Prometheus ``histogram_quantile`` estimator); the first
         bucket interpolates from 0 and the overflow bucket reports its
         lower edge, so estimates never exceed what the bounds can
-        resolve. Exact values would need raw samples — see
-        :func:`sample_quantile` for that path.
+        resolve. Exact values would need the raw samples.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")

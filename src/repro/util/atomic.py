@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import IO, Iterator, Union
+from typing import IO, Any, Iterator, Mapping, Union
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_write", "atomic_write_json"]
 
 
 @contextmanager
@@ -33,3 +34,18 @@ def atomic_write(
         except OSError:
             pass
         raise
+
+
+def atomic_write_json(
+    path: Union[str, "os.PathLike[str]"], payload: Mapping[str, Any]
+) -> None:
+    """Atomically write ``payload`` as one indented, key-sorted JSON document.
+
+    The file text is ``json.dumps(payload, indent=1, sort_keys=True)``
+    plus a newline. The parent directory is created if missing.
+    """
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -1,9 +1,9 @@
 """Run provenance: identifying *which code* produced an artifact.
 
-Every long-lived artifact this repo writes (result-cache entries, bench
-trajectory files, run-registry records) must be traceable back to the
-exact source tree that produced it, or cross-run comparisons silently
-mix incomparable numbers. This module centralises the two stamps:
+Every long-lived artifact this repo writes (result-cache entries and
+run-registry records) must be traceable back to the exact source tree
+that produced it, or cross-run comparisons silently mix incomparable
+numbers. This module centralises the two stamps:
 
 * :func:`git_sha` — the short git SHA of the working tree (or
   ``unknown`` outside a repo); overridable via ``REPRO_GIT_SHA`` so CI

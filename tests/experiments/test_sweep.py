@@ -388,6 +388,22 @@ class TestCombinedProbes:
                       {"audit_dir": tmp_path / "warm-audit"}):
             assert run_sweep(smoke_spec(), cache=cache, **probe).metrics.hit_rate == 1.0
 
+    def test_serial_and_parallel_audit_dirs_are_byte_identical(
+        self, single_probe_smoke, tmp_path
+    ):
+        """Audit JSONL and Chrome traces hold simulated time only, so a
+        parallel sweep writes the serial sweep's files byte for byte."""
+        _, serial = single_probe_smoke  # workers=1, cache=None
+        parallel = tmp_path / "audit"
+        run_sweep(smoke_spec(), workers=2, cache=None, audit_dir=parallel)
+        names = sorted(f.name for f in serial.iterdir())
+        assert sorted(f.name for f in parallel.iterdir()) == names
+        assert sum(name.endswith(".trace.json") for name in names) == len(
+            smoke_spec().expand()
+        )
+        for name in names:
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
     def test_audit_on_the_fast_backend_is_a_one_line_error(self, tmp_path):
         with pytest.raises(ValueError, match="backend='fast'") as err:
             run_sweep(

@@ -9,7 +9,6 @@ from repro.obs.anomaly import (
     SEV_WARNING,
     Finding,
     Thresholds,
-    check_bench_trajectory,
     check_estimation_drift,
     check_fabric,
     check_history_outliers,
@@ -222,48 +221,6 @@ def test_check_run_includes_fabric_findings():
     record = {**_record([]), **{"fabric": _fabric_record(steals=3)["fabric"]}}
     findings = check_run(record, [])
     assert any(f.rule == "steal-storm" for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# bench trajectory
-# ---------------------------------------------------------------------------
-
-
-def _bench_entry(sha, **medians):
-    return {
-        "env": {"git_sha": sha},
-        "metrics": {
-            name: {"median": m, "unit": "x/s",
-                   "direction": "lower" if name.endswith("_s") else "higher"}
-            for name, m in medians.items()
-        },
-    }
-
-
-def test_bench_trajectory_direction_normalised():
-    # throughput (higher=better) halves -> factor 2 -> error
-    entries = [
-        _bench_entry("aaa", tput=100.0),
-        _bench_entry("bbb", tput=101.0),
-        _bench_entry("ccc", tput=50.0),
-    ]
-    (f,) = check_bench_trajectory(entries)
-    assert f.rule == "bench-regression" and f.severity == SEV_ERROR
-    assert f.subject == "bench:ccc:tput"
-
-    # latency (lower=better) rising 1.3x -> warning
-    entries = [
-        _bench_entry("aaa", wall_s=1.0),
-        _bench_entry("bbb", wall_s=1.3),
-    ]
-    (f,) = check_bench_trajectory(entries)
-    assert f.severity == SEV_WARNING
-
-    # improvement never fires
-    entries = [_bench_entry("aaa", tput=100.0), _bench_entry("bbb", tput=300.0)]
-    assert check_bench_trajectory(entries) == []
-    # a single entry has no baseline
-    assert check_bench_trajectory([_bench_entry("aaa", tput=1.0)]) == []
 
 
 # ---------------------------------------------------------------------------

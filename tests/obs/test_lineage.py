@@ -679,6 +679,7 @@ class TestReportSection:
         html = render_report(data)
         assert "Load imbalance (sweep --lineage)" in html
         assert "✓ sane" in html
+        assert '<svg class="spark"' in html
 
     def test_report_without_lineage_shows_fallback(self, tmp_path):
         registry = RunRegistry(tmp_path / "registry")

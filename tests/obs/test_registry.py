@@ -35,7 +35,15 @@ def test_ingest_sweep_and_list(registry, fabricate):
     assert record["schema"] == RUN_SCHEMA
     assert record["run_id"].startswith("20260806T100000Z-sweep-")
     assert record["git_sha"] == "feedbeef"
-    assert record["env"]["git_sha"] == "feedbeef"
+    env = record["env"]
+    assert set(env) == {
+        "repro_version", "python", "implementation", "platform", "machine",
+        "cpu_count", "git_sha", "code_fingerprint",
+    }
+    for key, value in env.items():
+        assert value, key
+    assert env["git_sha"] == "feedbeef"
+    assert len(env["code_fingerprint"]) == 16
     assert record["spec"]["name"] == "smoke"
     assert record["metrics"]["points"] == 2
     assert [p["seed"] for p in record["points"]] == [7, 8]
@@ -131,28 +139,6 @@ def test_load_rejects_wrong_schema(registry, tmp_path):
     bad.write_text(json.dumps({"schema": 99, "run_id": "x"}))
     with pytest.raises(ValueError, match="schema"):
         registry.load("x")
-
-
-def test_ingest_bench(registry):
-    bench = {
-        "schema": 1,
-        "created_utc": "2026-08-06T12:00:00Z",
-        "elapsed_s": 3.2,
-        "env": {"git_sha": "feedbeef", "code_fingerprint": "abc"},
-        "config": {"repeats": 5},
-        "metrics": {
-            "engine.events_per_s": {
-                "median": 1e6, "iqr": 1e4, "p90": 1.1e6,
-                "unit": "events/s", "direction": "higher", "suite": "micro",
-            },
-        },
-    }
-    record = registry.ingest_bench(bench, artifacts={"trajectory_entry": "b.json"})
-    assert record["kind"] == "bench"
-    assert record["run_id"].startswith("20260806T120000Z-bench-")
-    assert record["points"][0]["label"] == "engine.events_per_s"
-    assert record["points"][0]["summary"]["median"] == 1e6
-    assert registry.list()[0]["kind"] == "bench"
 
 
 def test_diff_runs(registry, fabricate):

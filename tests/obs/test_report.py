@@ -1,7 +1,5 @@
 """The HTML dashboard: data assembly and self-contained rendering."""
 
-import json
-
 import pytest
 
 from repro.obs.registry import RunRegistry
@@ -22,7 +20,7 @@ def _pinned_sha(monkeypatch):
 
 @pytest.fixture
 def populated(tmp_path, fabricate):
-    """A registry with history + an outlier run, and a 3-entry trajectory."""
+    """A registry with history + an outlier run."""
     registry = RunRegistry(tmp_path / "registry")
     for i in range(2):
         spec, result = fabricate("smoke", PAIRED_POINTS)
@@ -31,27 +29,14 @@ def populated(tmp_path, fabricate):
     outlier[1] = {**outlier[1], "app_time": 4.5}  # 3x -> error + lb-no-benefit
     spec, result = fabricate("smoke", outlier)
     registry.ingest_sweep(spec, result, created_utc="2026-08-06T12:00:00Z")
-
-    trajectory = tmp_path / "trajectory"
-    trajectory.mkdir()
-    for i, median in enumerate([100.0, 102.0, 40.0]):  # ends 2.5x slower
-        (trajectory / f"BENCH_sha{i}.json").write_text(json.dumps({
-            "created_utc": f"2026-08-0{i + 1}T00:00:00Z",
-            "env": {"git_sha": f"sha{i}"},
-            "metrics": {"core.tput": {"median": median, "unit": "ops/s",
-                                      "direction": "higher"}},
-        }))
-    return registry, trajectory
+    return registry
 
 
 def test_build_report_assembles_everything(populated):
-    registry, trajectory = populated
-    data = build_report(registry.root, trajectory_dir=trajectory)
+    data = build_report(populated.root)
     assert len(data["runs"]) == 3
     assert data["total_points"] == 9
     assert data["latest_sha"] == "feedbeef"
-    assert data["trajectory_entries"] == 3
-    assert data["trends"]["core.tput"]["values"] == [100.0, 102.0, 40.0]
 
     # figure validation judges the latest run's interfered pair only
     (row,) = data["figure_rows"]
@@ -60,13 +45,12 @@ def test_build_report_assembles_everything(populated):
     assert row["holds"] is False
 
     rules = {f["rule"] for f in data["findings"]}
-    assert {"penalty-outlier", "lb-no-benefit", "bench-regression"} <= rules
+    assert {"penalty-outlier", "lb-no-benefit"} <= rules
     assert any(f["severity"] == "error" for f in data["findings"])
 
 
 def test_render_report_is_self_contained_html(populated):
-    registry, trajectory = populated
-    data = build_report(registry.root, trajectory_dir=trajectory)
+    data = build_report(populated.root)
     html = render_report(data)
     assert html.startswith("<!DOCTYPE html>")
     # strictly self-contained: no external fetches of any kind
@@ -77,7 +61,6 @@ def test_render_report_is_self_contained_html(populated):
     assert data["runs"][-1]["run_id"] in html
     assert "penalty-outlier" in html
     assert "▲ violated" in html
-    assert '<svg class="spark"' in html
     assert "prefers-color-scheme: dark" in html
     # severity is icon + label, never color alone
     assert "✖ error" in html
@@ -88,7 +71,6 @@ def test_render_report_empty_registry(tmp_path):
     html = render_report(data)
     assert "The registry is empty." in html
     assert "✓ No anomalies detected." in html
-    assert "No bench trajectory entries" in html
 
 
 def test_report_escapes_untrusted_strings(tmp_path, fabricate):
@@ -144,16 +126,14 @@ def test_fabric_runs_get_a_health_section(tmp_path, fabricate):
 
 
 def test_report_without_fabric_runs_says_so(populated):
-    registry, trajectory = populated
-    html = render_report(build_report(registry.root, trajectory_dir=trajectory))
+    html = render_report(build_report(populated.root))
     assert "Fabric health" in html
     assert "No fabric runs registered" in html
 
 
 def test_write_report(populated, tmp_path):
-    registry, trajectory = populated
     out = tmp_path / "nested" / "report.html"
-    data = write_report(out, registry.root, trajectory_dir=trajectory)
+    data = write_report(out, populated.root)
     assert out.is_file()
     assert out.read_text().startswith("<!DOCTYPE html>")
     assert len(data["runs"]) == 3

@@ -1,123 +1,6 @@
-"""Unit tests for the ``repro bench`` harness and its persistence."""
+"""Unit tests for the environment fingerprint stored with each run record."""
 
-import json
-
-import pytest
-
-import repro.perf.bench as bench_mod
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    HIGHER,
-    LOWER,
-    SUITES,
-    Benchmark,
-    bench_filename,
-    default_benchmarks,
-    environment_fingerprint,
-    format_bench_text,
-    load_bench,
-    run_bench,
-    save_bench,
-)
-
-
-def _fake_suite(calls):
-    """Two deterministic benchmarks that log every invocation."""
-
-    def micro():
-        calls.append("micro")
-        return 100.0 + 10.0 * (calls.count("micro") % 3)
-
-    def macro():
-        calls.append("macro")
-        return 2.0
-
-    return [
-        Benchmark("fake.micro", "micro", "ops/s", HIGHER, micro),
-        Benchmark("fake.macro", "macro", "s", LOWER, macro,
-                  max_repeats=2, max_warmup=1),
-    ]
-
-
-@pytest.fixture
-def fake_suite(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        bench_mod, "default_benchmarks", lambda: _fake_suite(calls)
-    )
-    return calls
-
-
-class TestRunBench:
-    def test_result_layout_and_metric_statistics(self, fake_suite):
-        result = run_bench(repeats=4, warmup=2)
-        assert result["schema"] == BENCH_SCHEMA
-        assert result["kind"] == "repro-bench"
-        assert result["config"] == {
-            "suites": sorted(SUITES), "repeats": 4, "warmup": 2, "filter": None,
-        }
-        m = result["metrics"]["fake.micro"]
-        assert m["suite"] == "micro" and m["direction"] == HIGHER
-        assert m["repeats"] == 4 and m["warmup"] == 2
-        assert len(m["samples"]) == 4
-        assert min(m["samples"]) <= m["median"] <= max(m["samples"])
-        assert m["iqr"] >= 0.0
-        assert m["p90"] <= max(m["samples"])
-
-    def test_warmup_iterations_are_discarded(self, fake_suite):
-        run_bench(suites=("micro",), repeats=2, warmup=3)
-        assert fake_suite.count("micro") == 5  # 3 warmup + 2 measured
-
-    def test_macro_caps_clamp_global_settings(self, fake_suite):
-        result = run_bench(repeats=10, warmup=5)
-        m = result["metrics"]["fake.macro"]
-        assert m["repeats"] == 2 and m["warmup"] == 1
-        assert fake_suite.count("macro") == 3
-        # micro metrics keep the requested settings
-        assert result["metrics"]["fake.micro"]["repeats"] == 10
-
-    def test_suite_and_name_filters(self, fake_suite):
-        assert list(run_bench(suites=("macro",))["metrics"]) == ["fake.macro"]
-        assert list(run_bench(name_filter="micro")["metrics"]) == ["fake.micro"]
-
-    def test_progress_callback_fires_per_metric(self, fake_suite):
-        seen = []
-        run_bench(repeats=1, warmup=0,
-                  progress=lambda name, i, n: seen.append((name, i, n)))
-        assert seen == [("fake.micro", 0, 2), ("fake.macro", 1, 2)]
-
-    def test_validation_errors(self, fake_suite):
-        with pytest.raises(ValueError, match="repeats"):
-            run_bench(repeats=0)
-        with pytest.raises(ValueError, match="warmup"):
-            run_bench(warmup=-1)
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_bench(suites=("nano",))
-        with pytest.raises(ValueError, match="no benchmarks match"):
-            run_bench(name_filter="no-such-metric")
-
-
-class TestRealSuite:
-    def test_curated_suite_shape(self):
-        benches = default_benchmarks()
-        assert len(benches) >= 6
-        assert {b.suite for b in benches} == set(SUITES)
-        assert len({b.name for b in benches}) == len(benches)
-        for b in benches:
-            assert b.direction in (HIGHER, LOWER)
-        # macros are always capped so --repeats 20 stays affordable
-        for b in benches:
-            if b.suite == "macro":
-                assert b.max_repeats is not None
-
-    def test_one_real_micro_metric_end_to_end(self):
-        result = run_bench(
-            suites=("micro",), repeats=1, warmup=0,
-            name_filter="net.message_time",
-        )
-        m = result["metrics"]["net.message_time_per_s"]
-        assert m["median"] > 0.0
-        assert m["median"] == m["samples"][0]
+from repro.obs.registry import _env_block as environment_fingerprint
 
 
 class TestEnvironmentFingerprint:
@@ -131,40 +14,3 @@ class TestEnvironmentFingerprint:
     def test_git_sha_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GIT_SHA", "cafef00d")
         assert environment_fingerprint()["git_sha"] == "cafef00d"
-
-
-class TestPersistence:
-    def _result(self, fake_suite):
-        return run_bench(repeats=2, warmup=0)
-
-    def test_filename_embeds_the_git_sha(self, fake_suite, monkeypatch):
-        monkeypatch.setenv("REPRO_GIT_SHA", "abc1234")
-        assert bench_filename(self._result(fake_suite)) == "BENCH_abc1234.json"
-        assert bench_filename({}) == "BENCH_unknown.json"
-
-    def test_save_load_round_trip(self, fake_suite, tmp_path):
-        result = self._result(fake_suite)
-        path = save_bench(result, tmp_path / "traj" / "BENCH_x.json")
-        assert path.exists()
-        assert list(path.parent.glob("*.tmp")) == []
-        assert load_bench(path) == json.loads(json.dumps(result))
-
-    def test_load_rejects_foreign_and_versioned_files(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"kind": "other"}))
-        with pytest.raises(ValueError, match="not a repro bench"):
-            load_bench(p)
-        p.write_text(json.dumps(
-            {"kind": "repro-bench", "schema": 999, "metrics": {}}
-        ))
-        with pytest.raises(ValueError, match="schema"):
-            load_bench(p)
-        p.write_text(json.dumps({"kind": "repro-bench", "schema": BENCH_SCHEMA}))
-        with pytest.raises(ValueError, match="no metrics"):
-            load_bench(p)
-
-    def test_text_report_lists_every_metric(self, fake_suite):
-        result = self._result(fake_suite)
-        text = format_bench_text(result)
-        assert "fake.micro" in text and "fake.macro" in text
-        assert "2 metrics" in text

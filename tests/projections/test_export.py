@@ -139,24 +139,17 @@ def test_chrome_trace_is_byte_identical_to_json_dumps(tmp_path, n):
     assert path.read_text() == json.dumps(expected)
 
 
-def test_audited_trace_with_profile_lane_is_byte_identical(tmp_path):
+def test_audited_trace_is_byte_identical(tmp_path):
     from repro.experiments.sweep import run_point_audited
-    from repro.perf.profiler import phase_trace_events
     from repro.projections.export import audit_counter_events
 
-    _, records, trace, profile = run_point_audited(
+    _, records, trace = run_point_audited(
         {"app": "jacobi2d", "scale": 0.05, "iterations": 10, "cores": 4,
          "bg": True, "balancer": "refine-vm"}
     )
     path = tmp_path / "p.trace.json"
-    n = write_chrome_trace(
-        trace, str(path), job_name="p", audit=records, profile=profile
-    )
-    expected = (
-        to_trace_events(trace, job_name="p")
-        + audit_counter_events(records)
-        + phase_trace_events(profile)
-    )
+    n = write_chrome_trace(trace, str(path), job_name="p", audit=records)
+    expected = to_trace_events(trace, job_name="p") + audit_counter_events(records)
     assert n == len(expected) > 256
     assert any(e.get("cat") == "lb-audit" for e in expected)
     assert path.read_text() == json.dumps(expected)

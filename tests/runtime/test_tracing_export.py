@@ -9,7 +9,6 @@ import json
 
 import pytest
 
-from repro.perf.profiler import PhaseProfiler
 from repro.runtime.tracing import (
     IterationEvent,
     LBStepEvent,
@@ -131,22 +130,14 @@ class TestAuditCounterEvents:
 
 class TestWriteChromeTrace:
     def test_file_round_trip_preserves_all_lanes(self, tmp_path):
-        prof = PhaseProfiler(record_intervals=True)
-        with prof.phase("engine.run"):
-            pass
         path = tmp_path / "out.trace.json"
-        n = write_chrome_trace(
-            _trace(), str(path),
-            audit=_audit_records(), profile=prof,
-        )
+        n = write_chrome_trace(_trace(), str(path), audit=_audit_records())
         events = json.load(open(path))
         assert len(events) == n
-        # simulated lanes on pid 1, profiler lane on pid 99
-        assert {e["pid"] for e in events} == {1, 99}
+        # every lane is simulated time, on the main job's pid
+        assert {e["pid"] for e in events} == {1}
         cats = {e.get("cat") for e in events if "cat" in e}
-        assert cats == {"task", "migration", "lb", "lb-audit", "profile"}
-        profile_spans = [e for e in events if e.get("cat") == "profile"]
-        assert [e["name"] for e in profile_spans] == ["engine.run"]
+        assert cats == {"task", "migration", "lb", "lb-audit"}
 
     def test_extra_traces_get_their_own_process_lanes(self, tmp_path):
         path = tmp_path / "multi.trace.json"

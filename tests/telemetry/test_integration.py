@@ -51,12 +51,10 @@ class TestObservationalPurity:
         params = normalize_params({**TINY, "cores": 4, "bg": True,
                                    "balancer": "refine-vm"})
         plain = run_point(params)
-        audited, records, trace, profile = run_point_audited(params)
+        audited, records, trace = run_point_audited(params)
         assert audited == plain
         assert records, "a balanced run produces audit records"
         assert trace is not None
-        assert profile["phases"], "the profiler saw the run's hot phases"
-        assert "engine.run" in profile["phases"]
 
     def test_bg_estimator_tracks_injected_truth(self):
         """Eq. (2): O_p residual estimation vs the true injected bg load.
@@ -67,7 +65,7 @@ class TestObservationalPurity:
         """
         params = normalize_params({**TINY, "cores": 4, "bg": True,
                                    "balancer": "refine-vm"})
-        _, records, _, _ = run_point_audited(params)
+        _, records, _ = run_point_audited(params)
         est = audit_summary(records)["estimation_error"]
         assert est["max_abs"] < 1e-9
 

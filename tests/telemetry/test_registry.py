@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry.registry import (
     DEFAULT_DURATION_BUCKETS_S,
     NULL_REGISTRY,
-    SUMMARY_QUANTILES,
     Counter,
     Gauge,
     Histogram,
@@ -15,8 +14,6 @@ from repro.telemetry.registry import (
     _NULL_COUNTER,
     _NULL_GAUGE,
     _NULL_HISTOGRAM,
-    sample_quantile,
-    summarize_samples,
 )
 
 
@@ -50,47 +47,6 @@ class TestInstruments:
             Histogram("d", bounds=[])
         with pytest.raises(ValueError, match="sorted, non-empty"):
             Histogram("d", bounds=[2.0, 1.0])
-
-
-class TestSampleQuantiles:
-    def test_linear_interpolation_matches_type7(self):
-        """The numpy-default (type-7) estimator over sorted samples."""
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert sample_quantile(samples, 0.0) == 1.0
-        assert sample_quantile(samples, 0.5) == 2.5
-        assert sample_quantile(samples, 1.0) == 4.0
-        assert sample_quantile(list(range(1, 11)), 0.9) == pytest.approx(9.1)
-        assert sample_quantile(list(range(1, 11)), 0.99) == pytest.approx(9.91)
-
-    def test_input_order_does_not_matter(self):
-        assert sample_quantile([4.0, 1.0, 3.0, 2.0], 0.5) == 2.5
-
-    def test_degenerate_inputs(self):
-        assert sample_quantile([], 0.5) == 0.0
-        assert sample_quantile([7.0], 0.99) == 7.0
-
-    def test_out_of_range_quantile_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            sample_quantile([1.0], 1.5)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            sample_quantile([1.0], -0.1)
-
-    def test_summarize_samples_reports_the_shared_quantiles(self):
-        """One summary shape for inspect and bench reports."""
-        s = summarize_samples(list(range(1, 11)))
-        assert set(s) == {"count", "mean", "p50", "p90", "p99"}
-        assert s["count"] == 10.0
-        assert s["mean"] == pytest.approx(5.5)
-        assert s["p50"] == pytest.approx(5.5)
-        assert s["p90"] == pytest.approx(9.1)
-        assert s["p99"] == pytest.approx(9.91)
-        assert summarize_samples([]) == {
-            "count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
-        }
-
-    def test_summary_keys_track_the_shared_quantile_tuple(self):
-        keys = {f"p{int(q * 100)}" for q in SUMMARY_QUANTILES}
-        assert keys <= set(summarize_samples([1.0]))
 
 
 class TestHistogramQuantiles:

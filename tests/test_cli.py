@@ -279,105 +279,6 @@ def test_log_level_flag_configures_root_logger(capsys):
         root.setLevel(before)
 
 
-_FAST_BENCH = ["bench", "--suite", "micro", "--repeats", "1", "--warmup", "0",
-               "--filter", "net.message_time"]
-
-
-def test_bench_writes_schema_versioned_trajectory_entry(tmp_path, capsys,
-                                                        monkeypatch):
-    import json
-
-    monkeypatch.setenv("REPRO_GIT_SHA", "feedbeef")
-    traj = tmp_path / "traj"
-    rc = main(_FAST_BENCH + ["--trajectory-dir", str(traj),
-                             "--output", str(tmp_path)])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "repro bench — 1 metrics" in captured.out
-    assert "net.message_time_per_s" in captured.out
-    entry = traj / "BENCH_feedbeef.json"
-    assert entry.exists()
-    data = json.loads(entry.read_text())
-    assert data["schema"] == 1 and data["kind"] == "repro-bench"
-    assert data["env"]["git_sha"] == "feedbeef"
-    assert (tmp_path / "bench.txt").exists()
-
-
-def test_bench_no_save_leaves_no_trajectory(tmp_path, capsys):
-    traj = tmp_path / "traj"
-    assert main(_FAST_BENCH + ["--trajectory-dir", str(traj),
-                               "--no-save"]) == 0
-    assert not traj.exists()
-
-
-def test_bench_compare_passes_unchanged_and_fails_on_slowdown(tmp_path,
-                                                              capsys):
-    import json
-
-    traj = tmp_path / "traj"
-    assert main(_FAST_BENCH + ["--trajectory-dir", str(traj)]) == 0
-    (baseline,) = traj.glob("BENCH_*.json")
-    capsys.readouterr()
-
-    # replaying the identical result against itself must pass
-    rc = main(["bench", "--replay", str(baseline),
-               "--compare", str(baseline)])
-    assert rc == 0
-    assert "PASS — no regressions" in capsys.readouterr().out
-
-    # an injected 2x slowdown must fail with exit code 1
-    slow = json.loads(baseline.read_text())
-    for m in slow["metrics"].values():
-        m["median"] /= 2.0
-        m["samples"] = [s / 2.0 for s in m["samples"]]
-    slow_path = tmp_path / "slow.json"
-    slow_path.write_text(json.dumps(slow))
-    rc = main(["bench", "--replay", str(slow_path),
-               "--compare", str(baseline)])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out and "FAIL" in out
-
-
-def test_bench_compare_json_report(tmp_path, capsys):
-    import json
-
-    traj = tmp_path / "traj"
-    assert main(_FAST_BENCH + ["--trajectory-dir", str(traj), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "result" in payload and "comparison" not in payload
-    (baseline,) = traj.glob("BENCH_*.json")
-    assert main(["bench", "--replay", str(baseline),
-                 "--compare", str(baseline), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["comparison"]["ok"] is True
-
-
-def test_bench_usage_errors_are_clean(tmp_path, capsys):
-    assert main(["bench", "--replay", "x.json"]) == 2
-    assert "--replay requires --compare" in capsys.readouterr().err
-
-    assert main(_FAST_BENCH + ["--no-save",
-                               "--compare", str(tmp_path / "nope.json")]) == 2
-    assert "repro bench: error:" in capsys.readouterr().err
-
-    assert main(["bench", "--no-save", "--filter", "no-such-metric"]) == 2
-    assert "no benchmarks match" in capsys.readouterr().err
-
-
-def test_bench_profile_writes_phase_profile_and_trace(tmp_path, capsys):
-    import json
-
-    rc = main(_FAST_BENCH + ["--no-save", "--profile", str(tmp_path / "prof")])
-    assert rc == 0
-    profile = json.loads((tmp_path / "prof" / "profile.json").read_text())
-    assert "engine.run" in profile["phases"]
-    assert profile["intervals"], "profiled run records intervals"
-    events = json.loads((tmp_path / "prof" / "profile.trace.json").read_text())
-    assert any(e.get("cat") == "profile" for e in events)
-    assert any(e.get("ph") == "C" for e in events)
-
-
 # ---------------------------------------------------------------------------
 # observability: registry, watch, report, anomaly gate
 # ---------------------------------------------------------------------------
@@ -518,6 +419,81 @@ def test_runs_diff_between_two_registered_sweeps(tmp_path, capsys):
     assert "repro runs: error:" in capsys.readouterr().err
 
 
+def test_corrupt_run_record_error_names_the_file(tmp_path, capsys):
+    registry = tmp_path / "registry"
+    assert main(["sweep", "--preset", "smoke", "--no-cache",
+                 "--registry", str(registry)]) == 0
+    (record,) = (registry / "runs").glob("*.json")
+    record.write_text(record.read_text()[:200])
+    capsys.readouterr()
+    for argv in (["runs", "--registry", str(registry), "show", record.stem],
+                 ["runs", "--registry", str(registry), "check", "latest"],
+                 ["explain", "latest", "--registry", str(registry)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "corrupt run record" in err, argv
+        assert str(record) in err, argv
+
+
+#: A run record and index line exactly as ``repro bench`` registered
+#: them before the command was removed.
+_LEGACY_BENCH_RECORD = {
+    "artifacts": {"trajectory_entry": "b.json"},
+    "code_fingerprint": "abc",
+    "config": {"repeats": 5},
+    "created_utc": "2026-08-06T12:00:00Z",
+    "env": {"code_fingerprint": "abc", "git_sha": "feedbeef"},
+    "git_sha": "feedbeef",
+    "kind": "bench",
+    "metrics": {"elapsed_s": 3.2},
+    "name": "bench",
+    "points": [
+        {
+            "label": "engine.events_per_s",
+            "summary": {
+                "direction": "higher", "iqr": 10000.0, "median": 1000000.0,
+                "p90": 1100000.0, "suite": "micro", "unit": "events/s",
+            },
+        }
+    ],
+    "run_id": "20260806T120000Z-bench-7d180aa0",
+    "schema": 1,
+}
+_LEGACY_BENCH_INDEX_LINE = {
+    "created_utc": "2026-08-06T12:00:00Z", "git_sha": "feedbeef",
+    "kind": "bench", "name": "bench", "points": 1,
+    "run_id": "20260806T120000Z-bench-7d180aa0", "schema": 1,
+}
+
+
+def test_registry_with_legacy_bench_record_still_works(tmp_path, capsys):
+    import json
+
+    registry = tmp_path / "registry"
+    run_id = _LEGACY_BENCH_RECORD["run_id"]
+    (registry / "runs").mkdir(parents=True)
+    (registry / "runs" / f"{run_id}.json").write_text(
+        json.dumps(_LEGACY_BENCH_RECORD, indent=1, sort_keys=True) + "\n"
+    )
+    (registry / "runs.jsonl").write_text(
+        json.dumps(_LEGACY_BENCH_INDEX_LINE, sort_keys=True) + "\n"
+    )
+
+    assert main(["runs", "--registry", str(registry), "list"]) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(run_id)]
+    assert row.split()[1] == "bench"
+
+    out_file = tmp_path / "report.html"
+    assert main(["report", "--registry", str(registry),
+                 "--output", str(out_file)]) == 0
+    assert "1 run(s)" in capsys.readouterr().out
+    assert run_id in out_file.read_text()
+
+    assert main(["explain", "latest", "--registry", str(registry)]) == 2
+    assert f"run {run_id} is a bench run" in capsys.readouterr().err
+
+
 def test_runs_errors_are_clean(tmp_path, capsys):
     runs_prefix = ["runs"] + _registry_args(tmp_path)
     assert main(runs_prefix + ["show", "latest"]) == 2
@@ -532,7 +508,6 @@ def test_report_cli_writes_self_contained_html(tmp_path, capsys):
     capsys.readouterr()
     out_file = tmp_path / "report.html"
     rc = main(["report", "--registry", str(tmp_path / "registry"),
-               "--trajectory-dir", str(tmp_path / "no-traj"),
                "--output", str(out_file)])
     assert rc == 0
     assert "report written to" in capsys.readouterr().out
