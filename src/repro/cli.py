@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default="auto",
         help="simulation backend: 'events' = discrete-event engine, "
-        "'fast' = analytic fast path (bit-identical results), "
-        "'auto' = fast where supported (default)",
+        "'fast' or 'auto' (default) = analytic fast path "
+        "(bit-identical results and audit traces)",
     )
     psw.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",

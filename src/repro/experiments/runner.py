@@ -30,6 +30,8 @@ __all__ = ["BACKENDS", "ExperimentResult", "run_scenario"]
 ChareKey = Tuple[str, int]
 
 #: Every accepted ``backend`` value (see :func:`run_scenario`).
+#: ``"auto"`` and ``"fast"`` name the same path; ``"auto"`` stays
+#: because it is the CLI default and stored fabric job files carry it.
 BACKENDS = ("auto", "events", "fast")
 
 
@@ -109,33 +111,27 @@ def run_scenario(
 
     ``backend`` selects the simulation backend:
 
-    * ``"events"`` — the discrete-event engine (always available);
-    * ``"fast"`` — the analytic fast path (:mod:`repro.sim.fastpath`);
-      raises :class:`~repro.sim.fastpath.FastpathUnsupported` if the
-      scenario needs per-event artifacts;
-    * ``"auto"`` (default) — the fast path when supported, else events.
+    * ``"events"`` — the discrete-event engine, the reference;
+    * ``"fast"`` or ``"auto"`` (default) — the analytic fast path
+      (:mod:`repro.sim.fastpath`), for every scenario.
 
-    Both backends are bit-identical on every result field; the parity
-    suite (``tests/experiments/test_backend_parity.py``) enforces this.
+    Both backends are bit-identical on every result field, the trace of
+    a ``tracing=True`` scenario included; the parity suite
+    (``tests/experiments/test_backend_parity.py``) enforces this.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if backend != "events":
-        from repro.sim.fastpath import (
-            fastpath_unsupported_reason,
-            run_scenario_fast,
-        )
+        from repro.sim.fastpath import run_scenario_fast
 
-        if backend == "fast" or fastpath_unsupported_reason(scenario) is None:
-            return run_scenario_fast(
-                scenario, telemetry=telemetry, ledger=ledger, lineage=lineage
-            )
+        return run_scenario_fast(
+            scenario, telemetry=telemetry, ledger=ledger, lineage=lineage
+        )
     engine = SimulationEngine()
     cluster = Cluster(
         engine,
         num_nodes=scenario.num_nodes,
         cores_per_node=scenario.cores_per_node,
-        record_intervals=scenario.record_intervals,
     )
     app_rt = scenario.app.instantiate(
         engine,
@@ -203,7 +199,6 @@ def run_scenario(
             "simulation drained before both jobs finished — "
             "a scheduling deadlock would be a library bug"
         )
-    cluster.finalize_intervals()
 
     return ExperimentResult(
         scenario=scenario,

@@ -90,9 +90,7 @@ class Scenario:
         ``ceil(num_cores / cores_per_node)`` nodes, plus any nodes the
         background job needs.
     tracing:
-        Record Projections events for the application.
-    record_intervals:
-        Record per-core busy intervals (power time-series / timelines).
+        Record Projections events for the application (either backend).
     use_comm_graph:
         Model the application's communication per-chare (placement-
         dependent delay) instead of the flat per-core volume; requires
@@ -109,7 +107,6 @@ class Scenario:
     net: NetworkModel = field(default_factory=NetworkModel.native)
     cores_per_node: int = 4
     tracing: bool = False
-    record_intervals: bool = False
     use_comm_graph: bool = False
 
     def __post_init__(self) -> None:

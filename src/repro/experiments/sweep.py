@@ -469,9 +469,8 @@ def run_point_probed(
 
     ``trace`` is None unless audit is requested; it feeds the
     Chrome/Perfetto export and is never cached. Audit traces every
-    task, which the fast backend cannot do: ``"auto"`` resolves to the
-    event engine then, and ``"fast"`` raises
-    :class:`~repro.sim.fastpath.FastpathUnsupported`.
+    task, on either backend: the fast path's trace is byte-identical to
+    the event engine's.
     """
     audit = "audit" in probes
     scenario = build_scenario(params)
@@ -822,9 +821,9 @@ def run_sweep(
         byte-identical JSONL from the cached records (no trace — traces
         are only produced by actual execution). Audit records contain
         only simulated quantities, so their bytes are identical across
-        serial, parallel, and warm-cache runs. Auditing traces every
-        task, so it runs on the event engine under ``backend="auto"``
-        and is rejected with ``backend="fast"``.
+        serial, parallel, and warm-cache runs, and on every backend
+        (the fast path records the same per-task trace as the event
+        engine).
     registry:
         Optional :class:`repro.obs.registry.RunRegistry`; when given the
         completed sweep is ingested as one run record (after
@@ -898,11 +897,6 @@ def run_sweep(
         )
     if fabric_dir is not None or fabric_options is not None:
         raise ValueError("fabric_dir/fabric_options require driver='fabric'")
-    if audit_dir is not None and backend == "fast":
-        raise ValueError(
-            "audit_dir needs per-task tracing, which backend='fast' cannot "
-            "record; use backend='auto' or 'events'"
-        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     log = log if log is not None else EventLog()

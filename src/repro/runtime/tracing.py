@@ -6,14 +6,16 @@ intervals, iteration boundaries, LB steps, migrations — which
 :mod:`repro.projections` turns into per-core timelines, idle statistics
 and ASCII renderings.
 
-Tracing is optional (``Runtime(..., tracing=True)``); a disabled log
-accepts events and drops them, so call sites stay unconditional.
+Tracing is optional (``Runtime(..., tracing=True)``, or
+``Scenario(tracing=True)`` on either backend); a disabled log accepts
+events and drops them, so call sites stay unconditional.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -82,6 +84,14 @@ class MigrationEvent:
 class TraceLog:
     """Append-only event log for one runtime.
 
+    The log defines the order of :attr:`tasks`: each
+    :meth:`add_iteration` stable-sorts the task events appended since the
+    previous iteration by ``(end, core_id)``. Tasks of one core keep
+    their append order on ties (zero-work tasks ending together), so any
+    producer that appends each core's tasks in execution order gets the
+    same list — the event engine completes tasks in heap order, the fast
+    path folds them core by core.
+
     Parameters
     ----------
     enabled:
@@ -95,6 +105,8 @@ class TraceLog:
         self.iterations: List[IterationEvent] = []
         self.lb_steps: List[LBStepEvent] = []
         self.migrations: List[MigrationEvent] = []
+        # first task event of the iteration in progress
+        self._iteration_start = 0
         #: Optional display names per ``core_id`` for trace exporters
         #: (the fabric flight recorder maps worker ids onto "cores");
         #: unnamed cores fall back to ``core <id>``.
@@ -107,6 +119,11 @@ class TraceLog:
 
     def add_iteration(self, ev: IterationEvent) -> None:
         if self.enabled:
+            start = self._iteration_start
+            self.tasks[start:] = sorted(
+                self.tasks[start:], key=attrgetter("end", "core_id")
+            )
+            self._iteration_start = len(self.tasks)
             self.iterations.append(ev)
 
     def add_lb_step(self, ev: LBStepEvent) -> None:

@@ -46,9 +46,9 @@ same primitive operations, so IEEE-754 produces the same bits:
   :class:`~repro.sim.cpu.SharedCore._accrue`. Correctness never depends
   on the horizon being tight.
 * **Everything else** (communication delays, LB policy/strategy, LB
-  database, migration application, telemetry audit records, power model)
-  is the *same code* the event engine uses — shared helpers and the real
-  :class:`~repro.core.database.LBDatabase`,
+  database, migration application, telemetry audit records, Projections
+  trace events, power model) is the *same code* the event engine uses —
+  shared helpers and the real :class:`~repro.core.database.LBDatabase`,
   :class:`~repro.sim.procstat.ProcStat` and
   :class:`~repro.core.balancer.LoadBalancer` objects operate on
   duck-typed fast cores.
@@ -61,9 +61,14 @@ replayed; correctness never depends on the classification being tight.
 Once every other job of the run has finished, the remaining job runs
 the rest of its iterations inline, without heap events.
 
-Scenarios using ``tracing`` or ``record_intervals`` (per-event artifacts
-by definition) are not supported; ``backend="auto"`` falls back to the
-event engine for them.
+With ``scenario.tracing`` the application's
+:class:`~repro.runtime.tracing.TraceLog` receives the engine's records:
+one ``TaskEvent`` per completion (from the completion sites of all three
+regimes), one ``IterationEvent`` per barrier, and per LB step one
+``MigrationEvent`` per migration plus one ``LBStepEvent``. Each core's
+tasks are appended in execution order, but cores are folded one after
+another; the log sorts every iteration into its canonical order, so the
+trace equals the engine's.
 """
 
 from __future__ import annotations
@@ -82,17 +87,19 @@ from repro.runtime.runtime import (
     apply_migrations,
     compute_comm_delay,
 )
-from repro.runtime.tracing import TraceLog
+from repro.runtime.tracing import (
+    IterationEvent,
+    LBStepEvent,
+    MigrationEvent,
+    TaskEvent,
+    TraceLog,
+)
 from repro.sim.cpu import _COMPLETION_EPS
 from repro.sim.procstat import ProcStat
 from repro.telemetry import Telemetry
 from repro.util import check_positive
 
-__all__ = [
-    "FastpathUnsupported",
-    "fastpath_unsupported_reason",
-    "run_scenario_fast",
-]
+__all__ = ["run_scenario_fast"]
 
 ChareKey = Tuple[str, int]
 
@@ -103,22 +110,6 @@ _EV_BEGIN = 1
 _EV_ARRIVE = 2
 _EV_CMPL = 3
 _EV_LB = 4
-
-
-class FastpathUnsupported(RuntimeError):
-    """Raised when ``backend="fast"`` is forced on an unsupported scenario."""
-
-
-def fastpath_unsupported_reason(scenario: Scenario) -> Optional[str]:
-    """Why ``scenario`` cannot use the fast path, or None if it can.
-
-    ``backend="auto"`` routes scenarios with a reason to the event engine.
-    """
-    if scenario.tracing:
-        return "tracing records per-event artifacts (event engine only)"
-    if scenario.record_intervals:
-        return "record_intervals logs per-event busy intervals (event engine only)"
-    return None
 
 
 class _FastSim:
@@ -384,6 +375,10 @@ class _FastCore:
         tc[p.key] = tc.get(p.key, 0.0) + cpu
         if job.lineage is not None:
             job.lineage.record_sample(p.key, job._iteration, p.cid, cpu)
+        if job.trace is not None:
+            job.trace.add_task(
+                TaskEvent(p.cid, p.key, job._iteration, p.started_at, t, cpu)
+            )
         # _begin_iteration pre-seeds every core id with 0.0
         job._iter_core_wall[p.cid] += t - p.started_at
         job._completions.append((t, sched, p.rank, cpu))
@@ -482,6 +477,8 @@ class _FastJob:
         self.ledger = None
         #: optional LineageRecorder (null hook, mirrors Runtime.lineage)
         self.lineage = None
+        #: optional TraceLog (null hook; set when the scenario traces)
+        self.trace: Optional[TraceLog] = None
         self._on_finish: List[Callable[["_FastJob"], None]] = []
         # per-iteration completion buffer: (end, sched, core_rank, cpu).
         # Sorted at the barrier, this reproduces the engine's chronological
@@ -636,6 +633,7 @@ class _FastJob:
         """
         led = self.ledger
         lin = self.lineage
+        tr = self.trace
         work = []
         for ch in chs:
             d = ch.work(iteration)
@@ -689,6 +687,8 @@ class _FastJob:
             tc[k] = tc_get(k, 0.0) + cpu
             if lin is not None:
                 lin.record_sample(k, iteration, cid, cpu)
+            if tr is not None:
+                tr.add_task(TaskEvent(cid, k, iteration, start, t, cpu))
             wall += t - start
             comps.append((t, sched, rank, cpu))
             if led is not None:
@@ -907,6 +907,10 @@ class _FastJob:
             tc[p.key] = tc.get(p.key, 0.0) + cpu
             if job.lineage is not None:
                 job.lineage.record_sample(p.key, job._iteration, p.cid, cpu)
+            if job.trace is not None:
+                job.trace.add_task(
+                    TaskEvent(p.cid, p.key, job._iteration, p.started_at, t, cpu)
+                )
             job._iter_core_wall[p.cid] += t - p.started_at
             job._completions.append((t, sched, p.rank, cpu))
             keys = p.keys
@@ -1038,11 +1042,17 @@ class _FastJob:
 
     def _barrier_bookkeeping(self, t: float) -> int:
         """Record one finished iteration; return the completed count."""
+        if self.trace is not None:
+            self.trace.add_iteration(
+                IterationEvent(self._iteration, self._iter_started, t)
+            )
         self.iteration_times.append(t - self._iter_started)
         comps = self._completions
         if comps:
             # chronological (time, schedule-time, core) order == the event
-            # engine's completion order; fold task CPU in that order
+            # engine's completion order, up to ties with zero-work tasks,
+            # whose 0.0 terms leave the sum unchanged; fold task CPU in
+            # that order
             comps.sort()
             total = self.total_task_cpu_s
             for entry in comps:
@@ -1186,6 +1196,16 @@ class _FastJob:
         )
         self.migration_count += len(migrations)
         self.migration_cost_s += cost
+        trace = self.trace
+        if trace is not None:
+            now = self.sim.now
+            for m in migrations:
+                trace.add_migration(
+                    MigrationEvent(
+                        now, m.chare, m.src, m.dst,
+                        self.chares[m.chare].state_bytes,
+                    )
+                )
         if self.lineage is not None:
             self.lineage.record_lb_step(
                 time=self.sim.now,
@@ -1200,6 +1220,17 @@ class _FastJob:
             self._commit_telemetry_step(next_iteration, migrations, cost)
         self.db.reset_window()
         self.lb_step_count += 1
+        if trace is not None:
+            trace.add_lb_step(
+                LBStepEvent(
+                    time=self.sim.now,
+                    iteration=next_iteration,
+                    num_migrations=len(migrations),
+                    migration_cost_s=cost,
+                    t_avg=view.t_avg,
+                    max_load=max((c.total_load for c in view.cores), default=0.0),
+                )
+            )
         return self.policy.decision_overhead_s + cost
 
     def _true_bg_cpu(self) -> Dict[int, float]:
@@ -1271,18 +1302,10 @@ def run_scenario_fast(
     at application finish.
 
     Returns the same :class:`~repro.experiments.runner.ExperimentResult`
-    as :func:`~repro.experiments.runner.run_scenario`, bit-identical.
-
-    Raises
-    ------
-    FastpathUnsupported
-        If the scenario needs per-event artifacts (tracing, intervals).
+    as :func:`~repro.experiments.runner.run_scenario`, bit-identical —
+    its trace included when ``scenario.tracing`` is set.
     """
     from repro.experiments.runner import ExperimentResult
-
-    reason = fastpath_unsupported_reason(scenario)
-    if reason is not None:
-        raise FastpathUnsupported(reason)
 
     sim = _FastSim()
     cores: Dict[int, _FastCore] = {}
@@ -1391,6 +1414,10 @@ def run_scenario_fast(
     app._energy_reading = None
     app._on_finish.append(reading_at_app_end)
 
+    trace = TraceLog(enabled=scenario.tracing)
+    if scenario.tracing:
+        app.trace = trace
+
     if ledger is not None:
         app.ledger = ledger
         for cid in scenario.app_core_ids:
@@ -1433,6 +1460,6 @@ def run_scenario_fast(
         app=app.stats,
         bg=bg.stats if bg is not None else None,
         energy=app._energy_reading,
-        trace=TraceLog(enabled=False),
+        trace=trace,
         final_mapping=dict(app.mapping),
     )

@@ -5,9 +5,12 @@ because it is *indistinguishable* from the event engine on every result
 field — iteration times, migrations, migration costs, task CPU, energy,
 final mapping, audit records. These tests enforce that with exact
 ``==`` comparisons (no tolerances): any float that differs in its last
-bit is a bug in the fast path, not an accuracy trade-off.
+bit is a bug in the fast path, not an accuracy trade-off. Traces are
+held to the same contract: ``TraceLog`` lists compare with ``==`` and
+the Chrome traces and audit JSONL written from them byte for byte.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -20,8 +23,8 @@ from repro.experiments.sweep import build_scenario, run_point, run_sweep
 from repro.experiments.sweep_presets import smoke_spec
 from repro.obs.ledger import TimeLedger
 from repro.obs.lineage import LineageRecorder
-from repro.sim.fastpath import FastpathUnsupported, fastpath_unsupported_reason
-from repro.telemetry import Telemetry
+from repro.projections.export import write_chrome_trace
+from repro.telemetry import Telemetry, write_audit_jsonl
 
 
 def _run_both(params, telemetry=False):
@@ -64,6 +67,39 @@ def _run_both_lineaged(params):
         results.append(res)
         payloads.append(lineage.payload(audit=telemetry.audit.records))
     return results[0], results[1], payloads[0], payloads[1]
+
+
+def _run_both_traced(params):
+    """Run one param dict on both backends with tracing and telemetry on;
+    return ``(result, audit_records)`` per backend."""
+    runs = []
+    for backend in ("events", "fast"):
+        scenario = dataclasses.replace(build_scenario(params), tracing=True)
+        telemetry = Telemetry()
+        res = run_scenario(scenario, backend=backend, telemetry=telemetry)
+        runs.append((res, telemetry.audit.records))
+    return runs
+
+
+def _assert_traces_identical(runs, tmp_path):
+    """Equal ``TraceLog`` lists, then byte-identical Chrome traces and
+    audit JSONL written from each backend's run."""
+    (res_e, _), (res_f, _) = runs
+    _assert_results_identical(res_e, res_f)
+    tr_e, tr_f = res_e.trace, res_f.trace
+    assert tr_e.tasks and tr_e.iterations
+    assert tr_e.tasks == tr_f.tasks
+    assert tr_e.iterations == tr_f.iterations
+    assert tr_e.lb_steps == tr_f.lb_steps
+    assert tr_e.migrations == tr_f.migrations
+    written = []
+    for backend, (res, records) in zip(("events", "fast"), runs):
+        trace_path = tmp_path / f"{backend}.trace.json"
+        audit_path = tmp_path / f"{backend}.jsonl"
+        write_chrome_trace(res.trace, str(trace_path), job_name="p", audit=records)
+        write_audit_jsonl(records, audit_path)
+        written.append((trace_path.read_bytes(), audit_path.read_bytes()))
+    assert written[0] == written[1]
 
 
 def _assert_results_identical(res_e, res_f):
@@ -247,6 +283,75 @@ class TestLineageParity:
             _assert_results_identical(bare, lineaged)
 
 
+def _constant_share_params(bg_weight):
+    # no balancer: the proportional share on the interfered cores is
+    # piecewise-constant with change points only at background
+    # iteration boundaries
+    return {
+        "app": "jacobi2d",
+        "scale": 0.05,
+        "iterations": 8,
+        "cores": 2,  # every app core is interfered
+        "bg": True,
+        "bg_weight": bg_weight,
+        "balancer": "none",
+    }
+
+
+def _bg_departure_params(bg_overlap):
+    # overlap < 1: the background job drains mid-run (share count drops
+    # to one; the fold's solo stretch). overlap > 1: it spans the whole
+    # app run.
+    return {
+        "app": "jacobi2d",
+        "scale": 0.05,
+        "iterations": 10,
+        "cores": 4,
+        "bg": True,
+        "bg_overlap": bg_overlap,
+        "balancer": "refine-vm",
+    }
+
+
+def _piecewise_balancer_params(balancer):
+    return {
+        "app": "jacobi2d",
+        "scale": 0.05,
+        "iterations": 9,
+        "cores": 4,
+        "bg": True,
+        "bg_weight": 0.7,
+        "lb_period": 3,
+        "balancer": balancer,
+    }
+
+
+def _piecewise_app_params(app):
+    return {
+        "app": app,
+        "scale": 0.05,
+        "iterations": 7,
+        "cores": 4,
+        "bg": True,
+        "bg_weight": 1.5,
+        "balancer": "refine-vm",
+    }
+
+
+_BG_WEIGHTS = [0.25, 1.0, 2.0]
+_BG_OVERLAPS = [0.5, 1.5, 3.0]
+_BALANCERS = ["none", "refine-vm", "refine", "greedy", "greedy-aware"]
+_APPS = ["jacobi2d", "wave2d", "mol3d"]
+
+#: Every contended regime TestContendedRegimeParity pins, by id.
+_CONTENDED_CASES = (
+    [(f"constant-share-w{w}", _constant_share_params(w)) for w in _BG_WEIGHTS]
+    + [(f"bg-departure-o{o}", _bg_departure_params(o)) for o in _BG_OVERLAPS]
+    + [(f"piecewise-{b}", _piecewise_balancer_params(b)) for b in _BALANCERS]
+    + [(f"piecewise-{a}", _piecewise_app_params(a)) for a in _APPS]
+)
+
+
 class TestContendedRegimeParity:
     """The analytic contended regimes, pinned to exact ``==``.
 
@@ -259,69 +364,24 @@ class TestContendedRegimeParity:
     fold must be indistinguishable from event replay on every field.
     """
 
-    @pytest.mark.parametrize("bg_weight", [0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("bg_weight", _BG_WEIGHTS)
     def test_constant_share_whole_run(self, bg_weight):
-        # no balancer: the proportional share on the interfered cores is
-        # piecewise-constant with change points only at background
-        # iteration boundaries
-        params = {
-            "app": "jacobi2d",
-            "scale": 0.05,
-            "iterations": 8,
-            "cores": 2,  # every app core is interfered
-            "bg": True,
-            "bg_weight": bg_weight,
-            "balancer": "none",
-        }
-        res_e, res_f, _, _ = _run_both(params)
+        res_e, res_f, _, _ = _run_both(_constant_share_params(bg_weight))
         _assert_results_identical(res_e, res_f)
 
-    @pytest.mark.parametrize("bg_overlap", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("bg_overlap", _BG_OVERLAPS)
     def test_bg_departure_mid_run(self, bg_overlap):
-        # overlap < 1: the background job drains mid-run (share count
-        # drops to one; the fold's solo stretch). overlap > 1: it spans
-        # the whole app run.
-        params = {
-            "app": "jacobi2d",
-            "scale": 0.05,
-            "iterations": 10,
-            "cores": 4,
-            "bg": True,
-            "bg_overlap": bg_overlap,
-            "balancer": "refine-vm",
-        }
-        res_e, res_f, _, _ = _run_both(params)
+        res_e, res_f, _, _ = _run_both(_bg_departure_params(bg_overlap))
         _assert_results_identical(res_e, res_f)
 
-    @pytest.mark.parametrize(
-        "balancer", ["none", "refine-vm", "refine", "greedy", "greedy-aware"]
-    )
+    @pytest.mark.parametrize("balancer", _BALANCERS)
     def test_piecewise_share_all_balancers(self, balancer):
-        params = {
-            "app": "jacobi2d",
-            "scale": 0.05,
-            "iterations": 9,
-            "cores": 4,
-            "bg": True,
-            "bg_weight": 0.7,
-            "lb_period": 3,
-            "balancer": balancer,
-        }
-        res_e, res_f, _, _ = _run_both(params)
+        res_e, res_f, _, _ = _run_both(_piecewise_balancer_params(balancer))
         _assert_results_identical(res_e, res_f)
 
-    @pytest.mark.parametrize("app", ["jacobi2d", "wave2d", "mol3d"])
+    @pytest.mark.parametrize("app", _APPS)
     def test_piecewise_share_all_apps(self, app):
-        params = {
-            "app": app,
-            "scale": 0.05,
-            "iterations": 7,
-            "cores": 4,
-            "bg": True,
-            "bg_weight": 1.5,
-            "balancer": "refine-vm",
-        }
-        res_e, res_f, _, _ = _run_both(params)
+        res_e, res_f, _, _ = _run_both(_piecewise_app_params(app))
         _assert_results_identical(res_e, res_f)
 
     def test_contended_audit_records_identical(self):
@@ -369,6 +429,53 @@ class TestContendedRegimeParity:
         assert pay_e == pay_f
 
 
+class TestTraceParity:
+    """Projections traces are part of the parity contract: the fast path
+    records the engine's task, iteration, LB-step and migration events,
+    and the files written from them are byte-identical."""
+
+    @pytest.mark.parametrize(
+        "point", smoke_spec().expand(), ids=lambda p: p.label
+    )
+    def test_smoke_point_traces_identical(self, point, tmp_path):
+        _assert_traces_identical(_run_both_traced(point.params), tmp_path)
+
+    @pytest.mark.parametrize(
+        "params",
+        [params for _, params in _CONTENDED_CASES],
+        ids=[case_id for case_id, _ in _CONTENDED_CASES],
+    )
+    def test_contended_traces_identical(self, params, tmp_path):
+        _assert_traces_identical(_run_both_traced(params), tmp_path)
+
+    def test_lb_steps_and_migrations_are_traced(self):
+        runs = _run_both_traced(_piecewise_balancer_params("greedy"))
+        trace = runs[1][0].trace
+        assert trace.lb_steps and trace.migrations
+        assert sum(s.num_migrations for s in trace.lb_steps) == len(
+            trace.migrations
+        )
+
+    def test_tracing_does_not_change_results(self):
+        """The null-hook rule: a traced run's results, audit records
+        included, equal the untraced run's on either backend."""
+        params = _piecewise_balancer_params("refine-vm")
+        for backend in ("events", "fast"):
+            tel_bare, tel_traced = Telemetry(), Telemetry()
+            bare = run_scenario(
+                build_scenario(params), backend=backend, telemetry=tel_bare
+            )
+            traced = run_scenario(
+                dataclasses.replace(build_scenario(params), tracing=True),
+                backend=backend,
+                telemetry=tel_traced,
+            )
+            _assert_results_identical(bare, traced)
+            assert tel_bare.audit.records == tel_traced.audit.records
+            assert not bare.trace.enabled and not bare.trace.tasks
+            assert traced.trace.tasks
+
+
 class TestBackendSelection:
     def test_unknown_backend_rejected(self, tmp_path):
         params = {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
@@ -390,37 +497,6 @@ class TestBackendSelection:
                 assert "\n" not in str(err.value)
         # the fabric driver validates before touching its job directory
         assert not job.exists()
-
-    def test_tracing_scenario_unsupported(self):
-        import dataclasses
-
-        sc = build_scenario(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
-        )
-        traced = dataclasses.replace(sc, tracing=True)
-        assert fastpath_unsupported_reason(traced) is not None
-        with pytest.raises(FastpathUnsupported):
-            run_scenario(traced, backend="fast")
-        # auto silently falls back to the event engine
-        res = run_scenario(traced, backend="auto")
-        assert res.app.finished_at > 0.0
-
-    def test_record_intervals_scenario_unsupported(self):
-        import dataclasses
-
-        sc = build_scenario(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
-        )
-        recorded = dataclasses.replace(sc, record_intervals=True)
-        assert fastpath_unsupported_reason(recorded) is not None
-        with pytest.raises(FastpathUnsupported):
-            run_scenario(recorded, backend="fast")
-
-    def test_supported_scenario_has_no_reason(self):
-        sc = build_scenario(
-            {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
-        )
-        assert fastpath_unsupported_reason(sc) is None
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +597,17 @@ def test_contended_random_ledger_conserved_and_identical(params):
     _assert_ledgers_identical(led_e, led_f)
     assert led_e.conserved and led_e.residual_exact() == 0
     assert led_f.residual_exact() == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=_contended_params)
+def test_contended_random_traces_identical(params):
+    runs = _run_both_traced(params)
+    (res_e, rec_e), (res_f, rec_f) = runs
+    _assert_results_identical(res_e, res_f)
+    assert rec_e == rec_f
+    for name in ("tasks", "iterations", "lb_steps", "migrations"):
+        assert getattr(res_e.trace, name) == getattr(res_f.trace, name)
 
 
 @settings(max_examples=10, deadline=None)

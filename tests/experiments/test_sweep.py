@@ -404,14 +404,23 @@ class TestCombinedProbes:
         for name in names:
             assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
-    def test_audit_on_the_fast_backend_is_a_one_line_error(self, tmp_path):
-        with pytest.raises(ValueError, match="backend='fast'") as err:
-            run_sweep(
-                tiny_spec(), cache=ResultCache(tmp_path / "cache"),
-                backend="fast", audit_dir=tmp_path / "audit",
+    def test_fast_and_event_backends_write_identical_audit_dirs(self, tmp_path):
+        """The fast path records the engine's per-task trace, so an
+        audited sweep writes the same JSONL and Chrome traces on both."""
+        dirs = {}
+        for backend in ("fast", "events"):
+            dirs[backend] = tmp_path / backend
+            run_sweep(tiny_spec(), backend=backend, audit_dir=dirs[backend])
+        names = sorted(f.name for f in dirs["events"].iterdir())
+        assert sorted(f.name for f in dirs["fast"].iterdir()) == names
+        for suffix in (".jsonl", ".trace.json"):
+            assert sum(name.endswith(suffix) for name in names) == len(
+                tiny_spec().expand()
             )
-        assert "\n" not in str(err.value)
-        assert list(tmp_path.iterdir()) == []
+        for name in names:
+            assert (dirs["fast"] / name).read_bytes() == (
+                dirs["events"] / name
+            ).read_bytes()
 
 
 class TestSummaryRoundTrip:

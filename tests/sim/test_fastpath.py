@@ -2,8 +2,9 @@
 
 Scenario-level parity lives in ``tests/experiments/test_backend_parity``;
 these tests pin the solo fold on cores carrying many chares (the
-ablation sweeps go up to 16 chares per core) and the rejection of
-negative work, with exact ``==`` against the event engine.
+ablation sweeps go up to 16 chares per core), the trace order when
+zero-work tasks tie across cores, and the rejection of negative work,
+with exact ``==`` against the event engine.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from repro.apps import SyntheticApp
 from repro.core import LBPolicy, RefineLB
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import BackgroundSpec, Scenario
 
 
 def _chain_scenario(num_chares, cores):
@@ -50,6 +51,59 @@ def test_below_vec_min_scalar_fold_bit_identical():
     res_f = run_scenario(_chain_scenario(6, cores), backend="fast")
     assert res_e.app == res_f.app
     assert res_e.energy == res_f.energy
+
+
+def _zero_work(index, iteration):
+    # half the tasks are empty, and chare 1 always is: under the block
+    # mapping (four chares per core) every core's first task of an even
+    # iteration ends at the iteration start, and core 0 runs three empty
+    # tasks in a row there
+    if (index + iteration) % 2 == 0 or index % 8 == 1:
+        return 0.0
+    return 0.01 + 0.001 * (index % 5)
+
+
+def _tie_scenario(cores, bg):
+    background = None
+    if bg:
+        background = BackgroundSpec(
+            model=SyntheticApp(lambda index, iteration: 0.015, num_chares=2),
+            core_ids=(0, 1),
+            iterations=6,
+        )
+    return Scenario(
+        app=SyntheticApp(_zero_work, num_chares=4 * cores, state_bytes=256.0),
+        num_cores=cores,
+        iterations=6,
+        balancer=RefineLB(0.05),
+        policy=LBPolicy(period_iterations=2),
+        bg=background,
+        tracing=True,
+    )
+
+
+@pytest.mark.parametrize("bg", [False, True], ids=["solo", "contended"])
+@pytest.mark.parametrize("cores", [2, 4])
+def test_zero_work_ties_trace_in_engine_order(cores, bg):
+    """A zero-work completion at T dispatches its successor after the
+    other cores' first completions at T in the engine's heap, while the
+    fast path folds core by core; both traces follow the TraceLog's
+    (end, core) order, so they are equal."""
+    res_e = run_scenario(_tie_scenario(cores, bg), backend="events")
+    res_f = run_scenario(_tie_scenario(cores, bg), backend="fast")
+    assert res_e.app == res_f.app
+    tasks = res_e.trace.tasks
+    # the case under test: an empty task ends with a task on another core
+    ties = {}
+    for t in tasks:
+        ties.setdefault((t.iteration, t.end), set()).add(t.core_id)
+    assert any(
+        t.start == t.end and len(ties[t.iteration, t.end]) > 1 for t in tasks
+    )
+    assert tasks == res_f.trace.tasks
+    assert res_e.trace.iterations == res_f.trace.iterations
+    assert res_e.trace.lb_steps == res_f.trace.lb_steps
+    assert res_e.trace.migrations == res_f.trace.migrations
 
 
 def test_negative_work_rejected():

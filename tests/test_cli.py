@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.sweep_presets import smoke_spec
 
 
 def test_parser_requires_command():
@@ -159,15 +160,21 @@ def test_sweep_rejects_unknown_backend(capsys):
     assert "invalid choice: 'batch'" in capsys.readouterr().err
 
 
-def test_sweep_audit_on_fast_backend_is_a_clean_error(tmp_path, capsys):
-    audit_dir = tmp_path / "audit"
-    rc = main(["sweep", "--preset", "smoke", "--no-cache", "--no-registry",
-               "--backend", "fast", "--audit", str(audit_dir)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("repro sweep: error:")
-    assert "backend='fast'" in err and err.count("\n") == 1
-    assert not audit_dir.exists()
+def test_sweep_audit_on_fast_backend_matches_events(tmp_path, capsys):
+    dirs = {}
+    for backend in ("fast", "events"):
+        dirs[backend] = tmp_path / backend
+        rc = main(["sweep", "--preset", "smoke", "--no-cache", "--no-registry",
+                   "--backend", backend, "--audit", str(dirs[backend])])
+        assert rc == 0
+    assert capsys.readouterr().err == ""
+    names = sorted(f.name for f in dirs["events"].iterdir())
+    assert len(names) == 2 * len(smoke_spec().expand())
+    assert sorted(f.name for f in dirs["fast"].iterdir()) == names
+    for name in names:
+        assert (dirs["fast"] / name).read_bytes() == (
+            dirs["events"] / name
+        ).read_bytes()
 
 
 def test_explain_and_lineage_read_one_combined_run(tmp_path, capsys):
