@@ -31,7 +31,7 @@ from repro.runtime.chare import ChareArray
 from repro.runtime.commgraph import CommGraph
 from repro.runtime.runtime import Runtime
 from repro.sim.engine import SimulationEngine
-from repro.telemetry import Telemetry
+from repro.telemetry import AuditTrail
 
 __all__ = ["AppModel", "CORE_SPEED_FLOPS"]
 
@@ -88,13 +88,13 @@ class AppModel(abc.ABC):
         tracing: bool = False,
         run_kernels: bool = False,
         use_comm_graph: bool = False,
-        telemetry: Optional["Telemetry"] = None,
+        audit: Optional[AuditTrail] = None,
     ) -> Runtime:
         """Build a ready-to-start :class:`Runtime` for this application.
 
         ``use_comm_graph=True`` switches communication modelling from the
         flat per-core volume to the placement-dependent graph (the app
-        must implement :meth:`comm_graph`). ``telemetry`` is forwarded to
+        must implement :meth:`comm_graph`). ``audit`` is forwarded to
         the :class:`Runtime` unchanged.
         """
         graph = None
@@ -117,7 +117,7 @@ class AppModel(abc.ABC):
             comm_graph=graph,
             tracing=tracing,
             run_kernels=run_kernels,
-            telemetry=telemetry,
+            audit=audit,
         )
         rt.register_array(self.build_array(len(core_ids)))
         return rt

@@ -177,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     psw.add_argument(
         "--backend",
         choices=BACKENDS,
-        default="auto",
+        default="fast",
         help="simulation backend: 'events' = discrete-event engine, "
-        "'fast' or 'auto' (default) = analytic fast path "
+        "'fast' (default) = analytic fast path "
         "(bit-identical results and audit traces)",
     )
     psw.add_argument(
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psw.add_argument(
         "--audit", type=Path, default=None, metavar="DIR",
-        help="run with telemetry: write per-point LB audit JSONL (and "
+        help="audit every point: write per-point LB audit JSONL (and "
         "Chrome/Perfetto traces for executed points) into DIR",
     )
     psw.add_argument(
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     pfr.add_argument(
         "--backend",
         choices=BACKENDS,
-        default="auto",
+        default="fast",
         help="simulation backend for executed points (results are "
         "bit-identical across backends)",
     )
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     pex.add_argument(
         "--backend",
         choices=BACKENDS,
-        default="auto",
+        default="fast",
         help="backend used when a point's ledger must be recomputed "
         "(runs recorded without 'sweep --ledger'; ledgers are "
         "bit-identical across backends)",
@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     pln.add_argument(
         "--backend",
         choices=BACKENDS,
-        default="auto",
+        default="fast",
         help="backend used when a point's lineage must be recomputed "
         "(runs recorded without 'sweep --lineage'; payloads are "
         "bit-identical across backends)",

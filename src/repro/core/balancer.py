@@ -7,14 +7,14 @@ That mirrors Charm++'s strategy plug-in contract ("Programmers can add
 their own application or platform specific strategy to the load balancing
 framework") and is what lets the benchmarks swap strategies freely.
 
-Telemetry hook
---------------
-:meth:`LoadBalancer.balance` doubles as the **audit hook** of the
-telemetry layer: when a sink is attached (:meth:`attach_telemetry` —
-the runtime does this when constructed with ``telemetry=...``), every
-step emits one structured record capturing the view, the thresholds the
-strategy used (:meth:`audit_thresholds`), and every candidate migration
-the strategy considered (:meth:`note_candidate`, called from strategy
+Audit hook
+----------
+:meth:`LoadBalancer.balance` doubles as the **audit hook**: when a sink
+is attached (:meth:`attach_audit` — every runtime does this at
+construction, with its ``audit=`` trail or ``None``), every step emits
+one structured record capturing the view, the thresholds the strategy
+used (:meth:`audit_thresholds`), and every candidate migration the
+strategy considered (:meth:`note_candidate`, called from strategy
 internals) with its accept/reject reason. With no sink attached the hook
 collapses to a ``None`` check per step and a ``None`` check per
 ``note_candidate`` call — strategies stay unconditional and pay nothing.
@@ -39,7 +39,7 @@ class LoadBalancer(abc.ABC):
     #: Human-readable strategy name (used in benchmark tables).
     name: str = "base"
 
-    #: Telemetry sink (``on_step`` protocol) attached by the runtime.
+    #: Audit sink (``on_step`` protocol) attached by the runtime.
     #: Class-level default keeps strategy ``__init__`` signatures free.
     _audit_sink: Optional[Any] = None
 
@@ -56,14 +56,14 @@ class LoadBalancer(abc.ABC):
         """
 
     # ------------------------------------------------------------------
-    # telemetry hook
+    # audit hook
     # ------------------------------------------------------------------
-    def attach_telemetry(self, sink: Optional[Any]) -> None:
+    def attach_audit(self, sink: Optional[Any]) -> None:
         """Attach (or detach, with None) the audit sink for this strategy.
 
         The sink must expose ``on_step(strategy=, view=, migrations=,
         candidates=, t_avg=, epsilon_s=)`` —
-        :class:`repro.telemetry.Telemetry` does.
+        :class:`repro.telemetry.AuditTrail` does.
         """
         self._audit_sink = sink
 
@@ -120,7 +120,7 @@ class LoadBalancer(abc.ABC):
 
         Wraps :meth:`decide` with consistency checks so a buggy strategy
         fails loudly instead of corrupting the object mapping, and — when
-        a telemetry sink is attached — emits the step's audit record.
+        an audit sink is attached — emits the step's audit record.
         """
         sink = self._audit_sink
         if sink is None:

@@ -127,7 +127,7 @@ class ResultCache:
         return summary if isinstance(summary, dict) else None
 
     def get_extras(self, key: str) -> Optional[Dict[str, Any]]:
-        """The entry's extras section (e.g. telemetry audit), or None.
+        """The entry's extras section (e.g. the LB audit), or None.
 
         Entries written before extras existed — or without them — simply
         return None; callers needing extras treat that as a miss.
@@ -156,8 +156,8 @@ class ResultCache:
     ) -> None:
         """Store ``summary`` for ``key`` (atomic; params kept for humans).
 
-        ``extras`` carries optional JSON-able side payloads (the telemetry
-        audit section) without touching the summary schema the golden
+        ``extras`` carries optional JSON-able side payloads (the LB audit
+        section) without touching the summary schema the golden
         tests pin.
 
         Entries are compact: one line of JSON with sorted keys and no

@@ -204,7 +204,7 @@ def run_fabric_sweep(
     cache: Optional[ResultCache] = None,
     log: Optional[EventLog] = None,
     registry: Optional["RunRegistry"] = None,
-    backend: str = "auto",
+    backend: str = "fast",
     num_shards: Optional[int] = None,
     shard_size: Optional[int] = None,
     faults: Sequence[FaultSpec] = (),

@@ -34,6 +34,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.fabric.faults import FaultInjector
 from repro.experiments.fabric.transport import FileTransport
 from repro.experiments.progress import EventLog
+from repro.experiments.runner import BACKENDS
 from repro.util import get_logger
 
 __all__ = ["worker_main", "LeaseHeartbeat"]
@@ -223,16 +224,20 @@ def worker_main(
 
     Exits 0 when every shard in the job has a result (or the coordinator
     raised the stop flag); the only other ways out are the fault
-    injector's ``os._exit`` and an unhandled simulator error.
+    injector's ``os._exit`` and an unhandled simulator error. A job
+    naming a backend outside :data:`~repro.experiments.runner.BACKENDS`
+    raises ``ValueError`` before the worker registers or claims a shard.
     """
     transport = FileTransport(Path(root))
     job = transport.read_job()
+    backend = str(job.get("backend", "fast"))
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     worker_id = worker_id or f"w{os.getpid()}"
     config = job.get("config", {})
     poll = poll_s if poll_s is not None else float(config.get("poll_s", 0.2))
     heartbeat_s = float(config.get("heartbeat_s", 1.0))
     lease_timeout_s = float(config.get("lease_timeout_s", 10.0))
-    backend = str(job.get("backend", "auto"))
     cache_dir = job.get("cache_dir")
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     points_by_index = {int(p["index"]): p for p in job["points"]}

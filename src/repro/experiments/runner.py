@@ -23,16 +23,14 @@ from repro.power.model import PowerModel
 from repro.runtime.runtime import RunStats, Runtime
 from repro.runtime.tracing import TraceLog
 from repro.sim.engine import SimulationEngine
-from repro.telemetry import Telemetry
+from repro.telemetry import AuditTrail
 
 __all__ = ["BACKENDS", "ExperimentResult", "run_scenario"]
 
 ChareKey = Tuple[str, int]
 
 #: Every accepted ``backend`` value (see :func:`run_scenario`).
-#: ``"auto"`` and ``"fast"`` name the same path; ``"auto"`` stays
-#: because it is the CLI default and stored fabric job files carry it.
-BACKENDS = ("auto", "events", "fast")
+BACKENDS = ("events", "fast")
 
 
 @dataclass(frozen=True)
@@ -87,32 +85,34 @@ class ExperimentResult:
 def run_scenario(
     scenario: Scenario,
     *,
-    telemetry: Optional[Telemetry] = None,
-    backend: str = "auto",
+    audit: Optional[AuditTrail] = None,
+    backend: str = "fast",
     ledger=None,
     lineage=None,
 ) -> ExperimentResult:
     """Execute ``scenario`` on a fresh simulated cluster.
 
-    ``telemetry`` (optional) is attached to the *application* runtime: it
-    collects per-LB-step audit records and run metrics without affecting
-    the simulation (results are bit-identical with or without it).
+    ``audit`` (optional, an :class:`~repro.telemetry.AuditTrail`) is
+    attached to the *application* runtime: it collects one record per LB
+    step without affecting the simulation (results are bit-identical
+    with or without it). Without one, the scenario's balancer is
+    detached from any trail an earlier run attached.
 
     ``ledger`` (optional, a :class:`~repro.obs.ledger.TimeLedger`) is
     attached over the application's cores on either backend and closed —
-    with its conservation check — at application finish. Like telemetry,
-    it never affects the simulation.
+    with its conservation check — at application finish. Like the
+    audit, it never affects the simulation.
 
     ``lineage`` (optional, a
     :class:`~repro.obs.lineage.LineageRecorder`) observes the
     application's per-chare load samples and LB migrations on either
-    backend and is closed at application finish. Like telemetry, it
+    backend and is closed at application finish. Like the audit, it
     never affects the simulation.
 
     ``backend`` selects the simulation backend:
 
     * ``"events"`` — the discrete-event engine, the reference;
-    * ``"fast"`` or ``"auto"`` (default) — the analytic fast path
+    * ``"fast"`` (default) — the analytic fast path
       (:mod:`repro.sim.fastpath`), for every scenario.
 
     Both backends are bit-identical on every result field, the trace of
@@ -121,11 +121,11 @@ def run_scenario(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend != "events":
+    if backend == "fast":
         from repro.sim.fastpath import run_scenario_fast
 
         return run_scenario_fast(
-            scenario, telemetry=telemetry, ledger=ledger, lineage=lineage
+            scenario, audit=audit, ledger=ledger, lineage=lineage
         )
     engine = SimulationEngine()
     cluster = Cluster(
@@ -143,7 +143,7 @@ def run_scenario(
         policy=scenario.policy,
         tracing=scenario.tracing,
         use_comm_graph=scenario.use_comm_graph,
-        telemetry=telemetry,
+        audit=audit,
     )
 
     bg_rt: Optional[Runtime] = None

@@ -91,7 +91,7 @@ from repro.experiments.scenario import BackgroundSpec, Scenario
 from repro.experiments.tables import format_table
 from repro.projections.export import write_chrome_trace
 from repro.runtime.tracing import TraceLog
-from repro.telemetry import Telemetry, audit_summary, write_audit_jsonl
+from repro.telemetry import AuditTrail, audit_summary, write_audit_jsonl
 from repro.util import check_positive, derive_seed, get_logger
 
 __all__ = [
@@ -443,7 +443,7 @@ def run_point_probed(
     params: Mapping[str, Any],
     probes: Sequence[str],
     *,
-    backend: str = "auto",
+    backend: str = "fast",
 ) -> Tuple[ScenarioSummary, Dict[str, Any], Optional[TraceLog]]:
     """Execute one point with the requested probes attached.
 
@@ -459,7 +459,7 @@ def run_point_probed(
       with each LB step joined against the run's audit trail.
 
     Only what the probes need is attached: a
-    :class:`~repro.telemetry.Telemetry` for audit or lineage, per-task
+    :class:`~repro.telemetry.AuditTrail` for audit or lineage, per-task
     tracing for audit, a time ledger for ledger
     and a lineage recorder for lineage. With no probes nothing is
     attached. Every probe is strictly observational, so the summary is
@@ -474,7 +474,7 @@ def run_point_probed(
     """
     audit = "audit" in probes
     scenario = build_scenario(params)
-    telemetry = Telemetry() if audit or "lineage" in probes else None
+    trail = AuditTrail() if audit or "lineage" in probes else None
     ledger = lineage = None
     if "ledger" in probes:
         from repro.obs.ledger import TimeLedger
@@ -489,22 +489,22 @@ def run_point_probed(
     result = run_scenario(
         scenario,
         backend=backend,
-        telemetry=telemetry,
+        audit=trail,
         ledger=ledger,
         lineage=lineage,
     )
     payloads: Dict[str, Any] = {}
     if audit:
-        records = telemetry.audit.records
+        records = trail.records
         payloads["audit"] = {"summary": audit_summary(records), "records": records}
     if ledger is not None:
         payloads["ledger"] = ledger.summary()
     if lineage is not None:
-        payloads["lineage"] = lineage.payload(audit=telemetry.audit.records)
+        payloads["lineage"] = lineage.payload(audit=trail.records)
     return summarize_result(result), payloads, result.trace if audit else None
 
 
-def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSummary:
+def run_point(params: Mapping[str, Any], *, backend: str = "fast") -> ScenarioSummary:
     """Execute one parameter dict hermetically and summarise it.
 
     ``backend`` selects the simulation backend (see
@@ -515,7 +515,7 @@ def run_point(params: Mapping[str, Any], *, backend: str = "auto") -> ScenarioSu
 
 
 def run_point_audited(
-    params: Mapping[str, Any], *, backend: str = "auto"
+    params: Mapping[str, Any], *, backend: str = "fast"
 ) -> Tuple[ScenarioSummary, List[Dict[str, Any]], TraceLog]:
     """``(summary, audit_records, trace)`` of an audited point."""
     summary, payloads, trace = run_point_probed(params, ("audit",), backend=backend)
@@ -523,7 +523,7 @@ def run_point_audited(
 
 
 def run_point_ledgered(
-    params: Mapping[str, Any], *, backend: str = "auto"
+    params: Mapping[str, Any], *, backend: str = "fast"
 ) -> Tuple[ScenarioSummary, Dict[str, Any]]:
     """``(summary, ledger_summary)`` of a point run with a time ledger."""
     summary, payloads, _ = run_point_probed(params, ("ledger",), backend=backend)
@@ -531,7 +531,7 @@ def run_point_ledgered(
 
 
 def run_point_lineaged(
-    params: Mapping[str, Any], *, backend: str = "auto"
+    params: Mapping[str, Any], *, backend: str = "fast"
 ) -> Tuple[ScenarioSummary, Dict[str, Any]]:
     """``(summary, lineage_payload)`` of a point run with a lineage recorder."""
     summary, payloads, _ = run_point_probed(params, ("lineage",), backend=backend)
@@ -541,7 +541,7 @@ def run_point_lineaged(
 def run_shard(
     shard_points: Sequence[Tuple[int, Dict[str, Any]]],
     *,
-    backend: str = "auto",
+    backend: str = "fast",
     probes: Sequence[str] = (),
     worker: Optional[str] = None,
 ):
@@ -784,7 +784,7 @@ def run_sweep(
     log: Optional[EventLog] = None,
     audit_dir: Optional[Union[str, Path]] = None,
     registry: Optional["RunRegistry"] = None,
-    backend: str = "auto",
+    backend: str = "fast",
     driver: str = "local",
     fabric_dir: Optional[Union[str, Path]] = None,
     fabric_options: Optional[Dict[str, Any]] = None,

@@ -59,10 +59,6 @@ class Chare:
         self.array_name: str = ""
         #: maintained by the runtime
         self.current_core: Optional[int] = None
-        #: lifetime statistics
-        self.executions: int = 0
-        self.total_cpu_time: float = 0.0
-        self.migrations: int = 0
 
     # -- identity ------------------------------------------------------
     @property

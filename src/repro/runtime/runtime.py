@@ -50,7 +50,7 @@ from repro.runtime.tracing import (
 )
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import SimProcess
-from repro.telemetry import Telemetry
+from repro.telemetry import AuditTrail
 from repro.util import check_non_negative, check_positive, get_logger
 
 __all__ = ["Runtime", "RunStats", "compute_comm_delay", "apply_migrations"]
@@ -106,8 +106,8 @@ def apply_migrations(
     link: cost = max over cores of its inbound+outbound sum. Migrations
     between cores of the same node move through shared memory and are
     discounted by ``local_comm_factor``. Mutates ``mapping`` and each
-    migrated chare's ``current_core``/``migrations`` counters exactly as
-    the event-driven runtime does.
+    migrated chare's ``current_core`` exactly as the event-driven runtime
+    does.
     """
     per_core: Dict[int, float] = {}
     for m in migrations:
@@ -119,7 +119,6 @@ def apply_migrations(
         per_core[m.dst] = per_core.get(m.dst, 0.0) + t
         mapping[m.chare] = m.dst
         chare.current_core = m.dst
-        chare.migrations += 1
         chare.on_migrate(m.src, m.dst)
     return max(per_core.values(), default=0.0)
 
@@ -199,13 +198,12 @@ class Runtime:
     run_kernels:
         Invoke :meth:`Chare.execute` (real NumPy computation) before each
         simulated task — validates numerics at the cost of speed.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` sink. When given, the
-        runtime attaches it to the balancer (per-step audit records),
-        commits each step with simulated time / iteration / true per-core
-        background load, and feeds run metrics (migration counters,
-        iteration-duration histogram, per-core utilisation gauges).
-        ``None`` (default) keeps all hot paths on the no-op branch.
+    audit:
+        Optional :class:`~repro.telemetry.AuditTrail`. The runtime
+        attaches it to the balancer (per-step audit records; ``None``, the
+        default, detaches any earlier trail) and commits each step with
+        simulated time, iteration and the cumulative foreign CPU on each
+        core, from which the trail measures the true background load.
     """
 
     def __init__(
@@ -224,7 +222,7 @@ class Runtime:
         local_comm_factor: float = 0.25,
         tracing: bool = False,
         run_kernels: bool = False,
-        telemetry: Optional[Telemetry] = None,
+        audit: Optional[AuditTrail] = None,
     ) -> None:
         if not core_ids:
             raise ValueError("Runtime needs at least one core")
@@ -249,7 +247,7 @@ class Runtime:
         }
         self.trace = TraceLog(enabled=tracing)
         self.run_kernels = bool(run_kernels)
-        self.telemetry = telemetry
+        self.audit = audit
         #: optional :class:`~repro.obs.ledger.TimeLedger` fed iteration
         #: marks and LB pause windows (null hook: None by default;
         #: attached externally by the experiment runner)
@@ -258,11 +256,8 @@ class Runtime:
         #: per-chare load samples and migration events (same null-hook
         #: doctrine as the ledger)
         self.lineage = None
-        if telemetry is not None and balancer is not None:
-            balancer.attach_telemetry(telemetry)
-        # per-core true injected background CPU at the current LB window's
-        # start — the ground truth Eq. (2) estimates against
-        self._bg_window_base: Dict[int, float] = {}
+        if balancer is not None:
+            balancer.attach_audit(audit)
 
         self.arrays: Dict[str, ChareArray] = {}
         self.chares: Dict[ChareKey, Chare] = {}
@@ -373,8 +368,8 @@ class Runtime:
             # baseline the instrumentation window at launch, not at
             # construction, so a delayed job does not see pre-launch time
             self.db = LBDatabase(procstat, state_bytes, comm=comm)
-            if self.telemetry is not None:
-                self._bg_window_base = self._true_bg_cpu()
+            if self.audit is not None:
+                self.audit.mark_launch(self._true_bg_cpu())
             self._begin_iteration(0)
 
         self.engine.schedule_at(start_time, _launch)
@@ -441,9 +436,6 @@ class Runtime:
         return demand
 
     def _task_done(self, msg: ComputeMsg, proc: SimProcess) -> None:
-        chare = self.chares[msg.chare]
-        chare.executions += 1
-        chare.total_cpu_time += proc.cpu_time
         self.total_task_cpu_s += proc.cpu_time
         assert self.db is not None
         self.db.record_task(msg.chare, proc.cpu_time)
@@ -482,17 +474,11 @@ class Runtime:
         self.iteration_imbalance.append(self._measure_imbalance())
         for cb in self._on_iteration:
             cb(self, iteration)
-        if self.telemetry is not None:
-            self.telemetry.metrics.histogram("iteration_duration_s").observe(
-                self.iteration_times[-1]
-            )
         completed = iteration + 1
         if completed == self._total_iterations:
             self.finished_at = now
             for cb in self._on_finish:
                 cb(self)
-            if self.telemetry is not None:
-                self._record_final_metrics()
             return
         delay = self.comm_delay()
         if self.balancer is not None and self.policy.due(
@@ -546,15 +532,23 @@ class Runtime:
         view = self.db.build_view(self.mapping)
         migrations = self.balancer.balance(view)
         cost = self._apply_migrations(migrations)
-        if self.lineage is not None:
-            self.lineage.record_lb_step(
-                time=self.engine.now,
-                iteration=next_iteration,
-                migrations=[(m.chare, m.src, m.dst) for m in migrations],
-                bg_cpu=self._true_bg_cpu(),
-            )
-        if self.telemetry is not None:
-            self._commit_telemetry_step(next_iteration, migrations, cost)
+        if self.audit is not None or self.lineage is not None:
+            bg_cpu = self._true_bg_cpu()
+            if self.lineage is not None:
+                self.lineage.record_lb_step(
+                    time=self.engine.now,
+                    iteration=next_iteration,
+                    migrations=[(m.chare, m.src, m.dst) for m in migrations],
+                    bg_cpu=bg_cpu,
+                )
+            if self.audit is not None:
+                self.audit.commit_step(
+                    time=self.engine.now,
+                    iteration=next_iteration,
+                    bg_cpu=bg_cpu,
+                    migration_cost_s=cost,
+                    decision_overhead_s=self.policy.decision_overhead_s,
+                )
         self.db.reset_window()
         self.lb_step_count += 1
         self.trace.add_lb_step(
@@ -582,15 +576,13 @@ class Runtime:
             self.ledger.mark_pause(now, now + pause)
         self.engine.schedule_after(pause, self._begin_iteration, next_iteration)
 
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
     def _true_bg_cpu(self) -> Dict[int, float]:
         """Cumulative CPU-seconds other owners consumed on our cores.
 
         The ground truth the Eq.-(2) estimate ``O_p`` is audited against:
         the window delta of this quantity is exactly the background load
-        injected on each core during the LB window.
+        injected on each core during the LB window. One snapshot per LB
+        step serves the audit trail and the lineage recorder.
         """
         bg: Dict[int, float] = {}
         for cid in self.core_ids:
@@ -602,49 +594,6 @@ class Runtime:
                 if owner != self.name
             )
         return bg
-
-    def _commit_telemetry_step(
-        self,
-        next_iteration: int,
-        migrations: Sequence[Migration],
-        cost: float,
-    ) -> None:
-        """Fill the pending audit record and bump run metrics."""
-        assert self.telemetry is not None
-        bg_now = self._true_bg_cpu()
-        bg_true = {
-            cid: bg_now[cid] - self._bg_window_base.get(cid, 0.0)
-            for cid in self.core_ids
-        }
-        self._bg_window_base = bg_now
-        self.telemetry.commit_step(
-            time=self.engine.now,
-            iteration=next_iteration,
-            bg_true=bg_true,
-            migration_cost_s=cost,
-            decision_overhead_s=self.policy.decision_overhead_s,
-        )
-        metrics = self.telemetry.metrics
-        metrics.counter("lb_steps").inc()
-        metrics.counter("migrations").inc(len(migrations))
-        metrics.counter("bytes_moved").inc(
-            sum(self.chares[m.chare].state_bytes for m in migrations)
-        )
-        metrics.counter("lb_overhead_sim_s").inc(
-            self.policy.decision_overhead_s + cost
-        )
-
-    def _record_final_metrics(self) -> None:
-        """Per-core utilisation gauges at job completion."""
-        assert self.telemetry is not None
-        metrics = self.telemetry.metrics
-        for cid in self.core_ids:
-            core = self.cluster.core(cid)
-            core.sync()
-            wall = core.busy_time + core.idle_time
-            metrics.gauge(f"core_utilization.{cid}").set(
-                core.busy_time / wall if wall > 0 else 0.0
-            )
 
     def _apply_migrations(self, migrations: Sequence[Migration]) -> float:
         """Re-map objects and return the transfer wall-clock cost.

@@ -46,7 +46,7 @@ same primitive operations, so IEEE-754 produces the same bits:
   :class:`~repro.sim.cpu.SharedCore._accrue`. Correctness never depends
   on the horizon being tight.
 * **Everything else** (communication delays, LB policy/strategy, LB
-  database, migration application, telemetry audit records, Projections
+  database, migration application, audit records, Projections
   trace events, power model) is the *same code* the event engine uses —
   shared helpers and the real :class:`~repro.core.database.LBDatabase`,
   :class:`~repro.sim.procstat.ProcStat` and
@@ -96,7 +96,7 @@ from repro.runtime.tracing import (
 )
 from repro.sim.cpu import _COMPLETION_EPS
 from repro.sim.procstat import ProcStat
-from repro.telemetry import Telemetry
+from repro.telemetry import AuditTrail
 from repro.util import check_positive
 
 __all__ = ["run_scenario_fast"]
@@ -171,15 +171,14 @@ class _FastProc:
     """
 
     __slots__ = (
-        "job", "key", "chare", "owner", "weight",
+        "job", "key", "owner", "weight",
         "remaining", "cpu_time", "started_at", "cid", "rank",
-        "core", "keys", "chs", "qpos",
+        "keys", "chs", "qpos",
     )
 
-    def __init__(self, job, key, chare, weight, remaining, started_at, cid, rank):
+    def __init__(self, job, key, weight, remaining, started_at, cid, rank):
         self.job = job
         self.key = key
-        self.chare = chare
         self.owner = job.name
         self.weight = weight
         self.remaining = remaining
@@ -187,7 +186,6 @@ class _FastProc:
         self.started_at = started_at
         self.cid = cid
         self.rank = rank
-        self.core = None
         self.keys = ()
         self.chs = ()
         self.qpos = 0
@@ -225,7 +223,7 @@ class _FastCore:
         self._cand_proc = 0
         self._cand_sched = 0.0
 
-    # -- ProcStat / telemetry surface ---------------------------------
+    # -- ProcStat / audit surface -------------------------------------
     def sync(self) -> None:
         self.accrue(self.engine.now)
 
@@ -366,9 +364,6 @@ class _FastCore:
         # single hottest block — one call frame instead of three)
         job = p.job
         cpu = p.cpu_time
-        ch = p.chare
-        ch.executions += 1
-        ch.total_cpu_time += cpu
         # direct window-dict accumulation (see _run_solo_core): the share
         # arithmetic only ever yields non-negative floats
         tc = job.db._task_cpu
@@ -397,7 +392,6 @@ class _FastCore:
                     f"{nxt!r}.work({job._iteration}) returned negative {d}"
                 )
             p.key = keys[pos]
-            p.chare = nxt
             p.remaining = d
             p.cpu_time = 0.0
             p.started_at = t
@@ -433,7 +427,7 @@ class _FastJob:
         comm_graph,
         local_comm_factor: float,
         cores_per_node: int,
-        telemetry: Optional[Telemetry],
+        audit: Optional[AuditTrail],
     ) -> None:
         self.sim = sim
         self.cores = cores
@@ -446,9 +440,9 @@ class _FastJob:
         self.comm_bytes = float(comm_bytes)
         self.comm_graph = comm_graph
         self.local_comm_factor = float(local_comm_factor)
-        self.telemetry = telemetry
-        if telemetry is not None and balancer is not None:
-            balancer.attach_telemetry(telemetry)
+        self.audit = audit
+        if balancer is not None:
+            balancer.attach_audit(audit)
         self._node_of: Dict[int, int] = {
             cid: cid // cores_per_node for cid in core_ids
         }
@@ -470,7 +464,6 @@ class _FastJob:
         self.migration_cost_s = 0.0
         self.total_task_cpu_s = 0.0
         self._last_lb_completed = 0
-        self._bg_window_base: Dict[int, float] = {}
         #: the run's other jobs (set by the driver; gates inline mode)
         self.others: List["_FastJob"] = []
         #: optional TimeLedger (null hook, mirrors Runtime.ledger)
@@ -537,8 +530,8 @@ class _FastJob:
         if self.comm_graph is not None:
             comm = {key: self.comm_graph.neighbors(key) for key in self.chares}
         self.db = LBDatabase(procstat, state_bytes, comm=comm)
-        if self.telemetry is not None:
-            self._bg_window_base = self._true_bg_cpu()
+        if self.audit is not None:
+            self.audit.mark_launch(self._true_bg_cpu())
         self._begin_iteration(0, t)
 
     def _rebuild_percore(self) -> None:
@@ -680,9 +673,6 @@ class _FastJob:
                 cpu += dtx
                 rem -= dtx
                 t = e
-            ch = chs[i]
-            ch.executions += 1
-            ch.total_cpu_time += cpu
             k = keys[i]
             tc[k] = tc_get(k, 0.0) + cpu
             if lin is not None:
@@ -712,8 +702,7 @@ class _FastJob:
         core = self.cores[cid]
         if core.last != t:  # zero-width accruals are no-ops
             core.accrue(t)
-        p = _FastProc(self, keys[pos], ch, self.weight, d, t, cid, rank)
-        p.core = core
+        p = _FastProc(self, keys[pos], self.weight, d, t, cid, rank)
         p.keys = keys
         p.chs = chs
         p.qpos = pos + 1
@@ -900,9 +889,6 @@ class _FastJob:
             core.version += 1
             job = p.job
             cpu = p.cpu_time
-            ch = p.chare
-            ch.executions += 1
-            ch.total_cpu_time += cpu
             tc = job.db._task_cpu
             tc[p.key] = tc.get(p.key, 0.0) + cpu
             if job.lineage is not None:
@@ -925,7 +911,6 @@ class _FastJob:
                         f"{nxt!r}.work({job._iteration}) returned negative {d}"
                     )
                 p.key = keys[pos]
-                p.chare = nxt
                 p.remaining = d
                 p.cpu_time = 0.0
                 p.started_at = t
@@ -952,7 +937,7 @@ class _FastJob:
                 touched.discard(core)
                 if (
                     self.balancer is None
-                    and self.telemetry is None
+                    and self.audit is None
                     and self.ledger is None
                     and self.lineage is None
                     and not self._on_finish
@@ -986,7 +971,7 @@ class _FastJob:
                     horizon = self._fold_horizon(exclude)
                 continue
             # another job's chain ended — a share-count change point. If
-            # the job is instrumentation-free (no balancer, telemetry,
+            # the job is instrumentation-free (no balancer, audit,
             # ledger, lineage, or finish callbacks) its barrier machinery
             # touches no core state, so the drain — and the barrier, when
             # this is the last arrival — can fire inline: the fold
@@ -1002,7 +987,7 @@ class _FastJob:
             # (on_completion then re-enters the fold for the next span).
             if (
                 job.balancer is None
-                and job.telemetry is None
+                and job.audit is None
                 and job.ledger is None
                 and job.lineage is None
                 and not job._on_finish
@@ -1060,18 +1045,12 @@ class _FastJob:
             self.total_task_cpu_s = total
             del comps[:]
         self.iteration_imbalance.append(self._measure_imbalance())
-        if self.telemetry is not None:
-            self.telemetry.metrics.histogram("iteration_duration_s").observe(
-                self.iteration_times[-1]
-            )
         return self._iteration + 1
 
     def _finish(self, t: float) -> None:
         self.finished_at = t
         for cb in self._on_finish:
             cb(self)
-        if self.telemetry is not None:
-            self._record_final_metrics()
 
     def _comm_delay(self) -> float:
         # pure function of the (net, mapping) inputs — cache between LB
@@ -1115,7 +1094,7 @@ class _FastJob:
 
         Only entered once :meth:`_alone` holds, which is permanent
         (jobs never un-finish), so the clock can be advanced directly:
-        every side effect (LB database snapshots, telemetry commits, the
+        every side effect (LB database snapshots, audit commits, the
         power reading at finish) sees exactly the time the event engine
         would have shown it.
         """
@@ -1174,7 +1153,7 @@ class _FastJob:
         return max(walls) / mean
 
     # ------------------------------------------------------------------
-    # load balancing / telemetry (same objects as the event path)
+    # load balancing / audit (same objects as the event path)
     # ------------------------------------------------------------------
     def _lb_step(self, next_iteration: int, t: float) -> None:
         pause = self._do_lb(next_iteration)
@@ -1206,18 +1185,26 @@ class _FastJob:
                         self.chares[m.chare].state_bytes,
                     )
                 )
-        if self.lineage is not None:
-            self.lineage.record_lb_step(
-                time=self.sim.now,
-                iteration=next_iteration,
-                migrations=[(m.chare, m.src, m.dst) for m in migrations],
-                bg_cpu=self._true_bg_cpu(),
-            )
+        if self.audit is not None or self.lineage is not None:
+            bg_cpu = self._true_bg_cpu()
+            if self.lineage is not None:
+                self.lineage.record_lb_step(
+                    time=self.sim.now,
+                    iteration=next_iteration,
+                    migrations=[(m.chare, m.src, m.dst) for m in migrations],
+                    bg_cpu=bg_cpu,
+                )
+            if self.audit is not None:
+                self.audit.commit_step(
+                    time=self.sim.now,
+                    iteration=next_iteration,
+                    bg_cpu=bg_cpu,
+                    migration_cost_s=cost,
+                    decision_overhead_s=self.policy.decision_overhead_s,
+                )
         if migrations:
             self._percore_dirty = True
             self._comm_delay_cache = None
-        if self.telemetry is not None:
-            self._commit_telemetry_step(next_iteration, migrations, cost)
         self.db.reset_window()
         self.lb_step_count += 1
         if trace is not None:
@@ -1245,40 +1232,6 @@ class _FastJob:
             )
         return bg
 
-    def _commit_telemetry_step(self, next_iteration, migrations, cost) -> None:
-        bg_now = self._true_bg_cpu()
-        bg_true = {
-            cid: bg_now[cid] - self._bg_window_base.get(cid, 0.0)
-            for cid in self.core_ids
-        }
-        self._bg_window_base = bg_now
-        self.telemetry.commit_step(
-            time=self.sim.now,
-            iteration=next_iteration,
-            bg_true=bg_true,
-            migration_cost_s=cost,
-            decision_overhead_s=self.policy.decision_overhead_s,
-        )
-        metrics = self.telemetry.metrics
-        metrics.counter("lb_steps").inc()
-        metrics.counter("migrations").inc(len(migrations))
-        metrics.counter("bytes_moved").inc(
-            sum(self.chares[m.chare].state_bytes for m in migrations)
-        )
-        metrics.counter("lb_overhead_sim_s").inc(
-            self.policy.decision_overhead_s + cost
-        )
-
-    def _record_final_metrics(self) -> None:
-        metrics = self.telemetry.metrics
-        for cid in self.core_ids:
-            core = self.cores[cid]
-            core.sync()
-            wall = core.busy_time + core.idle_time
-            metrics.gauge(f"core_utilization.{cid}").set(
-                core.busy_time / wall if wall > 0 else 0.0
-            )
-
 
 # ----------------------------------------------------------------------
 # scenario driver
@@ -1286,7 +1239,7 @@ class _FastJob:
 def run_scenario_fast(
     scenario: Scenario,
     *,
-    telemetry: Optional[Telemetry] = None,
+    audit: Optional[AuditTrail] = None,
     ledger=None,
     lineage=None,
 ):
@@ -1324,7 +1277,7 @@ def run_scenario_fast(
     net = scenario.net or NetworkModel.native()
 
     def build_job(model, core_ids, *, name, weight, balancer, policy,
-                  use_comm_graph, job_telemetry):
+                  use_comm_graph, job_audit):
         graph = None
         if use_comm_graph:
             graph = model.comm_graph(len(core_ids))
@@ -1347,7 +1300,7 @@ def run_scenario_fast(
             comm_graph=graph,
             local_comm_factor=0.25,
             cores_per_node=cores_per_node,
-            telemetry=job_telemetry,
+            audit=job_audit,
         )
         job.register(model.build_array(len(core_ids)), list(core_ids))
         return job
@@ -1360,7 +1313,7 @@ def run_scenario_fast(
         balancer=scenario.balancer,
         policy=scenario.policy,
         use_comm_graph=scenario.use_comm_graph,
-        job_telemetry=telemetry,
+        job_audit=audit,
     )
     bg = None
     if scenario.bg is not None:
@@ -1372,7 +1325,7 @@ def run_scenario_fast(
             balancer=None,
             policy=LBPolicy(),
             use_comm_graph=False,
-            job_telemetry=None,
+            job_audit=None,
         )
 
     if bg is not None:

@@ -19,6 +19,11 @@ The trail is populated from two sides:
   time, iteration, per-core true background load, and the charged
   migration/decision overhead.
 
+The true background load is a window delta of the cumulative CPU other
+owners consumed on each core. The trail keeps the window's start: the
+runtime hands it the snapshot at job launch (:meth:`AuditTrail.mark_launch`)
+and at every committed step, so both engines share one subtraction.
+
 A step left uncommitted (balancer driven outside a runtime, e.g. in unit
 tests) is still a complete record — the runtime fields just stay null.
 """
@@ -91,6 +96,8 @@ class AuditTrail:
 
     def __init__(self) -> None:
         self.records: List[Dict[str, Any]] = []
+        # cumulative foreign CPU per core at the current LB window's start
+        self._bg_base: Mapping[int, float] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -165,18 +172,32 @@ class AuditTrail:
     # ------------------------------------------------------------------
     # runtime side
     # ------------------------------------------------------------------
+    def mark_launch(self, bg_cpu: Mapping[int, float]) -> None:
+        """Open the first LB window at the job's launch snapshot of
+        cumulative foreign CPU per core."""
+        self._bg_base = bg_cpu
+
     def commit_step(
         self,
         *,
         time: float,
         iteration: int,
-        bg_true: Mapping[int, float],
+        bg_cpu: Mapping[int, float],
         migration_cost_s: float,
         decision_overhead_s: float,
     ) -> Dict[str, Any]:
-        """Fill the most recent step record with runtime context."""
+        """Fill the most recent step record with runtime context.
+
+        ``bg_cpu`` is the cumulative foreign CPU per core at this step;
+        its delta from the window start is the step's ``bg_true``, the
+        ground truth the Eq. (2) estimate is audited against. The
+        snapshot then starts the next window.
+        """
         if not self.records:
             raise RuntimeError("commit_step without a pending audit step")
+        base = self._bg_base
+        bg_true = {cid: cpu - base.get(cid, 0.0) for cid, cpu in bg_cpu.items()}
+        self._bg_base = bg_cpu
         record = self.records[-1]
         record["time"] = time
         record["iteration"] = iteration

@@ -24,16 +24,17 @@ from repro.experiments.sweep_presets import smoke_spec
 from repro.obs.ledger import TimeLedger
 from repro.obs.lineage import LineageRecorder
 from repro.projections.export import write_chrome_trace
-from repro.telemetry import Telemetry, write_audit_jsonl
+from repro.telemetry import AuditTrail, write_audit_jsonl
 
 
-def _run_both(params, telemetry=False):
-    """Run one param dict on both backends; return the two results."""
-    tel_e = Telemetry() if telemetry else None
-    tel_f = Telemetry() if telemetry else None
-    res_e = run_scenario(build_scenario(params), backend="events", telemetry=tel_e)
-    res_f = run_scenario(build_scenario(params), backend="fast", telemetry=tel_f)
-    return res_e, res_f, tel_e, tel_f
+def _run_both(params, audit=False):
+    """Run one param dict on both backends; return the two results and,
+    with ``audit``, each run's audit trail."""
+    trail_e = AuditTrail() if audit else None
+    trail_f = AuditTrail() if audit else None
+    res_e = run_scenario(build_scenario(params), backend="events", audit=trail_e)
+    res_f = run_scenario(build_scenario(params), backend="fast", audit=trail_f)
+    return res_e, res_f, trail_e, trail_f
 
 
 def _run_both_ledgered(params):
@@ -54,30 +55,28 @@ def _assert_ledgers_identical(led_e, led_f):
 
 
 def _run_both_lineaged(params):
-    """Run one param dict on both backends, each with telemetry + a
+    """Run one param dict on both backends, each with an audit trail + a
     lineage recorder; return results and audit-joined payloads."""
     results, payloads = [], []
     for backend in ("events", "fast"):
         scenario = build_scenario(params)
-        telemetry = Telemetry()
+        trail = AuditTrail()
         lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
-        res = run_scenario(
-            scenario, backend=backend, telemetry=telemetry, lineage=lineage
-        )
+        res = run_scenario(scenario, backend=backend, audit=trail, lineage=lineage)
         results.append(res)
-        payloads.append(lineage.payload(audit=telemetry.audit.records))
+        payloads.append(lineage.payload(audit=trail.records))
     return results[0], results[1], payloads[0], payloads[1]
 
 
 def _run_both_traced(params):
-    """Run one param dict on both backends with tracing and telemetry on;
+    """Run one param dict on both backends with tracing and audit on;
     return ``(result, audit_records)`` per backend."""
     runs = []
     for backend in ("events", "fast"):
         scenario = dataclasses.replace(build_scenario(params), tracing=True)
-        telemetry = Telemetry()
-        res = run_scenario(scenario, backend=backend, telemetry=telemetry)
-        runs.append((res, telemetry.audit.records))
+        trail = AuditTrail()
+        res = run_scenario(scenario, backend=backend, audit=trail)
+        runs.append((res, trail.records))
     return runs
 
 
@@ -180,8 +179,8 @@ class TestPresetParity:
             )
         se = run_sweep(spec, workers=1, cache=None, backend="events")
         sf = run_sweep(spec, workers=1, cache=None, backend="fast")
-        sa = run_sweep(spec, workers=1, cache=None, backend="auto")
-        assert se.summaries() == sf.summaries() == sa.summaries()
+        sd = run_sweep(spec, workers=1, cache=None)
+        assert se.summaries() == sf.summaries() == sd.summaries()
 
 
 class TestTelemetryParity:
@@ -194,10 +193,10 @@ class TestTelemetryParity:
             "bg": True,
             "balancer": "refine-vm",
         }
-        res_e, res_f, tel_e, tel_f = _run_both(params, telemetry=True)
+        res_e, res_f, trail_e, trail_f = _run_both(params, audit=True)
         _assert_results_identical(res_e, res_f)
-        assert len(tel_e.audit.records) > 0
-        assert tel_e.audit.records == tel_f.audit.records
+        assert len(trail_e.records) > 0
+        assert trail_e.records == trail_f.records
 
     def test_telemetry_does_not_change_results(self):
         params = {
@@ -210,7 +209,7 @@ class TestTelemetryParity:
         }
         bare = run_scenario(build_scenario(params), backend="fast")
         instrumented = run_scenario(
-            build_scenario(params), backend="fast", telemetry=Telemetry()
+            build_scenario(params), backend="fast", audit=AuditTrail()
         )
         _assert_results_identical(bare, instrumented)
 
@@ -394,10 +393,10 @@ class TestContendedRegimeParity:
             "bg_weight": 2.0,
             "balancer": "refine-vm",
         }
-        res_e, res_f, tel_e, tel_f = _run_both(params, telemetry=True)
+        res_e, res_f, trail_e, trail_f = _run_both(params, audit=True)
         _assert_results_identical(res_e, res_f)
-        assert len(tel_e.audit.records) > 0
-        assert tel_e.audit.records == tel_f.audit.records
+        assert len(trail_e.records) > 0
+        assert trail_e.records == trail_f.records
 
     def test_contended_ledger_identical(self):
         params = {
@@ -461,17 +460,17 @@ class TestTraceParity:
         included, equal the untraced run's on either backend."""
         params = _piecewise_balancer_params("refine-vm")
         for backend in ("events", "fast"):
-            tel_bare, tel_traced = Telemetry(), Telemetry()
+            trail_bare, trail_traced = AuditTrail(), AuditTrail()
             bare = run_scenario(
-                build_scenario(params), backend=backend, telemetry=tel_bare
+                build_scenario(params), backend=backend, audit=trail_bare
             )
             traced = run_scenario(
                 dataclasses.replace(build_scenario(params), tracing=True),
                 backend=backend,
-                telemetry=tel_traced,
+                audit=trail_traced,
             )
             _assert_results_identical(bare, traced)
-            assert tel_bare.audit.records == tel_traced.audit.records
+            assert trail_bare.records == trail_traced.records
             assert not bare.trace.enabled and not bare.trace.tasks
             assert traced.trace.tasks
 
@@ -480,7 +479,7 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self, tmp_path):
         params = {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
         job = tmp_path / "job"
-        for backend in ("nope", "batch"):
+        for backend in ("nope", "batch", "auto"):
             calls = [
                 lambda: run_scenario(build_scenario(params), backend=backend),
                 lambda: run_point(params, backend=backend),

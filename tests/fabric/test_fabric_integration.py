@@ -257,7 +257,8 @@ def test_fully_cached_fabric_run_spawns_no_workers(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_main_drains_a_published_job_in_process(tmp_path):
+def _publish_hand_built_job(tmp_path, backend):
+    """Publish a 4-point, 2-shard job under ``tmp_path / "job"``."""
     from repro.experiments.cache import code_fingerprint, point_key
     from repro.experiments.fabric.shards import plan_shards
     from repro.experiments.fabric.transport import JOB_SCHEMA
@@ -270,7 +271,7 @@ def test_worker_main_drains_a_published_job_in_process(tmp_path):
         {
             "schema": JOB_SCHEMA,
             "name": SPEC.name,
-            "backend": "auto",
+            "backend": backend,
             "cache_dir": str(tmp_path / "cache"),
             "points": [
                 {
@@ -294,6 +295,14 @@ def test_worker_main_drains_a_published_job_in_process(tmp_path):
                        "lease_timeout_s": 2.0},
         }
     )
+    return transport, points, shards
+
+
+def test_worker_main_drains_a_published_job_in_process(tmp_path):
+    from repro.experiments.cache import code_fingerprint, point_key
+
+    transport, points, shards = _publish_hand_built_job(tmp_path, "fast")
+    fingerprint = code_fingerprint()
     assert worker_main(str(tmp_path / "job"), "w0") == 0
     assert transport.completed_shard_ids() == ["s0000", "s0001"]
     for shard in shards:
@@ -304,6 +313,21 @@ def test_worker_main_drains_a_published_job_in_process(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     for p in points:
         assert cache.get(point_key(p.params, fingerprint=fingerprint))
+
+
+def test_worker_refuses_a_job_with_an_unknown_backend(tmp_path, capsys):
+    """A stored job naming a retired backend (``auto``) is a one-line
+    error before the worker registers or takes a lease."""
+    from repro.cli import main
+
+    transport, _, shards = _publish_hand_built_job(tmp_path, "auto")
+    argv = ["fabric", "worker", str(tmp_path / "job"), "--worker-id", "w0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "repro fabric worker: error: unknown backend 'auto'\n"
+    assert transport.leases_of("w0") == []
+    assert transport.queued_shard_ids() == [s.shard_id for s in shards]
+    assert not transport.worker_path("w0").exists()
 
 
 # ---------------------------------------------------------------------------

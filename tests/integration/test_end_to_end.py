@@ -161,13 +161,15 @@ def test_chare_lifetime_statistics_are_consistent():
         net=NetworkModel.zero(),
         balancer=RefineVMInterferenceLB(0.05),
         policy=LBPolicy(period_iterations=2, decision_overhead_s=0.0),
+        tracing=True,
     )
     Interferer(eng, cl.core(0), start=0.0, end=0.5)
     rt.start(iterations=10)
     eng.run(until=1e5)
     assert rt.done
     for chare in rt.chares.values():
-        assert chare.executions == 10
-        assert chare.total_cpu_time == pytest.approx(0.1)
+        tasks = [ev for ev in rt.trace.tasks if ev.chare == chare.key]
+        assert len(tasks) == 10
+        assert sum(ev.cpu_time for ev in tasks) == pytest.approx(0.1)
         assert chare.current_core == rt.mapping[chare.key]
-    assert sum(c.migrations for c in rt.chares.values()) == rt.migration_count
+    assert len(rt.trace.migrations) == rt.migration_count

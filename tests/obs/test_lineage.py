@@ -37,7 +37,7 @@ from repro.obs.lineage import (
 )
 from repro.obs.registry import RunRegistry
 from repro.obs.report import _migration_flow_svg, build_report, render_report
-from repro.telemetry import Telemetry
+from repro.telemetry import AuditTrail
 
 #: Cheap scenario base the integration tests sweep around.
 TINY = {"app": "jacobi2d", "scale": 0.05, "iterations": 5, "cores": 4}
@@ -432,10 +432,10 @@ class TestRendering:
 
 def _lineaged_run(params):
     scenario = build_scenario(params)
-    telemetry = Telemetry()
+    trail = AuditTrail()
     lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
-    run_scenario(scenario, backend="fast", telemetry=telemetry, lineage=lineage)
-    return lineage.payload(audit=telemetry.audit.records)
+    run_scenario(scenario, backend="fast", audit=trail, lineage=lineage)
+    return lineage.payload(audit=trail.records)
 
 
 _graph_params = st.fixed_dictionaries(

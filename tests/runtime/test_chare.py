@@ -16,7 +16,6 @@ def test_chare_key_and_defaults():
     assert c.key == ("grid", 3)
     assert c.state_bytes == 128.0
     assert c.current_core is None
-    assert c.executions == 0
 
 
 def test_chare_validation():

@@ -96,7 +96,7 @@ class TestAuditTrail:
         record = trail.commit_step(
             time=2.5,
             iteration=5,
-            bg_true={0: 0.48, 1: 0.0},
+            bg_cpu={0: 0.48, 1: 0.0},
             migration_cost_s=0.01,
             decision_overhead_s=0.002,
         )
@@ -105,10 +105,26 @@ class TestAuditTrail:
         assert record["cores"][0]["bg_true"] == 0.48
         assert record["overhead_s"] == pytest.approx(0.012)
 
+    def test_bg_true_is_the_snapshot_delta_since_launch_or_last_commit(self):
+        trail = AuditTrail()
+        trail.mark_launch({0: 1.0, 1: 2.0})
+        _open_step(trail)
+        first = trail.commit_step(
+            time=1.0, iteration=2, bg_cpu={0: 1.5, 1: 2.0},
+            migration_cost_s=0.0, decision_overhead_s=0.0,
+        )
+        assert [c["bg_true"] for c in first["cores"]] == [0.5, 0.0]
+        _open_step(trail)
+        second = trail.commit_step(
+            time=2.0, iteration=4, bg_cpu={0: 1.75, 1: 3.0},
+            migration_cost_s=0.0, decision_overhead_s=0.0,
+        )
+        assert [c["bg_true"] for c in second["cores"]] == [0.25, 1.0]
+
     def test_commit_without_step_raises(self):
         with pytest.raises(RuntimeError, match="without a pending"):
             AuditTrail().commit_step(
-                time=0.0, iteration=0, bg_true={},
+                time=0.0, iteration=0, bg_cpu={},
                 migration_cost_s=0.0, decision_overhead_s=0.0,
             )
 
@@ -118,7 +134,7 @@ class TestJsonlIO:
         trail = AuditTrail()
         _open_step(trail)
         trail.commit_step(
-            time=1.0, iteration=2, bg_true={0: 0.5, 1: 0.0},
+            time=1.0, iteration=2, bg_cpu={0: 0.5, 1: 0.0},
             migration_cost_s=0.01, decision_overhead_s=0.0,
         )
         path = tmp_path / "audit.jsonl"
@@ -202,7 +218,7 @@ class TestAuditSummary:
         trail = AuditTrail()
         _open_step(trail)
         trail.commit_step(
-            time=1.0, iteration=2, bg_true={0: 0.4, 1: 0.1},
+            time=1.0, iteration=2, bg_cpu={0: 0.4, 1: 0.1},
             migration_cost_s=0.01, decision_overhead_s=0.002,
         )
         record = _open_step(trail)

@@ -9,7 +9,7 @@ from repro.core.greedy import GreedyLB
 from repro.core.hierarchical import HierarchicalLB
 from repro.core.interference import RefineVMInterferenceLB
 from repro.core.migration_cost import MigrationCostAwareLB
-from repro.telemetry import Telemetry
+from repro.telemetry import AuditTrail
 from repro.telemetry.audit import (
     ACCEPTED,
     REASON_GAIN_BELOW_COST,
@@ -66,12 +66,12 @@ IMBALANCED = ([1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 0.0])
 class TestEveryStrategyAudits:
     def test_step_record_emitted_with_candidates(self, make_balancer):
         balancer = make_balancer()
-        telemetry = Telemetry()
-        balancer.attach_telemetry(telemetry)
+        trail = AuditTrail()
+        balancer.attach_audit(trail)
         view = _make_view(*IMBALANCED)
         migrations = balancer.balance(view)
-        assert len(telemetry.audit) == 1
-        record = telemetry.audit.records[0]
+        assert len(trail) == 1
+        record = trail.records[0]
         assert record["strategy"] == balancer.name
         assert record["num_migrations"] == len(migrations)
         assert record["candidates"], "instrumented strategies report candidates"
@@ -81,7 +81,7 @@ class TestEveryStrategyAudits:
     def test_decisions_identical_with_and_without_sink(self, make_balancer):
         plain = make_balancer().balance(_make_view(*IMBALANCED))
         audited = make_balancer()
-        audited.attach_telemetry(Telemetry())
+        audited.attach_audit(AuditTrail())
         assert audited.balance(_make_view(*IMBALANCED)) == plain
 
     def test_no_sink_means_no_buffer(self, make_balancer):
@@ -93,11 +93,11 @@ class TestEveryStrategyAudits:
 class TestCompositeStrategies:
     def test_hierarchical_inner_candidates_land_in_outer_step(self):
         balancer = HierarchicalLB.by_node(2)
-        telemetry = Telemetry()
-        balancer.attach_telemetry(telemetry)
+        trail = AuditTrail()
+        balancer.attach_audit(trail)
         balancer.balance(_make_view(*IMBALANCED))
-        assert len(telemetry.audit) == 1  # no duplicate step from the inner
-        outcomes = {c["outcome"] for c in telemetry.audit.records[0]["candidates"]}
+        assert len(trail) == 1  # no duplicate step from the inner
+        outcomes = {c["outcome"] for c in trail.records[0]["candidates"]}
         assert ACCEPTED in outcomes
 
     def test_migcost_gate_notes_suppressed_migrations(self):
@@ -106,11 +106,11 @@ class TestCompositeStrategies:
         balancer = MigrationCostAwareLB(
             RefineVMInterferenceLB(0.05), net, safety_factor=1.0
         )
-        telemetry = Telemetry()
-        balancer.attach_telemetry(telemetry)
+        trail = AuditTrail()
+        balancer.attach_audit(trail)
         migrations = balancer.balance(_make_view(*IMBALANCED))
         assert migrations == []
-        record = telemetry.audit.records[0]
+        record = trail.records[0]
         suppressed = [
             c for c in record["candidates"]
             if c["reason"] == REASON_GAIN_BELOW_COST

@@ -12,14 +12,16 @@ import json
 import pytest
 
 from repro.experiments.cache import ResultCache
+from repro.experiments.runner import run_scenario
 from repro.experiments.sweep import (
     SweepSpec,
+    build_scenario,
     normalize_params,
     run_point,
     run_point_audited,
     run_sweep,
 )
-from repro.telemetry import audit_summary
+from repro.telemetry import AuditTrail, audit_summary
 from repro.telemetry.inspect import inspect_audit, load_audit_dir
 
 TINY = {"app": "jacobi2d", "scale": 0.05, "iterations": 6, "lb_period": 2}
@@ -68,6 +70,21 @@ class TestObservationalPurity:
         _, records, _ = run_point_audited(params)
         est = audit_summary(records)["estimation_error"]
         assert est["max_abs"] < 1e-9
+
+    @pytest.mark.parametrize("backend", ["events", "fast"])
+    def test_unaudited_rerun_leaves_the_first_trail_unchanged(self, backend):
+        """A run without an audit detaches the scenario's balancer from
+        the trail an earlier run of the same ``Scenario`` attached."""
+        scenario = build_scenario(
+            normalize_params({**TINY, "cores": 4, "bg": True,
+                              "balancer": "refine-vm"})
+        )
+        trail = AuditTrail()
+        run_scenario(scenario, backend=backend, audit=trail)
+        assert trail.records
+        before = json.dumps(trail.records, sort_keys=True)
+        run_scenario(scenario, backend=backend)
+        assert json.dumps(trail.records, sort_keys=True) == before
 
 
 # ---------------------------------------------------------------------------
