@@ -17,8 +17,7 @@ behaviour benchmark ABL-PERSIST quantifies.
 
 from __future__ import annotations
 
-from repro.apps.base import AppModel, CORE_SPEED_FLOPS
-from repro.apps.stencil_kernels import JACOBI_FLOPS_PER_CELL
+from repro.apps.base import AppModel, CORE_SPEED_FLOPS, JACOBI_FLOPS_PER_CELL
 from repro.runtime.chare import Chare, ChareArray
 from repro.runtime.commgraph import CommGraph
 from repro.util import check_non_negative, check_positive

@@ -16,6 +16,10 @@ Its absolute value only scales simulated wall-clock; every figure the
 harness reproduces is a *ratio* (penalty %, overhead %), so results are
 insensitive to it — which is exactly why the reproduction can make
 shape-level claims without the original hardware.
+
+The per-cell and per-pair flop counts live here too, beside the speed
+they are divided by, so the cost models load without NumPy; the kernel
+modules that the counts describe re-export them.
 """
 
 from __future__ import annotations
@@ -33,10 +37,22 @@ from repro.runtime.runtime import Runtime
 from repro.sim.engine import SimulationEngine
 from repro.telemetry import AuditTrail
 
-__all__ = ["AppModel", "CORE_SPEED_FLOPS"]
+__all__ = [
+    "AppModel",
+    "CORE_SPEED_FLOPS",
+    "JACOBI_FLOPS_PER_CELL",
+    "WAVE_FLOPS_PER_CELL",
+    "LJ_FLOPS_PER_PAIR",
+]
 
 #: Effective per-core flop throughput used by the work models (flops/s).
 CORE_SPEED_FLOPS = 1.0e9
+#: Approximate flops per cell per Jacobi sweep.
+JACOBI_FLOPS_PER_CELL = 6.0
+#: Approximate flops per cell per Wave2D leapfrog step.
+WAVE_FLOPS_PER_CELL = 9.0
+#: Approximate flops per Lennard-Jones pair interaction.
+LJ_FLOPS_PER_PAIR = 45.0
 
 
 class AppModel(abc.ABC):

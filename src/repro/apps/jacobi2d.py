@@ -9,9 +9,8 @@ the interfered cores' objects).
 
 from __future__ import annotations
 
-from repro.apps.base import AppModel, CORE_SPEED_FLOPS
+from repro.apps.base import AppModel, CORE_SPEED_FLOPS, JACOBI_FLOPS_PER_CELL
 from repro.apps.stencil import build_strip_array
-from repro.apps.stencil_kernels import JACOBI_FLOPS_PER_CELL
 from repro.runtime.chare import ChareArray
 from repro.runtime.commgraph import CommGraph
 from repro.util import check_positive

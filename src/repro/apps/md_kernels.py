@@ -5,6 +5,8 @@ computed with NumPy broadcasting (no Python pair loops) and a velocity-
 Verlet integrator. Mol3D's cost model charges
 :data:`LJ_FLOPS_PER_PAIR` per interacting pair; these kernels let tests
 anchor that model to real physics (energy conservation, force symmetry).
+The count is defined in :mod:`repro.apps.base`, so Mol3D's cost model
+imports without NumPy; this module is imported only by ``execute()``.
 """
 
 from __future__ import annotations
@@ -13,15 +15,14 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.apps.base import LJ_FLOPS_PER_PAIR
+
 __all__ = [
     "LJ_FLOPS_PER_PAIR",
     "lj_forces",
     "lj_potential",
     "velocity_verlet",
 ]
-
-#: Approximate flops per Lennard-Jones pair interaction.
-LJ_FLOPS_PER_PAIR = 45.0
 
 
 def _pair_displacements(pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -21,14 +21,14 @@ scheduler weight in Mol3D scenarios (see
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.apps.base import AppModel, CORE_SPEED_FLOPS
-from repro.apps.md_kernels import LJ_FLOPS_PER_PAIR
+from repro.apps.base import AppModel, CORE_SPEED_FLOPS, LJ_FLOPS_PER_PAIR
 from repro.runtime.chare import Chare, ChareArray
 from repro.util import check_non_negative, check_positive, resolve_rng
+
+if TYPE_CHECKING:  # NumPy is imported where arrays are made
+    import numpy as np
 
 __all__ = ["Mol3D", "MDCellChare"]
 
@@ -121,6 +121,8 @@ class MDCellChare(Chare):
         Validation mode only; uses a capped particle count so tests stay
         fast while still exercising the real force kernel.
         """
+        import numpy as np
+
         from repro.apps.md_kernels import velocity_verlet
 
         if self._positions is None:
@@ -180,6 +182,8 @@ class Mol3D(AppModel):
         self.seed = int(seed)
 
     def build_array(self, num_cores: int) -> ChareArray:
+        import numpy as np
+
         check_positive("num_cores", num_cores)
         num_cells = self.odf * num_cores
         rng = resolve_rng(self.seed)

@@ -12,13 +12,14 @@ this window).
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.apps.base import CORE_SPEED_FLOPS
 from repro.runtime.chare import Chare, ChareArray
 from repro.util import check_non_negative, check_positive
+
+if TYPE_CHECKING:  # NumPy is imported by the validation kernel only
+    import numpy as np
 
 __all__ = ["StencilStripChare", "build_strip_array"]
 
@@ -124,6 +125,8 @@ class StencilStripChare(Chare):
         communication delay, so the kernels here exercise the arithmetic,
         not the messaging.
         """
+        import numpy as np
+
         from repro.apps.stencil_kernels import jacobi_step
 
         if self._grid is None:

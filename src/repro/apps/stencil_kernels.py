@@ -16,6 +16,10 @@ Flop counts per cell (used by the cost models):
 * Jacobi 5-point update: 4 adds + 1 multiply ≈ :data:`JACOBI_FLOPS_PER_CELL`.
 * Wave2D leapfrog update: Laplacian (4 adds + 1 mul) + time integration
   (3 ops) ≈ :data:`WAVE_FLOPS_PER_CELL`.
+
+Both counts are defined in :mod:`repro.apps.base`, so the cost models
+import without NumPy; this module, which needs it, is imported only by
+``execute()``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+from repro.apps.base import JACOBI_FLOPS_PER_CELL, WAVE_FLOPS_PER_CELL
 
 __all__ = [
     "JACOBI_FLOPS_PER_CELL",
@@ -32,11 +38,6 @@ __all__ = [
     "wave_step",
     "wave_energy",
 ]
-
-#: Approximate flops per cell per Jacobi sweep.
-JACOBI_FLOPS_PER_CELL = 6.0
-#: Approximate flops per cell per Wave2D leapfrog step.
-WAVE_FLOPS_PER_CELL = 9.0
 
 
 def jacobi_step(grid: np.ndarray, out: np.ndarray) -> None:

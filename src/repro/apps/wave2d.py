@@ -11,9 +11,8 @@ workload: a small-grid instance sized for a 2-core run.
 
 from __future__ import annotations
 
-from repro.apps.base import AppModel, CORE_SPEED_FLOPS
+from repro.apps.base import AppModel, CORE_SPEED_FLOPS, WAVE_FLOPS_PER_CELL
 from repro.apps.stencil import build_strip_array
-from repro.apps.stencil_kernels import WAVE_FLOPS_PER_CELL
 from repro.runtime.chare import ChareArray
 from repro.runtime.commgraph import CommGraph
 from repro.util import check_positive

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from repro.sim.cpu import SharedCore
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import ProcessState, SimProcess
-from repro.util import check_non_negative, check_positive
+from repro.util import check_non_negative, check_positive, left_sum
 
 __all__ = ["Interferer", "InterferencePhase", "PhasedInterference"]
 
@@ -171,4 +171,4 @@ class PhasedInterference:
 
     def total_cpu_consumed(self) -> float:
         """CPU-seconds consumed by all scripted interferers."""
-        return sum(i.cpu_consumed for i in self.interferers)
+        return left_sum(i.cpu_consumed for i in self.interferers)

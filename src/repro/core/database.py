@@ -13,25 +13,38 @@ strategies a per-processor summary. We mirror that contract:
 * :class:`LBDatabase` — the runtime-side accumulator that builds views:
   it sums per-chare CPU between LB steps and derives O_p from
   ``/proc/stat`` snapshots (never from simulator ground truth).
+
+``TaskRecord``, ``CoreLoad`` and ``Migration`` are built per task, core
+or decision at every LB step, so they are named tuples: immutable,
+picklable, compared and hashed by field values, and validated on public
+construction. :meth:`LBDatabase.build_view` builds its records with
+``tuple.__new__`` from inputs it has already checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sim.procstat import CoreStatSnapshot, ProcStat
-from repro.util import check_non_negative
+from repro.util import check_finite, check_non_negative, left_sum
 
 __all__ = ["TaskRecord", "CoreLoad", "LBView", "Migration", "LBDatabase"]
 
 ChareKey = Tuple[str, int]  #: (array name, index) — hashable chare identity
 
 _INF = float("inf")
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class TaskRecord:
+class _TaskRecordFields(NamedTuple):
+    chare: ChareKey
+    cpu_time: float
+    state_bytes: float = 0.0
+    comm: Tuple[Tuple[ChareKey, float], ...] = ()
+
+
+class TaskRecord(_TaskRecordFields):
     """One migratable task as the balancer sees it.
 
     Attributes
@@ -50,33 +63,40 @@ class TaskRecord:
         rule that balancers see only the instrumentation database.
     """
 
-    chare: ChareKey
-    cpu_time: float
-    state_bytes: float = 0.0
-    comm: Tuple[Tuple[ChareKey, float], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # constructed per chare per LB step: inline comparisons accept the
-        # common case; the full checkers handle everything else
-        if (
-            type(self.cpu_time) is float
-            and 0.0 <= self.cpu_time < _INF
-            and type(self.state_bytes) is float
-            and 0.0 <= self.state_bytes < _INF
+    def __new__(
+        cls,
+        chare: ChareKey,
+        cpu_time: float,
+        state_bytes: float = 0.0,
+        comm: Tuple[Tuple[ChareKey, float], ...] = (),
+    ) -> "TaskRecord":
+        # inline comparisons accept the common case; the full checkers
+        # handle everything else (exact error messages, odd numeric types)
+        if not (
+            type(cpu_time) is float
+            and 0.0 <= cpu_time < _INF
+            and type(state_bytes) is float
+            and 0.0 <= state_bytes < _INF
         ):
-            pass
-        else:
-            check_non_negative("cpu_time", self.cpu_time)
-            check_non_negative("state_bytes", self.state_bytes)
-        for other, nbytes in self.comm:
+            check_non_negative("cpu_time", cpu_time)
+            check_non_negative("state_bytes", state_bytes)
+        for other, nbytes in comm:
             if nbytes < 0:
                 raise ValueError(
-                    f"negative comm volume {nbytes} to {other} on {self.chare}"
+                    f"negative comm volume {nbytes} to {other} on {chare}"
                 )
+        return _new(cls, (chare, cpu_time, state_bytes, comm))
 
 
-@dataclass(frozen=True)
-class CoreLoad:
+class _CoreLoadFields(NamedTuple):
+    core_id: int
+    tasks: Tuple[TaskRecord, ...]
+    bg_load: float = 0.0
+
+
+class CoreLoad(_CoreLoadFields):
     """One core's instrumented state at an LB step.
 
     Attributes
@@ -90,18 +110,19 @@ class CoreLoad:
         the application during the window.
     """
 
-    core_id: int
-    tasks: Tuple[TaskRecord, ...]
-    bg_load: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (type(self.bg_load) is float and 0.0 <= self.bg_load < _INF):
-            check_non_negative("bg_load", self.bg_load)
+    def __new__(
+        cls, core_id: int, tasks: Tuple[TaskRecord, ...], bg_load: float = 0.0
+    ) -> "CoreLoad":
+        if not (type(bg_load) is float and 0.0 <= bg_load < _INF):
+            check_non_negative("bg_load", bg_load)
+        return _new(cls, (core_id, tasks, bg_load))
 
     @property
     def task_time(self) -> float:
         """Σ_i t_i^p — instrumented task CPU time on this core."""
-        return sum(t.cpu_time for t in self.tasks)
+        return left_sum(t.cpu_time for t in self.tasks)
 
     @property
     def total_load(self) -> float:
@@ -141,7 +162,7 @@ class LBView:
         """Eq. (1): average per-core load including background loads."""
         if not self.cores:
             return 0.0
-        return sum(c.total_load for c in self.cores) / len(self.cores)
+        return left_sum(c.total_load for c in self.cores) / len(self.cores)
 
     def core(self, core_id: int) -> CoreLoad:
         """The :class:`CoreLoad` for ``core_id``."""
@@ -155,17 +176,21 @@ class LBView:
         return {t.chare: c.core_id for c in self.cores for t in c.tasks}
 
 
-@dataclass(frozen=True)
-class Migration:
-    """One balancer decision: move ``chare`` from core ``src`` to ``dst``."""
-
+class _MigrationFields(NamedTuple):
     chare: ChareKey
     src: int
     dst: int
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"migration of {self.chare} to its own core {self.src}")
+
+class Migration(_MigrationFields):
+    """One balancer decision: move ``chare`` from core ``src`` to ``dst``."""
+
+    __slots__ = ()
+
+    def __new__(cls, chare: ChareKey, src: int, dst: int) -> "Migration":
+        if src == dst:
+            raise ValueError(f"migration of {chare} to its own core {src}")
+        return _new(cls, (chare, src, dst))
 
 
 def validate_migrations(view: LBView, migrations: Sequence[Migration]) -> None:
@@ -206,6 +231,13 @@ class LBDatabase:
         OS-counter view restricted to the application's cores and owner tag.
     state_bytes:
         chare -> serialised size used for migration-cost-aware balancing.
+    comm:
+        chare -> ``{partner: bytes per iteration}``, copied into each
+        task record's ``comm``.
+
+    Sizes and comm volumes are checked here, once per run (and by
+    :meth:`set_state_bytes`), so :meth:`build_view` need not re-check
+    them at every LB step.
     """
 
     def __init__(
@@ -216,15 +248,24 @@ class LBDatabase:
     ) -> None:
         self._procstat = procstat
         self._state_bytes: Dict[ChareKey, float] = dict(state_bytes or {})
+        for chare, nbytes in self._state_bytes.items():
+            if not (type(nbytes) is float and 0.0 <= nbytes < _INF):
+                check_non_negative(f"state_bytes of {chare}", nbytes)
         self._comm: Dict[ChareKey, Tuple[Tuple[ChareKey, float], ...]] = {
             chare: tuple(sorted(partners.items()))
             for chare, partners in (comm or {}).items()
         }
+        for chare, partners in self._comm.items():
+            for other, nbytes in partners:
+                if nbytes < 0:
+                    raise ValueError(
+                        f"negative comm volume {nbytes} to {other} on {chare}"
+                    )
+                check_finite(f"comm volume to {other} on {chare}", nbytes)
         self._task_cpu: Dict[ChareKey, float] = {}
         self._window_start: Dict[int, CoreStatSnapshot] = procstat.snapshot_all()
-        self._window_started_at = min(
-            (s.time for s in self._window_start.values()), default=0.0
-        )
+        # snapshots the last build_view took (see reset_window)
+        self._view_snaps: Optional[Dict[int, CoreStatSnapshot]] = None
 
     # ------------------------------------------------------------------
     # accumulation
@@ -248,40 +289,61 @@ class LBDatabase:
     def build_view(self, mapping: Mapping[ChareKey, int]) -> LBView:
         """Snapshot the current window as an :class:`LBView`.
 
+        Each core's task records are in chare order.
+
         Parameters
         ----------
         mapping:
             Current chare -> core assignment from the runtime.
         """
-        snaps = self._procstat.snapshot_all()
-        per_core_tasks: Dict[int, List[TaskRecord]] = {
-            cid: [] for cid in self._procstat.core_ids()
-        }
-        for chare, core_id in mapping.items():
-            if core_id not in per_core_tasks:
+        procstat = self._procstat
+        snaps = self._view_snaps = procstat.snapshot_all()
+        core_ids = procstat.core_ids()
+        per_core: Dict[int, List[TaskRecord]] = {cid: [] for cid in core_ids}
+        task_cpu = self._task_cpu
+        state_bytes = self._state_bytes
+        comm = self._comm
+        # one sort of the keys puts every core's records in chare order
+        for chare in sorted(mapping):
+            core_id = mapping[chare]
+            tasks = per_core.get(core_id)
+            if tasks is None:
                 raise ValueError(
                     f"chare {chare} mapped to core {core_id} outside the job"
                 )
-            per_core_tasks[core_id].append(
-                TaskRecord(
-                    chare=chare,
-                    cpu_time=self._task_cpu.get(chare, 0.0),
-                    state_bytes=self._state_bytes.get(chare, 0.0),
-                    comm=self._comm.get(chare, ()),
+            cpu = task_cpu.get(chare, 0.0)
+            if not (type(cpu) is float and 0.0 <= cpu < _INF):
+                check_non_negative("cpu_time", cpu)
+            tasks.append(
+                _new(
+                    TaskRecord,
+                    (chare, cpu, state_bytes.get(chare, 0.0), comm.get(chare, ())),
                 )
             )
         cores = []
         window = 0.0
-        for cid in self._procstat.core_ids():
-            delta = snaps[cid].delta(self._window_start[cid])
+        window_start = self._window_start
+        for cid in core_ids:
+            delta = snaps[cid].delta(window_start[cid])
             window = max(window, delta.time)
-            tasks = tuple(sorted(per_core_tasks[cid], key=lambda t: t.chare))
-            task_sum = sum(t.cpu_time for t in tasks)
+            tasks = tuple(per_core[cid])
+            task_sum = left_sum([t.cpu_time for t in tasks])
             bg = ProcStat.background_load(delta, task_sum)
-            cores.append(CoreLoad(core_id=cid, tasks=tasks, bg_load=bg))
+            if not 0.0 <= bg < _INF:
+                check_non_negative("bg_load", bg)
+            cores.append(_new(CoreLoad, (cid, tasks, bg)))
         return LBView(cores=tuple(cores), window=window)
 
     def reset_window(self) -> None:
-        """Zero the per-chare accumulators and re-baseline ``/proc/stat``."""
+        """Zero the per-chare accumulators and re-baseline ``/proc/stat``.
+
+        Right after :meth:`build_view`, at the same simulated time, the
+        view's snapshots are still the current counters (they move only
+        as the clock does), so they become the new baseline; once the
+        clock has moved, fresh snapshots are taken.
+        """
         self._task_cpu.clear()
-        self._window_start = self._procstat.snapshot_all()
+        snaps = self._view_snaps
+        if snaps is None or not self._procstat.is_current(snaps):
+            snaps = self._procstat.snapshot_all()
+        self._window_start = snaps

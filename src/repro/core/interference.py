@@ -47,7 +47,7 @@ from repro.telemetry.audit import (
     REASON_ZERO_CPU_TASK,
     REJECTED,
 )
-from repro.util import check_non_negative
+from repro.util import check_non_negative, left_sum
 
 __all__ = ["RefineVMInterferenceLB"]
 
@@ -96,7 +96,7 @@ class RefineVMInterferenceLB(LoadBalancer):
         """Eq. (1), degraded to the plain task average when unaware."""
         if not view.cores:
             return 0.0
-        return sum(
+        return left_sum(
             self._core_load(c.task_time, c.bg_load) for c in view.cores
         ) / len(view.cores)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.database import LBView, Migration
+from repro.util import left_sum
 
 __all__ = [
     "max_load",
@@ -51,4 +52,4 @@ def within_epsilon(view: LBView, epsilon: float, *, absolute: bool = False) -> b
 def migration_volume_bytes(view: LBView, migrations: Sequence[Migration]) -> float:
     """Total serialised bytes a migration set would transfer."""
     size = {t.chare: t.state_bytes for c in view.cores for t in c.tasks}
-    return sum(size[m.chare] for m in migrations)
+    return left_sum(size[m.chare] for m in migrations)

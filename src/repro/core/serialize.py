@@ -85,8 +85,8 @@ def view_to_dict(view: LBView) -> Dict[str, Any]:
 def view_from_dict(data: Dict[str, Any]) -> LBView:
     """Rebuild an :class:`LBView` from :func:`view_to_dict` output.
 
-    Validates the format version and re-runs all dataclass invariants,
-    so corrupted captures fail loudly.
+    Validates the format version and re-runs every record's construction
+    checks, so corrupted captures fail loudly.
     """
     if data.get("format") != _FORMAT_VERSION:
         raise ValueError(

@@ -54,7 +54,7 @@ from repro.experiments.fabric.transport import JOB_SCHEMA, FileTransport
 from repro.experiments.fabric.worker import worker_main
 from repro.experiments.progress import EventLog, SweepMetrics
 from repro.experiments.runner import BACKENDS
-from repro.util import get_logger
+from repro.util import get_logger, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs.registry import RunRegistry
@@ -172,7 +172,7 @@ def _fabric_stats(
     shard_walls: Dict[str, float] = {}
     for s in shards[:_FABRIC_DETAIL_CAP]:
         shard_walls[s.shard_id] = round(
-            sum(
+            left_sum(
                 outcomes[i].wall_s
                 for i in s.point_indices
                 if i in outcomes and not outcomes[i].cached
@@ -585,7 +585,7 @@ def run_fabric_sweep(
 
     elapsed = time.perf_counter() - t_start
     executed = [r for r in outcomes.values() if not r.cached]
-    executed_wall = sum(r.wall_s for r in executed)
+    executed_wall = left_sum(r.wall_s for r in executed)
     pool = max(1, workers)
     metrics = SweepMetrics(
         points=len(points),

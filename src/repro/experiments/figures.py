@@ -45,6 +45,7 @@ from repro.experiments.sweep_presets import (
 from repro.experiments.tables import format_table
 from repro.projections import extract_timelines, render_timelines
 from repro.sim.engine import SimulationEngine
+from repro.util import left_sum
 
 __all__ = [
     "Fig1Result",
@@ -297,7 +298,7 @@ def fig3(
     times = rt.stats.iteration_times
     mean_iter, obj1, obj3, renders = [], [], [], []
     for lo, hi in windows:
-        mean_iter.append(sum(times[lo : hi + 1]) / (hi - lo + 1))
+        mean_iter.append(left_sum(times[lo : hi + 1]) / (hi - lo + 1))
         obj1.append(sum(objects_on[1][lo : hi + 1]) / (hi - lo + 1))
         obj3.append(sum(objects_on[3][lo : hi + 1]) / (hi - lo + 1))
         tls = extract_timelines(rt.trace, [0, 1, 2, 3], iterations=(hi - 1, hi))

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 from repro.experiments.figures import Fig2Row, Fig4Row, fig2, fig4
 from repro.experiments.tables import format_table
+from repro.util import left_sum
 
 __all__ = ["RunStatistics", "RepeatedCase", "summarize", "repeat_case"]
 
@@ -41,9 +42,9 @@ def summarize(values: Sequence[float]) -> RunStatistics:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("summarize needs at least one value")
-    mean = sum(vals) / len(vals)
+    mean = left_sum(vals) / len(vals)
     if len(vals) > 1:
-        var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+        var = left_sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
         std = math.sqrt(var)
     else:
         std = 0.0

@@ -92,7 +92,7 @@ from repro.experiments.tables import format_table
 from repro.projections.export import write_chrome_trace
 from repro.runtime.tracing import TraceLog
 from repro.telemetry import AuditTrail, audit_summary, write_audit_jsonl
-from repro.util import check_positive, derive_seed, get_logger
+from repro.util import check_positive, derive_seed, get_logger, left_sum
 
 __all__ = [
     "PAPER_CORE_COUNTS",
@@ -166,7 +166,7 @@ def _bg_model(scale: float) -> Wave2D:
 def _estimate_iteration_time(model: AppModel, num_cores: int) -> float:
     """Rough per-iteration wall time: total chare work / cores."""
     array = model.build_array(num_cores)
-    total = sum(c.work(0) for c in array)
+    total = left_sum(c.work(0) for c in array)
     return total / num_cores
 
 #: Default value of every scenario parameter (the normalised form always
@@ -1054,7 +1054,7 @@ def run_sweep(
 
     elapsed = time.perf_counter() - t_start
     executed = [r for r in outcomes.values() if not r.cached]
-    executed_wall = sum(r.wall_s for r in executed)
+    executed_wall = left_sum(r.wall_s for r in executed)
     metrics = SweepMetrics(
         points=len(points),
         executed=len(executed),
@@ -1094,7 +1094,7 @@ def _ledger_aggregate(results: Sequence[PointResult]) -> Dict[str, Any]:
     }
     if summaries:
         agg["mean_fractions"] = {
-            b: sum(s["fractions"][b] for s in summaries) / len(summaries)
+            b: left_sum(s["fractions"][b] for s in summaries) / len(summaries)
             for b in summaries[0]["fractions"]
         }
     return agg
@@ -1113,6 +1113,6 @@ def _lineage_aggregate(results: Sequence[PointResult]) -> Dict[str, Any]:
         r["efficiency"] for r in runs if r["efficiency"] is not None
     ]
     if efficiencies:
-        agg["mean_efficiency"] = sum(efficiencies) / len(efficiencies)
+        agg["mean_efficiency"] = left_sum(efficiencies) / len(efficiencies)
         agg["min_efficiency"] = min(efficiencies)
     return agg

@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.fabric.transport import FileTransport
 from repro.experiments.progress import parse_progress_line
-from repro.util import get_logger
+from repro.util import get_logger, left_sum
 
 __all__ = [
     "ShardAttempt",
@@ -501,7 +501,7 @@ def _health(
         events = streams[worker]
         first = float(events[0].get("g", 0.0))
         last = float(events[-1].get("g", 0.0))
-        busy = sum(a.duration for a in attempts if a.worker == worker)
+        busy = left_sum(a.duration for a in attempts if a.worker == worker)
         span = max(0.0, last - first)
         utilization[worker] = {
             "busy_s": round(busy, 6),
@@ -532,7 +532,7 @@ def _health(
         if median_wall > 0 and w > 2.0 * median_wall
     ]
 
-    path_busy = sum(a.duration for a in critical_path)
+    path_busy = left_sum(a.duration for a in critical_path)
     return {
         "workers": len(workers),
         "shards": total_shards,
@@ -720,7 +720,7 @@ def export_perfetto(trace: FabricTrace, path: Union[str, Path]) -> int:
     tasks: List[TaskEvent] = []
     for attempt in trace.attempts:
         tid = ordinal[attempt.worker]
-        cpu = sum(
+        cpu = left_sum(
             float(p.get("wall_s", 0.0))
             for p in attempt.points
             if not p.get("cached")

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO, Union
 
 from repro.experiments.progress import parse_progress_line
+from repro.util import left_sum
 
 __all__ = ["WatchRenderer", "replay", "watch_file", "LiveWatch"]
 
@@ -159,7 +160,7 @@ class WatchRenderer:
         """
         rates: Dict[str, float] = {}
         for worker, walls in self.walls_by_worker.items():
-            busy = sum(walls)
+            busy = left_sum(walls)
             if busy > 0:
                 rates[worker] = len(walls) / busy
         return rates
@@ -169,7 +170,7 @@ class WatchRenderer:
         remaining = self.total - self.done
         if remaining <= 0 or not self.walls:
             return None
-        mean_wall = sum(self.walls) / len(self.walls)
+        mean_wall = left_sum(self.walls) / len(self.walls)
         pool = max(1, self.workers)
         return remaining * mean_wall / pool
 

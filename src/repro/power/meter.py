@@ -20,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.power.model import PowerModel
 from repro.util import check_positive
+
+if TYPE_CHECKING:  # NumPy is imported by power_series only
+    import numpy as np
 
 __all__ = [
     "EnergyReading",
@@ -129,6 +130,8 @@ class PowerMeter:
         reported per-second values) would display. Requires the cluster to
         have been built with ``record_intervals=True``.
         """
+        import numpy as np
+
         check_positive("dt", dt)
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")

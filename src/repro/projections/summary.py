@@ -12,6 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.projections.timeline import extract_timelines
 from repro.runtime.tracing import TraceLog
+from repro.util import left_sum
 
 __all__ = ["UtilizationSummary", "summarize_utilization"]
 
@@ -61,7 +62,7 @@ def summarize_utilization(
     per_core = {cid: tl.utilization for cid, tl in timelines.items()}
     if not per_core:
         raise ValueError("no cores to summarise")
-    mean = sum(per_core.values()) / len(per_core)
+    mean = left_sum(per_core.values()) / len(per_core)
     min_core = min(per_core, key=lambda c: (per_core[c], c))
     max_core = max(per_core, key=lambda c: (per_core[c], -c))
     if iterations is not None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.tracing import TraceLog
+from repro.util import left_sum
 
 __all__ = ["Interval", "CoreTimeline", "extract_timelines"]
 
@@ -50,12 +51,12 @@ class CoreTimeline:
     @property
     def busy_time(self) -> float:
         """Wall time spent executing tasks."""
-        return sum(i.duration for i in self.intervals if not i.is_idle)
+        return left_sum(i.duration for i in self.intervals if not i.is_idle)
 
     @property
     def idle_time(self) -> float:
         """Wall time spent idle between/around tasks."""
-        return sum(i.duration for i in self.intervals if i.is_idle)
+        return left_sum(i.duration for i in self.intervals if i.is_idle)
 
     @property
     def utilization(self) -> float:

@@ -8,8 +8,8 @@ top of the discrete-event substrate:
 * :mod:`repro.runtime.chare` — :class:`Chare` / :class:`ChareArray`:
   migratable objects with a per-iteration CPU-work model, serialised-state
   size, and migration hooks.
-* :mod:`repro.runtime.messages` — the message records that drive
-  execution (compute messages, migration pack/unpack).
+* :mod:`repro.runtime.messages` — the compute message that drives
+  execution: one per entry-method run.
 * :mod:`repro.runtime.scheduler` — per-core message queue executing one
   entry method at a time, exactly like a Charm++ PE's scheduler loop.
 * :mod:`repro.runtime.runtime` — :class:`Runtime`: one parallel job.
@@ -27,7 +27,7 @@ top of the discrete-event substrate:
 
 from repro.runtime.chare import Chare, ChareArray
 from repro.runtime.commgraph import CommGraph
-from repro.runtime.messages import ComputeMsg, MigrateMsg
+from repro.runtime.messages import ComputeMsg
 from repro.runtime.reductions import Reduction, REDUCERS
 from repro.runtime.runtime import Runtime, RunStats
 from repro.runtime.tracing import (
@@ -43,7 +43,6 @@ __all__ = [
     "ChareArray",
     "CommGraph",
     "ComputeMsg",
-    "MigrateMsg",
     "Reduction",
     "REDUCERS",
     "Runtime",

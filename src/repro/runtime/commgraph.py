@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.util import check_non_negative
+from repro.util import check_non_negative, left_sum
 
 __all__ = ["CommGraph"]
 
@@ -77,7 +77,7 @@ class CommGraph:
 
     def total_bytes(self) -> float:
         """Total per-iteration communication volume."""
-        return sum(self._edges.values())
+        return left_sum(self._edges.values())
 
     def chares(self) -> Iterable[ChareKey]:
         """All chares appearing in at least one edge."""

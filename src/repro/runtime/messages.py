@@ -10,21 +10,14 @@ message execution).
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-__all__ = ["ComputeMsg", "MigrateMsg"]
+__all__ = ["ComputeMsg"]
 
 ChareKey = Tuple[str, int]
 
-# messages are allocated per entry-method execution — worth __slots__
-# (dataclass support landed in 3.10; plain dicts on 3.9)
-_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-
-@dataclass(frozen=True, **_SLOTS)
-class ComputeMsg:
+class ComputeMsg(NamedTuple):
     """Run one iteration's entry method on a chare.
 
     Attributes
@@ -37,23 +30,3 @@ class ComputeMsg:
 
     chare: ChareKey
     iteration: int
-
-
-@dataclass(frozen=True, **_SLOTS)
-class MigrateMsg:
-    """Record of a chare state transfer (for traces; cost handled by runtime).
-
-    Attributes
-    ----------
-    chare:
-        Object being moved.
-    src, dst:
-        Source and destination cores.
-    state_bytes:
-        Serialised payload size.
-    """
-
-    chare: ChareKey
-    src: int
-    dst: int
-    state_bytes: float

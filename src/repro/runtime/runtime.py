@@ -51,7 +51,7 @@ from repro.runtime.tracing import (
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import SimProcess
 from repro.telemetry import AuditTrail
-from repro.util import check_non_negative, check_positive, get_logger
+from repro.util import check_non_negative, check_positive, get_logger, left_sum
 
 __all__ = ["Runtime", "RunStats", "compute_comm_delay", "apply_migrations"]
 
@@ -501,7 +501,7 @@ class Runtime:
         adaptive trigger needs between LB windows.
         """
         walls = [self._iter_core_wall.get(cid, 0.0) for cid in self.core_ids]
-        mean = sum(walls) / len(walls)
+        mean = left_sum(walls) / len(walls)
         if mean <= 0.0:
             return 1.0
         return max(walls) / mean
@@ -588,7 +588,7 @@ class Runtime:
         for cid in self.core_ids:
             core = self.cluster.core(cid)
             core.sync()
-            bg[cid] = sum(
+            bg[cid] = left_sum(
                 cpu
                 for owner, cpu in core.cpu_by_owner.items()
                 if owner != self.name

@@ -8,15 +8,16 @@ and ASCII renderings.
 
 Tracing is optional (``Runtime(..., tracing=True)``, or
 ``Scenario(tracing=True)`` on either backend); a disabled log accepts
-events and drops them, so call sites stay unconditional.
+events and drops them, so call sites stay unconditional. A traced run
+records one event per entry-method execution, so the events are named
+tuples: immutable, picklable (pool and fabric workers ship traces) and
+cheap to build.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "TaskEvent",
@@ -28,13 +29,8 @@ __all__ = [
 
 ChareKey = Tuple[str, int]
 
-# one event per entry-method execution when tracing — worth __slots__
-# (dataclass support landed in 3.10; plain dicts on 3.9)
-_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-
-@dataclass(frozen=True, **_SLOTS)
-class TaskEvent:
+class TaskEvent(NamedTuple):
     """One entry-method execution interval on a core.
 
     ``end - start`` is the task's *wall* time (stretched by interference);
@@ -49,8 +45,7 @@ class TaskEvent:
     cpu_time: float
 
 
-@dataclass(frozen=True, **_SLOTS)
-class IterationEvent:
+class IterationEvent(NamedTuple):
     """Completion of one application iteration."""
 
     iteration: int
@@ -58,8 +53,7 @@ class IterationEvent:
     end: float
 
 
-@dataclass(frozen=True, **_SLOTS)
-class LBStepEvent:
+class LBStepEvent(NamedTuple):
     """One load-balancing step."""
 
     time: float
@@ -70,8 +64,7 @@ class LBStepEvent:
     max_load: float
 
 
-@dataclass(frozen=True, **_SLOTS)
-class MigrationEvent:
+class MigrationEvent(NamedTuple):
     """One object migration."""
 
     time: float

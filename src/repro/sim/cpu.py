@@ -117,8 +117,15 @@ class SharedCore:
 
     @property
     def total_weight(self) -> float:
-        """Sum of runnable process weights (0.0 when idle)."""
-        return sum(p.weight for p in self._runnable.values())
+        """Sum of runnable process weights (0.0 when idle).
+
+        The left fold :func:`~repro.util.left_sum` computes, written out:
+        this runs at every accrual and re-rating.
+        """
+        total = 0
+        for p in self._runnable.values():
+            total = total + p.weight
+        return total
 
     def rate_of(self, process: SimProcess) -> float:
         """Current execution rate of ``process`` (CPU-s per wall-s)."""

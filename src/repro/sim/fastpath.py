@@ -97,7 +97,7 @@ from repro.runtime.tracing import (
 from repro.sim.cpu import _COMPLETION_EPS
 from repro.sim.procstat import ProcStat
 from repro.telemetry import AuditTrail
-from repro.util import check_positive
+from repro.util import check_positive, left_sum
 
 __all__ = ["run_scenario_fast"]
 
@@ -1147,7 +1147,7 @@ class _FastJob:
         # _iter_core_wall is pre-seeded each iteration with every core id
         # in core_ids order, so values() folds in that exact order
         walls = self._iter_core_wall.values()
-        mean = sum(walls) / len(walls)
+        mean = left_sum(walls) / len(walls)
         if mean <= 0.0:
             return 1.0
         return max(walls) / mean
@@ -1225,7 +1225,7 @@ class _FastJob:
         for cid in self.core_ids:
             core = self.cores[cid]
             core.sync()
-            bg[cid] = sum(
+            bg[cid] = left_sum(
                 cpu
                 for owner, cpu in core.cpu_by_owner.items()
                 if owner != self.name

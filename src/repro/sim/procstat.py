@@ -12,22 +12,23 @@ exposes: cumulative per-core busy and idle jiffies (here: seconds), plus —
 for the runtime's own bookkeeping — the CPU time attributed to a given
 accounting tag (the analogue of reading one's own ``/proc/self/stat``).
 
-Snapshots are cheap, immutable records; windowed deltas between two
-snapshots give the per-LB-period quantities of Eq. (2).
+Snapshots are cheap, immutable records (named tuples, taken per core
+at every LB step); windowed deltas between two snapshots give the
+per-LB-period quantities of Eq. (2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, NamedTuple, Sequence
 
 from repro.sim.cpu import SharedCore
 
 __all__ = ["CoreStatSnapshot", "ProcStat"]
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class CoreStatSnapshot:
+
+class CoreStatSnapshot(NamedTuple):
     """Cumulative counters for one core at one instant.
 
     Attributes
@@ -55,11 +56,14 @@ class CoreStatSnapshot:
         """Windowed counters between ``earlier`` and this snapshot."""
         if earlier.time > self.time:
             raise ValueError("earlier snapshot is newer than this one")
-        return CoreStatSnapshot(
-            time=self.time - earlier.time,
-            busy=self.busy - earlier.busy,
-            idle=self.idle - earlier.idle,
-            self_cpu=self.self_cpu - earlier.self_cpu,
+        return _new(
+            CoreStatSnapshot,
+            (
+                self.time - earlier.time,
+                self.busy - earlier.busy,
+                self.idle - earlier.idle,
+                self.self_cpu - earlier.self_cpu,
+            ),
         )
 
 
@@ -79,6 +83,7 @@ class ProcStat:
 
     def __init__(self, cores: Mapping[int, SharedCore], owner: str) -> None:
         self._cores: Dict[int, SharedCore] = dict(cores)
+        self._core_ids = tuple(sorted(self._cores))
         self._owner = owner
 
     @property
@@ -88,22 +93,26 @@ class ProcStat:
 
     def core_ids(self) -> Sequence[int]:
         """Observed core ids, sorted."""
-        return sorted(self._cores)
+        return self._core_ids
 
     def snapshot(self, core_id: int) -> CoreStatSnapshot:
         """Current cumulative counters for ``core_id``."""
-        core = self._cores[core_id]
-        core.sync()
-        return CoreStatSnapshot(
-            time=core.engine.now,
-            busy=core.busy_time,
-            idle=core.idle_time,
-            self_cpu=core.owner_cpu(self._owner),
-        )
+        return _snapshot(self._cores[core_id], self._owner)
 
     def snapshot_all(self) -> Dict[int, CoreStatSnapshot]:
         """Snapshots for every observed core."""
-        return {cid: self.snapshot(cid) for cid in self._cores}
+        owner = self._owner
+        return {cid: _snapshot(core, owner) for cid, core in self._cores.items()}
+
+    def is_current(self, snaps: Mapping[int, CoreStatSnapshot]) -> bool:
+        """Whether every snapshot in ``snaps`` is of its core's current time.
+
+        Counters move only as the simulated clock does, so such snapshots
+        still equal what :meth:`snapshot_all` would return now.
+        """
+        return all(
+            snaps[cid].time == core.engine.now for cid, core in self._cores.items()
+        )
 
     @staticmethod
     def background_load(
@@ -128,3 +137,11 @@ class ProcStat:
         """
         o_p = window.time - task_cpu_sum - window.idle
         return max(o_p, 0.0)
+
+
+def _snapshot(core: SharedCore, owner: str) -> CoreStatSnapshot:
+    core.sync()
+    return _new(
+        CoreStatSnapshot,
+        (core.engine.now, core.busy_time, core.idle_time, core.owner_cpu(owner)),
+    )

@@ -34,7 +34,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.util import get_logger
+from repro.util import get_logger, left_sum
 from repro.util.atomic import atomic_write, atomic_write_json
 
 __all__ = [
@@ -327,8 +327,8 @@ def audit_summary(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         all_abs.extend(abs_errs)
         per_core[str(cid)] = {
             "steps": len(errs),
-            "mean_err": sum(errs) / len(errs),
-            "mean_abs_err": sum(abs_errs) / len(abs_errs),
+            "mean_err": left_sum(errs) / len(errs),
+            "mean_abs_err": left_sum(abs_errs) / len(abs_errs),
             "max_abs_err": max(abs_errs),
         }
     return {
@@ -339,7 +339,7 @@ def audit_summary(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         "overhead_s": overhead,
         "reasons": dict(sorted(reasons.items())),
         "estimation_error": {
-            "mean_abs": (sum(all_abs) / len(all_abs)) if all_abs else 0.0,
+            "mean_abs": (left_sum(all_abs) / len(all_abs)) if all_abs else 0.0,
             "max_abs": max(all_abs) if all_abs else 0.0,
             "per_core": per_core,
         },

@@ -1,4 +1,5 @@
-"""Small shared utilities: argument validation, RNG handling, logging.
+"""Small shared utilities: argument validation, RNG handling, float
+totals, logging.
 
 These helpers keep the rest of the library free of repetitive defensive
 boilerplate while still failing fast (and with actionable messages) on
@@ -13,6 +14,7 @@ from repro.util.validation import (
     check_positive,
     check_type,
 )
+from repro.util.fold import left_sum
 from repro.util.rng import derive_seed, resolve_rng
 from repro.util.log import get_logger
 from repro.util.provenance import git_sha, utc_timestamp
@@ -26,6 +28,7 @@ __all__ = [
     "check_positive",
     "check_type",
     "derive_seed",
+    "left_sum",
     "resolve_rng",
     "get_logger",
 ]

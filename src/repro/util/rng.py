@@ -15,11 +15,12 @@ or of which process runs it.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:  # NumPy is imported where a generator is made
+    import numpy as np
 
-RngLike = Union[None, int, np.random.Generator]
+RngLike = Union[None, int, "np.random.Generator"]
 
 
 def derive_seed(root: int, *keys: Union[str, int]) -> int:
@@ -38,13 +39,17 @@ def derive_seed(root: int, *keys: Union[str, int]) -> int:
     return int.from_bytes(h.digest()[:8], "big") >> 1
 
 
-def resolve_rng(seed: RngLike = None) -> np.random.Generator:
+def resolve_rng(seed: RngLike = None) -> "np.random.Generator":
     """Return a :class:`numpy.random.Generator` for ``seed``.
 
     Accepts ``None`` (fresh default seed 0 — deterministic by policy),
     an integer seed, or an existing ``Generator`` (returned unchanged, so
-    callers can thread one generator through a pipeline).
+    callers can thread one generator through a pipeline). NumPy is
+    imported here, not with the module, so a run that never draws a
+    random number never loads it.
     """
+    import numpy as np
+
     if seed is None:
         return np.random.default_rng(0)
     if isinstance(seed, np.random.Generator):

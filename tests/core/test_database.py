@@ -1,5 +1,7 @@
 """Unit tests for the LB database and view structures."""
 
+import math
+
 import pytest
 
 from repro.core import CoreLoad, LBDatabase, LBView, Migration, TaskRecord
@@ -144,3 +146,88 @@ class TestLBDatabase:
         eng, cores, db = self._setup()
         with pytest.raises(ValueError):
             db.record_task(("a", 0), -0.1)
+
+    def test_construction_checks_sizes_and_comm_volumes(self):
+        eng = SimulationEngine()
+        stat = ProcStat({0: SharedCore(eng, 0)}, owner="app")
+        with pytest.raises(ValueError, match=r"must be >= 0, got -1\.0"):
+            LBDatabase(stat, state_bytes={("a", 0): -1.0})
+        with pytest.raises(ValueError, match=r"must be finite, got inf"):
+            LBDatabase(stat, state_bytes={("a", 0): math.inf})
+        with pytest.raises(
+            ValueError,
+            match=r"^negative comm volume -5\.0 to \('a', 1\) on \('a', 0\)$",
+        ):
+            LBDatabase(stat, comm={("a", 0): {("a", 1): -5.0}})
+        with pytest.raises(ValueError, match=r"must be finite, got inf"):
+            LBDatabase(stat, comm={("a", 0): {("a", 1): math.inf}})
+
+    def test_view_records_are_chare_ordered_per_core(self):
+        eng, cores, db = self._setup()
+        mapping = {("b", 0): 1, ("a", 2): 0, ("a", 0): 1, ("a", 1): 0}
+        view = db.build_view(mapping)
+        assert [t.chare for t in view.core(0).tasks] == [("a", 1), ("a", 2)]
+        assert [t.chare for t in view.core(1).tasks] == [("a", 0), ("b", 0)]
+        assert view.core(1).tasks[0] == TaskRecord(("a", 0), 0.0, 100.0, ())
+
+
+class TestSharedWindowSnapshots:
+    """``reset_window`` re-baselines from the snapshots ``build_view`` took
+    when they are of the current simulated time."""
+
+    MAPPING = {("a", 0): 0, ("a", 1): 1}
+
+    def _contended(self):
+        """Core 0 shared by an app process and an intruder until t=8."""
+        eng = SimulationEngine()
+        cores = {0: SharedCore(eng, 0), 1: SharedCore(eng, 1)}
+        stat = ProcStat(cores, owner="app")
+        cores[0].dispatch(SimProcess("t", 4.0, owner="app"))
+        cores[0].dispatch(SimProcess("x", 4.0, owner="other"))
+        return eng, stat
+
+    @staticmethod
+    def _count_snapshots(stat):
+        taken = []
+        real = stat.snapshot_all
+
+        def counting():
+            taken.append(None)
+            return real()
+
+        stat.snapshot_all = counting
+        return taken
+
+    @classmethod
+    def _window(cls, db, cpu):
+        db.record_task(("a", 0), cpu)
+        return db.build_view(cls.MAPPING)
+
+    def test_reset_right_after_a_view_reads_the_counters_once(self):
+        eng, stat = self._contended()
+        db = LBDatabase(stat)
+        eng.run(until=2.0)
+        taken = self._count_snapshots(stat)
+        self._window(db, 1.0)
+        db.reset_window()
+        assert len(taken) == 1
+        # the next window starts from what fresh snapshots give now
+        fresh = LBDatabase(stat)
+        eng.run(until=4.0)
+        assert self._window(db, 1.0) == self._window(fresh, 1.0)
+
+    def test_reset_after_the_clock_moved_takes_new_snapshots(self):
+        eng, stat = self._contended()
+        db = LBDatabase(stat)
+        eng.run(until=2.0)
+        self._window(db, 1.0)
+        eng.run(until=3.0)
+        taken = self._count_snapshots(stat)
+        db.reset_window()
+        assert len(taken) == 1
+        never_shared = LBDatabase(stat)
+        eng.run(until=4.0)
+        view, ref = self._window(db, 0.5), self._window(never_shared, 0.5)
+        assert view.window == ref.window == 1.0
+        assert view.core(0).bg_load == ref.core(0).bg_load == pytest.approx(0.5)
+        assert view == ref

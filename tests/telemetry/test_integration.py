@@ -22,7 +22,11 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.telemetry import AuditTrail, audit_summary
-from repro.telemetry.inspect import inspect_audit, load_audit_dir
+from repro.telemetry.inspect import (
+    format_inspect_text,
+    inspect_audit,
+    load_audit_dir,
+)
 
 TINY = {"app": "jacobi2d", "scale": 0.05, "iterations": 6, "lb_period": 2}
 
@@ -224,6 +228,23 @@ class TestInspect:
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_audit_dir(tmp_path / "nope")
+
+    def test_migration_chares_are_keys_not_records(self, tmp_path):
+        """Audit records hold ``[array, index]`` chare keys, never a
+        ``Migration`` (a tuple too), which the renderer's
+        ``isinstance(chare, (list, tuple))`` test would take for one."""
+        params = normalize_params({**SPEC.base, "seed": 0})
+        _, records, _ = run_point_audited(params)
+        chares = [m["chare"] for r in records for m in r["migrations"]]
+        assert chares
+        for chare in chares:
+            assert type(chare) is list and len(chare) == 2
+            assert isinstance(chare[0], str) and type(chare[1]) is int
+        run_sweep(SPEC, audit_dir=tmp_path)
+        report = inspect_audit(tmp_path)
+        text = format_inspect_text(report)
+        for m in report["combined"]["top_migrations"]:
+            assert f"{m['chare'][0]}[{m['chare'][1]}]" in text
 
     def test_top_limits_migration_list(self, tmp_path):
         run_sweep(SPEC, audit_dir=tmp_path)

@@ -90,3 +90,32 @@ def test_subpackages_importable():
     import repro.runtime
     import repro.sim
     import repro.util
+
+
+def test_a_stencil_sweep_point_never_imports_numpy():
+    """NumPy is imported where arrays are made (Mol3D's density field,
+    the validation kernels, power series, RNG), not by ``import repro``:
+    an ABL-EPS point runs without it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "from repro.experiments.sweep import run_point\n"
+        "from repro.experiments.sweep_presets import ablation_epsilon_spec\n"
+        "(point, *_) = ablation_epsilon_spec().expand()\n"
+        "assert run_point(point.params).iterations == 100\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,9 @@
-"""Unit tests for the util helpers (validation, RNG, logging)."""
+"""Unit tests for the util helpers (validation, RNG, float totals,
+logging)."""
 
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.util import (
     check_positive,
     check_type,
     get_logger,
+    left_sum,
     resolve_rng,
 )
 
@@ -83,6 +86,20 @@ class TestRng:
     def test_bad_seed_type(self):
         with pytest.raises(TypeError):
             resolve_rng("seed")
+
+
+class TestLeftSum:
+    def test_is_the_uncompensated_left_fold(self):
+        # Python 3.12's compensated sum() gives 1.0 for both
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+
+    def test_start_and_exact_totals(self):
+        assert left_sum([]) == 0 and type(left_sum([])) is int
+        assert left_sum([1, 2, 3], 10) == 16
+        assert left_sum([Fraction(1, 3)] * 3, Fraction(0)) == 1
+        assert left_sum([0.5], 1.0) == 1.5
 
 
 class TestLogger:
