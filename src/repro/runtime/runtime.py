@@ -57,6 +57,7 @@ __all__ = ["Runtime", "RunStats", "compute_comm_delay", "apply_migrations"]
 
 ChareKey = Tuple[str, int]
 _log = get_logger(__name__)
+_new = tuple.__new__
 
 
 def compute_comm_delay(
@@ -262,6 +263,9 @@ class Runtime:
         self.arrays: Dict[str, ChareArray] = {}
         self.chares: Dict[ChareKey, Chare] = {}
         self.mapping: Dict[ChareKey, int] = {}
+        # each core's chare keys, sorted; None before the first iteration
+        # and after every LB step that migrated
+        self._percore_keys: Optional[Dict[int, List[ChareKey]]] = None
 
         self.schedulers: Dict[int, CoreScheduler] = {
             cid: CoreScheduler(
@@ -408,18 +412,23 @@ class Runtime:
         self._iter_core_wall = {cid: 0.0 for cid in self.core_ids}
         self._arrived = 0
         self._expected_arrivals = len(self.core_ids)
-        per_core: Dict[int, List[ChareKey]] = {cid: [] for cid in self.core_ids}
-        for key, cid in self.mapping.items():
-            per_core[cid].append(key)
+        percore_keys = self._percore_keys
+        if percore_keys is None:
+            per_core: Dict[int, List[ChareKey]] = {cid: [] for cid in self.core_ids}
+            for key, cid in self.mapping.items():
+                per_core[cid].append(key)
+            percore_keys = self._percore_keys = {
+                cid: sorted(keys) for cid, keys in per_core.items()
+            }
         empty_cores = 0
         for cid in self.core_ids:
-            keys = sorted(per_core[cid])
+            keys = percore_keys[cid]
             if not keys:
                 empty_cores += 1
                 continue
             sched = self.schedulers[cid]
             for key in keys:
-                sched.enqueue(ComputeMsg(chare=key, iteration=iteration))
+                sched.enqueue(_new(ComputeMsg, (key, iteration)))
         # cores with no objects arrive at the barrier instantly
         for _ in range(empty_cores):
             self._core_drained()
@@ -436,28 +445,30 @@ class Runtime:
         return demand
 
     def _task_done(self, msg: ComputeMsg, proc: SimProcess) -> None:
-        self.total_task_cpu_s += proc.cpu_time
+        chare, iteration = msg
+        cpu_time = proc.cpu_time
+        now = self.engine.now
+        self.total_task_cpu_s += cpu_time
         assert self.db is not None
-        self.db.record_task(msg.chare, proc.cpu_time)
-        started = proc.started_at if proc.started_at is not None else self.engine.now
-        core_id = self.mapping[msg.chare]
+        self.db.record_task(chare, cpu_time)
+        started = proc.started_at if proc.started_at is not None else now
+        core_id = self.mapping[chare]
         if self.lineage is not None:
-            self.lineage.record_sample(
-                msg.chare, msg.iteration, core_id, proc.cpu_time
-            )
+            self.lineage.record_sample(chare, iteration, core_id, cpu_time)
         self._iter_core_wall[core_id] = (
-            self._iter_core_wall.get(core_id, 0.0) + (self.engine.now - started)
+            self._iter_core_wall.get(core_id, 0.0) + (now - started)
         )
-        self.trace.add_task(
-            TaskEvent(
-                core_id=self.mapping[msg.chare],
-                chare=msg.chare,
-                iteration=msg.iteration,
-                start=proc.started_at if proc.started_at is not None else 0.0,
-                end=self.engine.now,
-                cpu_time=proc.cpu_time,
+        if self.trace.enabled:
+            self.trace.add_task(
+                TaskEvent(
+                    core_id=core_id,
+                    chare=chare,
+                    iteration=iteration,
+                    start=proc.started_at if proc.started_at is not None else 0.0,
+                    end=now,
+                    cpu_time=cpu_time,
+                )
             )
-        )
 
     def _core_drained(self) -> None:
         self._arrived += 1
@@ -467,9 +478,10 @@ class Runtime:
     def _end_iteration(self) -> None:
         now = self.engine.now
         iteration = self._iteration
-        self.trace.add_iteration(
-            IterationEvent(iteration=iteration, start=self._iter_started, end=now)
-        )
+        if self.trace.enabled:
+            self.trace.add_iteration(
+                IterationEvent(iteration=iteration, start=self._iter_started, end=now)
+            )
         self.iteration_times.append(now - self._iter_started)
         self.iteration_imbalance.append(self._measure_imbalance())
         for cb in self._on_iteration:
@@ -551,16 +563,17 @@ class Runtime:
                 )
         self.db.reset_window()
         self.lb_step_count += 1
-        self.trace.add_lb_step(
-            LBStepEvent(
-                time=self.engine.now,
-                iteration=next_iteration,
-                num_migrations=len(migrations),
-                migration_cost_s=cost,
-                t_avg=view.t_avg,
-                max_load=max((c.total_load for c in view.cores), default=0.0),
+        if self.trace.enabled:
+            self.trace.add_lb_step(
+                LBStepEvent(
+                    time=self.engine.now,
+                    iteration=next_iteration,
+                    num_migrations=len(migrations),
+                    migration_cost_s=cost,
+                    t_avg=view.t_avg,
+                    max_load=max((c.total_load for c in view.cores), default=0.0),
+                )
             )
-        )
         _log.debug(
             "%s: LB step before iteration %d -> %d migrations, cost %.6fs",
             self.name,
@@ -614,15 +627,18 @@ class Runtime:
             local_comm_factor=self.local_comm_factor,
         )
         self.migration_count += len(migrations)
-        for m in migrations:
-            self.trace.add_migration(
-                MigrationEvent(
-                    time=self.engine.now,
-                    chare=m.chare,
-                    src=m.src,
-                    dst=m.dst,
-                    state_bytes=self.chares[m.chare].state_bytes,
+        if migrations:
+            self._percore_keys = None
+        if self.trace.enabled:
+            for m in migrations:
+                self.trace.add_migration(
+                    MigrationEvent(
+                        time=self.engine.now,
+                        chare=m.chare,
+                        src=m.src,
+                        dst=m.dst,
+                        state_bytes=self.chares[m.chare].state_bytes,
+                    )
                 )
-            )
         self.migration_cost_s += cost
         return cost

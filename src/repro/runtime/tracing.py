@@ -8,10 +8,10 @@ and ASCII renderings.
 
 Tracing is optional (``Runtime(..., tracing=True)``, or
 ``Scenario(tracing=True)`` on either backend); a disabled log accepts
-events and drops them, so call sites stay unconditional. A traced run
-records one event per entry-method execution, so the events are named
-tuples: immutable, picklable (pool and fabric workers ship traces) and
-cheap to build.
+events and drops them. Both engines check first and build no event when
+tracing is off. A traced run records one event per entry-method
+execution, so the events are named tuples: immutable, picklable (pool
+and fabric workers ship traces) and cheap to build.
 """
 
 from __future__ import annotations

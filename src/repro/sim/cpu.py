@@ -119,8 +119,9 @@ class SharedCore:
     def total_weight(self) -> float:
         """Sum of runnable process weights (0.0 when idle).
 
-        The left fold :func:`~repro.util.left_sum` computes, written out:
-        this runs at every accrual and re-rating.
+        The left fold :func:`~repro.util.left_sum` computes, written out;
+        ``_accrue`` and ``_changed``, which run at every scheduling
+        change, inline the same fold.
         """
         total = 0
         for p in self._runnable.values():
@@ -183,24 +184,26 @@ class SharedCore:
     def _accrue(self) -> None:
         """Advance accounting from the last accrual point to ``engine.now``."""
         now = self.engine.now
-        dt = now - self._last_accrual
+        last = self._last_accrual
+        dt = now - last
         if dt < 0:  # pragma: no cover - engine guarantees monotonic time
             raise RuntimeError("time moved backwards")
         if dt > 0.0:
+            runnable = self._runnable
             if self.ledger is not None:
-                self.ledger.accrue(
-                    self.core_id, self._last_accrual, now, self._runnable.values()
-                )
-            if self._runnable:
+                self.ledger.accrue(self.core_id, last, now, runnable.values())
+            if runnable:
                 self.busy_time += dt
-                total_w = self.total_weight
-                for p in self._runnable.values():
+                total_w = 0  # the total_weight fold, inline
+                for p in runnable.values():
+                    total_w = total_w + p.weight
+                speed = self.speed
+                by_owner = self.cpu_by_owner
+                for p in runnable.values():
                     share = dt * (p.weight / total_w)
                     p.cpu_time += share          # occupancy (OS view)
-                    p.remaining -= share * self.speed  # real progress
-                    self.cpu_by_owner[p.owner] = (
-                        self.cpu_by_owner.get(p.owner, 0.0) + share
-                    )
+                    p.remaining -= share * speed  # real progress
+                    by_owner[p.owner] = by_owner.get(p.owner, 0.0) + share
             else:
                 self.idle_time += dt
         self._last_accrual = now
@@ -208,23 +211,30 @@ class SharedCore:
     def _changed(self) -> None:
         """Runnable set or demands changed: bump version, reschedule."""
         self._version += 1
+        engine = self.engine
+        pending = self._pending_events
         # Cancel stale projections eagerly: besides the version stamp (the
         # correctness guard), this keeps the event heap free of dead events
         # so an idle simulation drains immediately.
-        for handle in self._pending_events.values():
-            self.engine.cancel(handle)
-        self._pending_events.clear()
-        self._update_interval_log()
-        if not self._runnable:
+        for handle in pending.values():
+            engine.cancel(handle)
+        pending.clear()
+        if self.record_intervals:
+            self._update_interval_log()
+        runnable = self._runnable
+        if not runnable:
             return
-        total_w = self.total_weight
-        for p in self._runnable.values():
-            rate = (p.weight / total_w) * self.speed
+        total_w = 0  # the total_weight fold, inline
+        for p in runnable.values():
+            total_w = total_w + p.weight
+        speed = self.speed
+        version = self._version
+        schedule_after = engine.schedule_after
+        on_completion = self._on_projected_completion
+        for p in runnable.values():
+            rate = (p.weight / total_w) * speed
             eta = max(p.remaining, 0.0) / rate
-            handle = self.engine.schedule_after(
-                eta, self._on_projected_completion, p, self._version
-            )
-            self._pending_events[p.pid] = handle
+            pending[p.pid] = schedule_after(eta, on_completion, p, version)
 
     def _on_projected_completion(self, process: SimProcess, version: int) -> None:
         if version != self._version:
@@ -246,8 +256,7 @@ class SharedCore:
     # busy-interval log (power time-series & timelines)
     # ------------------------------------------------------------------
     def _update_interval_log(self) -> None:
-        if not self.record_intervals:
-            return
+        """Open or close a busy interval (only called when recording)."""
         now = self.engine.now
         n = len(self._runnable)
         if self._interval_start is not None:

