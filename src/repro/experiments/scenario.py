@@ -56,6 +56,10 @@ class BackgroundSpec:
     def __post_init__(self) -> None:
         if not self.core_ids:
             raise ValueError("background job needs at least one core")
+        if len(set(self.core_ids)) != len(self.core_ids):
+            raise ValueError(f"background core_ids has duplicates: {self.core_ids}")
+        if min(self.core_ids) < 0:
+            raise ValueError(f"background core_ids must be >= 0: {self.core_ids}")
         check_positive("iterations", self.iterations)
         check_positive("weight", self.weight)
         if self.start < 0:

@@ -60,7 +60,6 @@ class CoreScheduler:
         self._on_drain = on_drain
         self._queue: Deque[ComputeMsg] = deque()
         self._current: Optional[ComputeMsg] = None
-        self.tasks_executed = 0
 
     # ------------------------------------------------------------------
     @property
@@ -98,7 +97,6 @@ class CoreScheduler:
         msg = self._current
         assert msg is not None
         self._current = None
-        self.tasks_executed += 1
         self._on_task_done(msg, proc)
         if self._queue:
             self._start_next()

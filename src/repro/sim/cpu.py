@@ -239,6 +239,8 @@ class SharedCore:
     def _on_projected_completion(self, process: SimProcess, version: int) -> None:
         if version != self._version:
             return  # stale projection — the schedule changed since
+        # this handle has fired: keep it out of _changed's cancel sweep
+        del self._pending_events[process.pid]
         self._accrue()
         if process.remaining > _COMPLETION_EPS:
             # Numerically the projection can land a hair early; re-project.

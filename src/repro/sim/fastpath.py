@@ -27,24 +27,14 @@ same primitive operations, so IEEE-754 produces the same bits:
   (``remaining > 1e-9`` at the projected completion) is replayed inside
   that loop in the same exact form.
 * **Contended cores** (application and background sharing a core, the
-  paper's Figure 1 mechanism): advanced by an *analytic contention fold*.
-  Under proportional sharing with a piecewise-constant runnable set the
-  per-iteration advancement has a closed form: while the share split is
-  constant, a chain of tasks with demands ``d_k`` on a core whose job
-  holds share fraction ``f = w / Σw`` completes at
-  ``e_k = e_{k-1} + d_k / (f · speed)`` — the same fold the solo cores
-  use, evaluated one completion at a time with the engine's exact
-  candidate/accrual float expressions. Share-count change points that
-  are *known between LB steps* (a background task completing or
-  re-dispatching at its own barrier) are processed inline at their
-  exact times, so constant-share and piecewise-constant regimes never
-  touch the event heap. The fold stops at its *horizon* — the earliest
-  pending heap event that could affect the core (an irregular background
-  arrival/departure, another core's cross-job cascade) — and hands the
-  remainder to the exact event replay, one candidate completion per
-  scheduling change, with the same accrual arithmetic as
-  :class:`~repro.sim.cpu.SharedCore._accrue`. Correctness never depends
-  on the horizon being tight.
+  paper's Figure 1 mechanism, or a background core the power meter
+  reads when the application finishes): an exact event *replay*. At
+  each change of the core's runnable set it accrues every process's
+  share with the arithmetic of :meth:`~repro.sim.cpu.SharedCore._accrue`
+  and pushes one candidate completion, the earliest of the projections
+  :meth:`~repro.sim.cpu.SharedCore._changed` would schedule. A
+  completion records the task and dispatches the core's next one in
+  place, without a new process object.
 * **Everything else** (communication delays, LB policy/strategy, LB
   database, migration application, audit records, Projections
   trace events, power model) is the *same code* the event engine uses —
@@ -59,16 +49,17 @@ by syncing it (the power meter reads every core of the application's
 nodes when the application finishes). Cores failing that test are
 replayed; correctness never depends on the classification being tight.
 Once every other job of the run has finished, the remaining job runs
-the rest of its iterations inline, without heap events.
+the rest of its iterations in *inline mode*: solo folds, barriers and LB
+steps with the clock advanced directly, without heap events.
 
 With ``scenario.tracing`` the application's
 :class:`~repro.runtime.tracing.TraceLog` receives the engine's records:
-one ``TaskEvent`` per completion (from the completion sites of all three
-regimes), one ``IterationEvent`` per barrier, and per LB step one
-``MigrationEvent`` per migration plus one ``LBStepEvent``. Each core's
-tasks are appended in execution order, but cores are folded one after
-another; the log sorts every iteration into its canonical order, so the
-trace equals the engine's.
+one ``TaskEvent`` per completion (from the completion sites of the solo
+fold and the replay), one ``IterationEvent`` per barrier, and per LB
+step one ``MigrationEvent`` per migration plus one ``LBStepEvent``. Each
+core's tasks are appended in execution order, but cores are folded one
+after another; the log sorts every iteration into its canonical order,
+so the trace equals the engine's.
 """
 
 from __future__ import annotations
@@ -115,24 +106,15 @@ _EV_LB = 4
 class _FastSim:
     """Minimal clock + event heap shared by all fast jobs of one run."""
 
-    __slots__ = ("now", "_heap", "_seq", "min_push")
+    __slots__ = ("now", "_heap", "_seq")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[tuple] = []
         self._seq: int = 0
-        # watermark of the earliest push since the last reset — lets the
-        # contended fold update its horizon incrementally after an inline
-        # drain (the only new events then are the drained job's next
-        # BEGIN/LB and the survivor candidate, all of which qualify)
-        self.min_push: float = 0.0
 
     def push(self, time: float, kind: int, obj, arg) -> None:
         self._seq += 1
-        if kind == _EV_ARRIVE:
-            obj._pending_arrives += 1
-        if time < self.min_push:
-            self.min_push = time
         heapq.heappush(self._heap, (time, self._seq, kind, obj, arg))
 
     def run(self) -> None:
@@ -148,7 +130,6 @@ class _FastSim:
                     obj.on_completion(time)
             elif kind == _EV_ARRIVE:
                 self.now = time
-                obj._pending_arrives -= 1
                 obj._core_drained(time)
             elif kind == _EV_BEGIN:
                 self.now = time
@@ -198,6 +179,11 @@ class _FastCore:
     reads (``engine.now``, ``sync()``, ``busy_time``, ``idle_time``,
     ``owner_cpu``) plus the replay machinery. Accrual arithmetic is a
     verbatim transcription of ``SharedCore._accrue``.
+
+    A fast core holds at most two processes: each job runs one task per
+    core at a time, and a scenario has at most one background job. The
+    two-process branches unpack ``p0, p1 = procs``, so a third process
+    would raise rather than be ignored.
     """
 
     __slots__ = (
@@ -237,8 +223,9 @@ class _FastCore:
             if self.ledger is not None:
                 self.ledger.accrue(self.core_id, self.last, now, self.procs)
             procs = self.procs
-            n = len(procs)
-            if n == 1:
+            if not procs:
+                self.idle_time += dt
+            elif len(procs) == 1:
                 # sole runner: share == dt * (w/w) == dt exactly
                 p = procs[0]
                 self.busy_time += dt
@@ -246,10 +233,9 @@ class _FastCore:
                 p.remaining -= dt * self.speed
                 cbo = self.cpu_by_owner
                 cbo[p.owner] = cbo.get(p.owner, 0.0) + dt
-            elif n == 2:
-                # the dominant co-run shape (app + background job)
-                p0 = procs[0]
-                p1 = procs[1]
+            else:
+                # application + background task
+                p0, p1 = procs
                 total_w = p0.weight + p1.weight
                 speed = self.speed
                 self.busy_time += dt
@@ -262,20 +248,6 @@ class _FastCore:
                 p1.cpu_time += share
                 p1.remaining -= share * speed
                 cbo[p1.owner] = cbo.get(p1.owner, 0.0) + share
-            elif n:
-                self.busy_time += dt
-                total_w = 0.0
-                for p in procs:
-                    total_w += p.weight
-                speed = self.speed
-                cbo = self.cpu_by_owner
-                for p in procs:
-                    share = dt * (p.weight / total_w)
-                    p.cpu_time += share
-                    p.remaining -= share * speed
-                    cbo[p.owner] = cbo.get(p.owner, 0.0) + share
-            else:
-                self.idle_time += dt
             self.last = now
         elif dt < 0.0:  # pragma: no cover - classification bug guard
             raise RuntimeError(
@@ -305,46 +277,24 @@ class _FastCore:
             self._cand_sched = now
             self.engine.push(now + rem / self.speed, _EV_CMPL, self, self.version)
             return
-        if len(procs) == 2:
-            p0 = procs[0]
-            p1 = procs[1]
-            total_w = p0.weight + p1.weight
-            speed = self.speed
-            rem = p0.remaining
-            if rem < 0.0:
-                rem = 0.0
-            t0 = now + rem / ((p0.weight / total_w) * speed)
-            rem = p1.remaining
-            if rem < 0.0:
-                rem = 0.0
-            t1 = now + rem / ((p1.weight / total_w) * speed)
-            if t1 < t0:  # strict: first-inserted wins ties
-                self._cand_proc = 1
-                self._cand_sched = now
-                self.engine.push(t1, _EV_CMPL, self, self.version)
-            else:
-                self._cand_proc = 0
-                self._cand_sched = now
-                self.engine.push(t0, _EV_CMPL, self, self.version)
-            return
-        total_w = 0.0
-        for p in procs:
-            total_w += p.weight
+        p0, p1 = procs
+        total_w = p0.weight + p1.weight
         speed = self.speed
-        best_t = None
-        best_i = 0
-        for i, p in enumerate(procs):
-            rate = (p.weight / total_w) * speed
-            rem = p.remaining
-            if rem < 0.0:
-                rem = 0.0
-            t = now + rem / rate
-            if best_t is None or t < best_t:
-                best_t = t
-                best_i = i
-        self._cand_proc = best_i
+        rem = p0.remaining
+        if rem < 0.0:
+            rem = 0.0
+        t0 = now + rem / ((p0.weight / total_w) * speed)
+        rem = p1.remaining
+        if rem < 0.0:
+            rem = 0.0
+        t1 = now + rem / ((p1.weight / total_w) * speed)
         self._cand_sched = now
-        self.engine.push(best_t, _EV_CMPL, self, self.version)
+        if t1 < t0:  # strict: first-inserted wins ties
+            self._cand_proc = 1
+            self.engine.push(t1, _EV_CMPL, self, self.version)
+        else:
+            self._cand_proc = 0
+            self.engine.push(t0, _EV_CMPL, self, self.version)
 
     def on_completion(self, t: float) -> None:
         procs = self.procs
@@ -354,7 +304,6 @@ class _FastCore:
         if p.remaining > _COMPLETION_EPS:
             # projection landed a hair early (float round-off): re-project
             self.change(t)
-            p.job._fold_resume()
             return
         p.remaining = 0.0
         procs.pop(self._cand_proc)
@@ -397,16 +346,12 @@ class _FastCore:
             p.started_at = t
             procs.append(p)
             self.change(t)
-            # a dispatch is a change point: try to fold the next
-            # constant-share span of the chain analytically
-            job._fold_resume()
             return
         job._core_drained(t)
         if self.version == v and procs:
             # the completion cascade did not dispatch onto this core:
             # re-project the surviving co-runner ourselves
             self.change(t)
-            procs[self._cand_proc].job._fold_resume()
 
 
 class _FastJob:
@@ -455,7 +400,6 @@ class _FastJob:
         self._iter_core_wall: Dict[int, float] = {}
         self._arrived = 0
         self._expected = 0
-        self._pending_arrives = 0
         self.finished_at: Optional[float] = None
         self.iteration_times: List[float] = []
         self.iteration_imbalance: List[float] = []
@@ -592,7 +536,6 @@ class _FastJob:
             self._rebuild_percore()
         sim = self.sim
         empty = 0
-        contended: List[_FastCore] = []
         for rank, cid in enumerate(self.core_ids):
             keys = self._percore_keys[cid]
             if not keys:
@@ -607,11 +550,8 @@ class _FastJob:
                 sim.push(end, _EV_ARRIVE, self, 0)
             else:
                 self._dispatch(cid, 0, T, rank)
-                contended.append(core)
         for _ in range(empty):  # object-less cores arrive instantly
             self._core_drained(T)
-        if contended:
-            self._fold_contended_cores(contended)
 
     # -- solo-analytic advancement -------------------------------------
     def _run_solo_core(
@@ -708,316 +648,6 @@ class _FastJob:
         p.qpos = pos + 1
         core.procs.append(p)
         core.change(t)
-
-    # -- analytic contention fold ---------------------------------------
-    def _fold_horizon(self, exclude, bail: float = -1.0) -> float:
-        """Earliest pending heap event that could affect a folded core.
-
-        The fold may advance the cores in ``exclude`` analytically while
-        every projected completion lands strictly below this time.
-        Skipped (they cannot influence the fold):
-
-        * completion candidates of the folded cores themselves — the fold
-          reproduces and invalidates them, all owners included;
-        * stale candidates anywhere (version mismatch — they are no-ops);
-        * this job's own barrier arrivals — they only count cores in, and
-          the barrier needs the folded cores' chains to end first, which
-          always happens at or beyond the fold's current position.
-
-        Everything else (another job's completions on outside cores,
-        arrivals, iteration begins, LB steps, launches) bounds the fold:
-        any cascade that could dispatch onto or read a folded core starts
-        at one of those events. Correctness never depends on this bound
-        being tight — a conservative horizon only hands more of the
-        iteration to the exact event replay.
-
-        ``bail``: the caller's earliest projected completion. Any
-        qualifying event at or below it already blocks the fold, so the
-        scan may return it immediately instead of finishing the minimum —
-        the returned value is only ever compared against ``bail`` then.
-        """
-        h = float("inf")
-        for time, _seq, kind, obj, arg in self.sim._heap:
-            if time >= h:
-                continue
-            if kind == _EV_CMPL:
-                if obj in exclude or arg != obj.version:
-                    continue
-            elif kind == _EV_ARRIVE and obj is self:
-                continue
-            if time <= bail:
-                return time
-            h = time
-        return h
-
-    def _fold_resume(self) -> None:
-        """Re-enter the fold after a replayed change point (on_completion)."""
-        cores = self.cores
-        folds = []
-        for cid in self.core_ids:
-            core = cores[cid]
-            if core.procs:
-                folds.append(core)
-        self._fold_contended_cores(folds)
-
-    def _fold_contended_cores(self, folds: List[_FastCore]) -> None:
-        """Advance this job's contended cores analytically, jointly.
-
-        Mirrors the event engine's candidate/accrual float expressions
-        one completion at a time — but inline, without heap traffic —
-        always processing the globally earliest candidate among the
-        folded cores, so cross-core chronology (barrier drains, sibling
-        cascades) is exact. Runs while every projected completion lands
-        strictly before the horizon; a co-runner's chain ending is a
-        share-count change point that stops the fold (its barrier drain
-        must happen in heap order against its other cores), after which
-        ``on_completion`` re-enters for the next constant-share span.
-
-        Cores are eligible while this job still has a live task chain on
-        them (our barrier then cannot fire mid-fold, bounding every
-        future dispatch below our chain ends) and while their accrual
-        cursor sits exactly at the pending candidate's base (an
-        instrumentation sync can advance it past; only the replay can
-        fire such a candidate exactly).
-        """
-        active: List[_FastCore] = []
-        for core in folds:
-            if not core.procs or core.last != core._cand_sched:
-                continue
-            for q in core.procs:
-                if q.job is self:
-                    active.append(core)
-                    break
-        if not active:
-            return
-        sim = self.sim
-        exclude = set(active)
-        # the horizon scan is deferred until the first candidate is
-        # known, so the common blocked entry (an earlier heap event
-        # already bounds every candidate) pays one aborted scan instead
-        # of a full minimum
-        horizon = None
-        touched = set()
-        # cached per-core candidate (t, i); None = recompute. Only the
-        # core just processed can change its candidate — inline drains
-        # and barrier pushes never touch another core's runnable set.
-        cands: List[Optional[Tuple[float, int]]] = [None] * len(active)
-        while active:
-            # globally earliest candidate among the folded cores;
-            # per-core selection is verbatim change() arithmetic
-            best_k = -1
-            best_i = 0
-            best_t = 0.0
-            for k in range(len(active)):
-                cand = cands[k]
-                if cand is None:
-                    core = active[k]
-                    procs = core.procs
-                    now = core.last
-                    speed = core.speed
-                    n = len(procs)
-                    if n == 1:
-                        p = procs[0]
-                        rem = p.remaining
-                        if rem < 0.0:
-                            rem = 0.0
-                        i = 0
-                        t = now + rem / speed
-                    elif n == 2:
-                        p0 = procs[0]
-                        p1 = procs[1]
-                        total_w = p0.weight + p1.weight
-                        rem = p0.remaining
-                        if rem < 0.0:
-                            rem = 0.0
-                        t0 = now + rem / ((p0.weight / total_w) * speed)
-                        rem = p1.remaining
-                        if rem < 0.0:
-                            rem = 0.0
-                        t1 = now + rem / ((p1.weight / total_w) * speed)
-                        if t1 < t0:  # strict: first-inserted wins ties
-                            i = 1
-                            t = t1
-                        else:
-                            i = 0
-                            t = t0
-                    else:
-                        total_w = 0.0
-                        for p in procs:
-                            total_w += p.weight
-                        tbest = None
-                        i = 0
-                        for j, p in enumerate(procs):
-                            rate = (p.weight / total_w) * speed
-                            rem = p.remaining
-                            if rem < 0.0:
-                                rem = 0.0
-                            tj = now + rem / rate
-                            if tbest is None or tj < tbest:
-                                tbest = tj
-                                i = j
-                        t = tbest
-                    cand = (t, i)
-                    cands[k] = cand
-                t, i = cand
-                if best_k < 0 or t < best_t:
-                    best_k = k
-                    best_i = i
-                    best_t = t
-            core = active[best_k]
-            i = best_i
-            t = best_t
-            if horizon is None:
-                horizon = self._fold_horizon(exclude, t)
-            if not t < horizon:  # strict: same-time heap events fire first
-                break
-            cands[best_k] = None
-            core.version += 1  # any engine-pending candidate is now stale
-            touched.add(core)
-            sched = core.last
-            sim.now = t  # inline callbacks (finish, power) read the clock
-            if core.last != t:  # zero-width accruals are no-ops
-                core.accrue(t)
-            procs = core.procs
-            p = procs[i]
-            if p.remaining > _COMPLETION_EPS:
-                # engine re-projection: recompute the candidate at t
-                continue
-            # completion bookkeeping: verbatim on_completion transcription
-            p.remaining = 0.0
-            procs.pop(i)
-            core.version += 1
-            job = p.job
-            cpu = p.cpu_time
-            tc = job.db._task_cpu
-            tc[p.key] = tc.get(p.key, 0.0) + cpu
-            if job.lineage is not None:
-                job.lineage.record_sample(p.key, job._iteration, p.cid, cpu)
-            if job.trace is not None:
-                job.trace.add_task(
-                    TaskEvent(p.cid, p.key, job._iteration, p.started_at, t, cpu)
-                )
-            job._iter_core_wall[p.cid] += t - p.started_at
-            job._completions.append((t, sched, p.rank, cpu))
-            keys = p.keys
-            pos = p.qpos
-            if pos < len(keys):
-                # dispatch the chain's next task, recycling the proc
-                p.qpos = pos + 1
-                nxt = p.chs[pos]
-                d = nxt.work(job._iteration)
-                if d < 0:
-                    raise ValueError(
-                        f"{nxt!r}.work({job._iteration}) returned negative {d}"
-                    )
-                p.key = keys[pos]
-                p.remaining = d
-                p.cpu_time = 0.0
-                p.started_at = t
-                procs.append(p)
-                continue
-            if job is self:
-                # our chain on this core ended. The engine drains
-                # synchronously at the completion event; here earlier
-                # *own* arrivals may still sit in the heap (excluded from
-                # the horizon because they commute with the fold, not
-                # with the barrier), so by default the arrival goes
-                # through the heap to keep barrier chronology exact —
-                # unless the barrier-safety gate below proves the drain
-                # (and barrier) can fire inline. Either way the core
-                # leaves the fold in engine-pending state: survivor
-                # candidate projected, and its future completions bound
-                # the rest of the fold.
-                sim.min_push = float("inf")
-                if procs:
-                    core.change(t)
-                del active[best_k]
-                del cands[best_k]
-                exclude.discard(core)
-                touched.discard(core)
-                if (
-                    self.balancer is None
-                    and self.audit is None
-                    and self.ledger is None
-                    and self.lineage is None
-                    and not self._on_finish
-                    and self._pending_arrives == 0
-                ):
-                    jcores = self.cores
-                    inline = True
-                    for jcid in self.core_ids:
-                        jc = jcores[jcid]
-                        if jc in exclude:
-                            continue
-                        for q in jc.procs:
-                            if q.job is self:
-                                inline = False
-                                break
-                        if not inline:
-                            break
-                else:
-                    inline = False
-                if inline:
-                    # everything pushed since the reset (the survivor
-                    # candidate, our next BEGIN/LB) qualifies: tighten
-                    # the horizon incrementally instead of rescanning
-                    self._core_drained(t)
-                    if sim.min_push < horizon:
-                        horizon = sim.min_push
-                else:
-                    # the pushed self-arrival needs a real rescan (it is
-                    # excluded from the horizon by design)
-                    sim.push(t, _EV_ARRIVE, self, 0)
-                    horizon = self._fold_horizon(exclude)
-                continue
-            # another job's chain ended — a share-count change point. If
-            # the job is instrumentation-free (no balancer, audit,
-            # ledger, lineage, or finish callbacks) its barrier machinery
-            # touches no core state, so the drain — and the barrier, when
-            # this is the last arrival — can fire inline: the fold
-            # processes completions in global time order, so the barrier
-            # fires at the true max arrival exactly as the engine would,
-            # and the next-iteration BEGIN lands on the heap where the
-            # horizon rescan picks it up. That needs every remaining
-            # arrival source (live chains, pending heap arrivals) to be
-            # under this fold's control; otherwise an earlier fold may
-            # already have drained another core at a *later* time, and
-            # only the heap restores exact drain order — push the arrival
-            # and stop this constant-share span at the change point
-            # (on_completion then re-enters the fold for the next span).
-            if (
-                job.balancer is None
-                and job.audit is None
-                and job.ledger is None
-                and job.lineage is None
-                and not job._on_finish
-                and job._pending_arrives == 0
-            ):
-                jcores = job.cores
-                inline = True
-                for jcid in job.core_ids:
-                    jc = jcores[jcid]
-                    if jc in exclude:
-                        continue
-                    for q in jc.procs:
-                        if q.job is job:
-                            inline = False
-                            break
-                    if not inline:
-                        break
-                if inline:
-                    sim.min_push = float("inf")
-                    job._core_drained(t)
-                    if sim.min_push < horizon:
-                        horizon = sim.min_push
-                    continue
-            sim.push(t, _EV_ARRIVE, job, 0)
-            break
-        for core in active:
-            if core in touched:
-                # restore the engine-pending state: project the surviving
-                # runnable set exactly as change() would have at core.last
-                core.change(core.last)
 
     # -- barrier --------------------------------------------------------
     def _core_drained(self, t: float) -> None:

@@ -17,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import SyntheticApp
+from repro.core import LBPolicy, RefineLB, RefineVMInterferenceLB
 from repro.experiments.fabric.coordinator import run_fabric_sweep
 from repro.experiments.runner import run_scenario
+from repro.experiments.scenario import BackgroundSpec, Scenario
 from repro.experiments.sweep import build_scenario, run_point, run_sweep
 from repro.experiments.sweep_presets import smoke_spec
 from repro.obs.ledger import TimeLedger
@@ -299,8 +302,8 @@ def _constant_share_params(bg_weight):
 
 def _bg_departure_params(bg_overlap):
     # overlap < 1: the background job drains mid-run (share count drops
-    # to one; the fold's solo stretch). overlap > 1: it spans the whole
-    # app run.
+    # to one, then the solo fold and inline mode take over). overlap > 1:
+    # it spans the whole app run.
     return {
         "app": "jacobi2d",
         "scale": 0.05,
@@ -352,15 +355,16 @@ _CONTENDED_CASES = (
 
 
 class TestContendedRegimeParity:
-    """The analytic contended regimes, pinned to exact ``==``.
+    """Contended cores, pinned to exact ``==``.
 
-    These scenarios exercise the closed-form contention folds: a
+    These scenarios run the fast path's contended-core replay: a
     constant-share background job spanning whole inter-LB windows
     (``balancer="none"``: the share count on an interfered core never
     changes mid-run except at background barriers) and piecewise-constant
     share counts whose change points fall between LB steps (every
     balancer; background arrivals/departures at its own barriers). The
-    fold must be indistinguishable from event replay on every field.
+    replay must be indistinguishable from the event engine on every
+    field.
     """
 
     @pytest.mark.parametrize("bg_weight", _BG_WEIGHTS)
@@ -426,6 +430,68 @@ class TestContendedRegimeParity:
         res_e, res_f, pay_e, pay_f = _run_both_lineaged(params)
         _assert_results_identical(res_e, res_f)
         assert pay_e == pay_f
+
+
+def _arrival_scenario(start, bg_cores, bg_iterations, weight, balancer):
+    # 6 application cores on 4-core nodes: cores 6-7 carry no chares but
+    # sit on the application's second node, so the power meter reads them
+    app = SyntheticApp(
+        lambda index, iteration: 0.005 + 0.003 * ((index // 2 + iteration) % 5),
+        num_chares=24,
+        state_bytes=256.0,
+    )
+    return Scenario(
+        app=app,
+        num_cores=6,
+        iterations=10,
+        balancer=None if balancer is None else balancer(0.05),
+        policy=LBPolicy(period_iterations=2),
+        bg=BackgroundSpec(
+            model=SyntheticApp(lambda index, iteration: 0.02, num_chares=2),
+            core_ids=bg_cores,
+            iterations=bg_iterations,
+            weight=weight,
+            start=start,
+        ),
+        tracing=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "balancer", [None, RefineLB, RefineVMInterferenceLB],
+    ids=["none", "refine", "refine-vm"],
+)
+@pytest.mark.parametrize("weight", [0.5, 2.0])
+@pytest.mark.parametrize("bg_iterations", [6, 60], ids=["leaves", "stays"])
+@pytest.mark.parametrize(
+    "bg_cores", [(1, 4), (2, 6), (6, 7)], ids=["inside", "across", "outside"]
+)
+@pytest.mark.parametrize("start", [0.0137, 0.2], ids=["early", "late"])
+def test_arrival_parity(start, bg_cores, bg_iterations, weight, balancer):
+    """A background job arriving mid-iteration, on application cores,
+    straddling them or only on cores the power meter reads, and leaving
+    before the application or outlasting it: the replay must equal the
+    engine on results and trace, with and without LB."""
+    res_e, res_f = [
+        run_scenario(
+            _arrival_scenario(start, bg_cores, bg_iterations, weight, balancer),
+            backend=backend,
+        )
+        for backend in ("events", "fast")
+    ]
+    _assert_results_identical(res_e, res_f)
+    tr_e, tr_f = res_e.trace, res_f.trace
+    # the regimes under test: arrival inside an iteration, departure
+    # before or after the application's end (the power meter's read),
+    # migrations whenever balancing
+    assert any(it.start < start < it.end for it in tr_e.iterations)
+    leaves = res_e.bg.finished_at < res_e.app.finished_at
+    assert leaves == (bg_iterations == 6)
+    assert (res_e.app.total_migrations > 0) == (balancer is not None)
+    assert tr_e.tasks and tr_e.tasks == tr_f.tasks
+    assert tr_e.iterations == tr_f.iterations
+    assert tr_e.lb_steps == tr_f.lb_steps
+    assert tr_e.migrations == tr_f.migrations
 
 
 class TestTraceParity:
@@ -558,7 +624,8 @@ def test_random_scenarios_lineage_identical(params):
 
 # ----------------------------------------------------------------------
 # Hypothesis: contended regimes (constant-share and piecewise-constant
-# proportional shares — the analytic contention folds), exact equality
+# proportional shares — the fast path's contended-core replay), exact
+# equality
 # ----------------------------------------------------------------------
 _contended_params = st.fixed_dictionaries(
     {

@@ -44,6 +44,11 @@ def test_background_spec_validation():
         BackgroundSpec(model=bg, core_ids=(0,), iterations=1, weight=0.0)
     with pytest.raises(ValueError):
         BackgroundSpec(model=bg, core_ids=(0,), iterations=1, start=-1.0)
+    # refused before either backend runs, so both give the same error
+    with pytest.raises(ValueError, match="duplicates"):
+        BackgroundSpec(model=bg, core_ids=(0, 0), iterations=1)
+    with pytest.raises(ValueError, match=">= 0"):
+        BackgroundSpec(model=bg, core_ids=(-1, 0), iterations=1)
 
 
 def test_nodes_cover_background_cores():

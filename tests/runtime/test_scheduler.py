@@ -33,7 +33,6 @@ def test_executes_fifo_one_at_a_time():
     # strictly sequential: completions at 1, 2, 3
     assert [p.completed_at for _, p in done] == pytest.approx([1.0, 2.0, 3.0])
     assert drains == [3.0]
-    assert sched.tasks_executed == 3
 
 
 def test_enqueue_while_running_extends_queue():

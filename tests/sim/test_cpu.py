@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.experiments.runner import run_scenario
+from repro.experiments.sweep import build_scenario
 from repro.sim import ProcessState, SharedCore, SimProcess, SimulationEngine
 from repro.util import check_non_negative, check_positive
 
@@ -231,3 +233,23 @@ def test_completion_callback_ordering_is_deterministic():
         return order
 
     assert run_once() == run_once()
+
+
+def test_completion_cancels_only_live_projections(monkeypatch):
+    """The projection that fires leaves the pending set before the
+    rescheduling it triggers, so on a contended run (application and
+    background job sharing cores, balancer migrating) every cancel
+    reaches a live handle."""
+    fired = []
+    cancel = SimulationEngine.cancel
+
+    def spy(engine, handle):
+        fired.append(handle.fired)
+        cancel(engine, handle)
+
+    monkeypatch.setattr(SimulationEngine, "cancel", spy)
+    params = {"app": "jacobi2d", "scale": 0.05, "iterations": 8, "cores": 4,
+              "bg": True, "balancer": "refine-vm"}
+    res = run_scenario(build_scenario(params), backend="events")
+    assert res.app.total_migrations > 0
+    assert fired and not any(fired)

@@ -1,10 +1,11 @@
 """Fast-path internals: the scalar solo fold on long task chains.
 
 Scenario-level parity lives in ``tests/experiments/test_backend_parity``;
-these tests pin the solo fold on cores carrying many chares (the
+these tests pin the solo fold on cores carrying few and many chares (the
 ablation sweeps go up to 16 chares per core), the trace order when
-zero-work tasks tie across cores, and the rejection of negative work,
-with exact ``==`` against the event engine.
+zero-work tasks tie across cores, and the rejection of negative work at
+each site that evaluates a task (solo fold, replay dispatch, replay
+completion), with exact ``==`` against the event engine.
 """
 
 import math
@@ -33,7 +34,7 @@ def _chain_scenario(num_chares, cores):
     )
 
 
-@pytest.mark.parametrize("per_core", [16, 25])
+@pytest.mark.parametrize("per_core", [3, 16, 25])
 def test_solo_chain_fold_bit_identical(per_core):
     cores = 2
     res_e = run_scenario(_chain_scenario(per_core * cores, cores), backend="events")
@@ -43,14 +44,6 @@ def test_solo_chain_fold_bit_identical(per_core):
     assert res_e.final_mapping == res_f.final_mapping
     for t in res_f.app.iteration_times:
         assert t > 0.0 and not math.isnan(t)
-
-
-def test_below_vec_min_scalar_fold_bit_identical():
-    cores = 2
-    res_e = run_scenario(_chain_scenario(6, cores), backend="events")
-    res_f = run_scenario(_chain_scenario(6, cores), backend="fast")
-    assert res_e.app == res_f.app
-    assert res_e.energy == res_f.energy
 
 
 def _zero_work(index, iteration):
@@ -106,11 +99,30 @@ def test_zero_work_ties_trace_in_engine_order(cores, bg):
     assert res_e.trace.migrations == res_f.trace.migrations
 
 
-def test_negative_work_rejected():
+@pytest.mark.parametrize(
+    "bg, chare, site",
+    [
+        (False, 0, "_run_solo_core"),
+        (True, 0, "_dispatch"),
+        (True, 1, "on_completion"),
+    ],
+    ids=["solo", "contended", "contended-later-task"],
+)
+def test_negative_work_rejected(bg, chare, site):
+    # two chares per core: chare 0 is core 0's first task, chare 1 the
+    # task the replay dispatches when chare 0 completes
     app = SyntheticApp(
-        lambda index, iteration: -1.0 if iteration == 2 else 0.01,
+        lambda index, iteration: -1.0 if (index, iteration) == (chare, 2) else 0.01,
         num_chares=4,
     )
-    sc = Scenario(app=app, num_cores=2, iterations=5)
-    with pytest.raises(ValueError, match="negative"):
+    background = None
+    if bg:
+        background = BackgroundSpec(
+            model=SyntheticApp(lambda index, iteration: 0.015, num_chares=2),
+            core_ids=(0, 1),
+            iterations=10,
+        )
+    sc = Scenario(app=app, num_cores=2, iterations=5, bg=background)
+    with pytest.raises(ValueError, match="negative") as err:
         run_scenario(sc, backend="fast")
+    assert err.traceback[-1].name == site
