@@ -9,10 +9,15 @@ scenario's summary is cached on disk under a key derived from
   so any change to the simulator automatically invalidates all entries
   (stale results can never be served after a code edit).
 
-Entries are one JSON file each, written atomically (tmp file +
-``os.replace``), so concurrent workers and interrupted runs can never
-leave a truncated entry that later parses as a result. A corrupt or
-unreadable entry is treated as a miss.
+Each point is one JSON entry ``<key[:2]>/<key>.json`` holding its
+summary, and each probe payload stored for it (``audit``, ``ledger``,
+``lineage``) is a file of its own beside it, ``<key>.<probe>.json``, so
+a probe sweep's hit parses the small entry and only the payloads it
+asked for. Every file is written atomically (tmp file + ``os.replace``),
+so concurrent workers and interrupted runs can never leave a truncated
+file that later parses as a result. A corrupt, unreadable or mismatched
+entry is a miss; the same fault in a payload file is a miss for that
+probe only.
 
 The default location is ``.repro-cache/sweeps`` under the current
 directory; override per call or with ``REPRO_CACHE_DIR``.
@@ -24,7 +29,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.util.atomic import atomic_write
 
@@ -38,7 +43,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every existing cache entry on a schema change.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 _fingerprint_memo: Optional[str] = None
 
@@ -91,7 +96,11 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Content-addressed store of scenario summaries.
+    """Content-addressed store of scenario summaries and probe payloads.
+
+    A point's entry and its payload files share the key and nothing
+    else: writing one payload leaves the others alone, and reading one
+    opens no other file.
 
     Parameters
     ----------
@@ -103,44 +112,61 @@ class ResultCache:
         self.root = Path(root)
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str, probe: Optional[str] = None) -> Path:
         # two-level fan-out keeps directories small on big sweeps
-        return self.root / key[:2] / f"{key}.json"
+        name = key if probe is None else f"{key}.{probe}"
+        return self.root / key[:2] / f"{name}.json"
 
-    def _entry(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
+    def _load(self, path: Path, key: str) -> Optional[Dict[str, Any]]:
+        """The document at ``path`` if it is a readable file of ``key``."""
         try:
             with open(path) as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                doc = json.load(fh)
+        except (OSError, ValueError):
             return None
-        if entry.get("format") != CACHE_FORMAT or entry.get("key") != key:
+        if (
+            not isinstance(doc, dict)
+            or doc.get("format") != CACHE_FORMAT
+            or doc.get("key") != key
+        ):
             return None
-        return entry
+        return doc
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached summary dict for ``key``, or None on a miss."""
-        entry = self._entry(key)
+        entry = self._load(self._path(key), key)
         if entry is None:
             return None
         summary = entry.get("summary")
         return summary if isinstance(summary, dict) else None
 
-    def get_extras(self, key: str) -> Optional[Dict[str, Any]]:
-        """The entry's extras section (e.g. the LB audit), or None.
+    def get_extras(
+        self, key: str, names: Optional[Iterable[str]] = None
+    ) -> Dict[str, Any]:
+        """The stored probe payloads of ``key`` among ``names``.
 
-        Entries written before extras existed — or without them — simply
-        return None; callers needing extras treat that as a miss.
+        Returns ``{probe: payload}`` for every name in ``names`` (every
+        stored probe when None) whose payload file is present and
+        intact; a missing, corrupt or mismatched file is simply absent,
+        and callers needing it treat that as a miss. Only the requested
+        payload files are opened, never the entry or another probe's
+        payload.
         """
-        entry = self._entry(key)
-        if entry is None:
-            return None
-        extras = entry.get("extras")
-        return extras if isinstance(extras, dict) else None
+        if names is None:
+            names = sorted(
+                path.name[len(key) + 1 : -len(".json")]
+                for path in self._path(key).parent.glob(f"{key}.*.json")
+            )
+        extras: Dict[str, Any] = {}
+        for name in names:
+            doc = self._load(self._path(key, name), key)
+            if doc is not None and "payload" in doc:
+                extras[name] = doc["payload"]
+        return extras
 
     def get_provenance(self, key: str) -> Optional[Dict[str, Any]]:
         """The entry's provenance stamp, or None (pre-stamp entries)."""
-        entry = self._entry(key)
+        entry = self._load(self._path(key), key)
         if entry is None:
             return None
         provenance = entry.get("provenance")
@@ -156,16 +182,19 @@ class ResultCache:
     ) -> None:
         """Store ``summary`` for ``key`` (atomic; params kept for humans).
 
-        ``extras`` carries optional JSON-able side payloads (the LB audit
-        section) without touching the summary schema the golden
-        tests pin.
+        ``extras`` maps probe names to JSON-able payloads (the LB audit,
+        the time ledger, the lineage); each is written to its own file
+        ``<key>.<probe>.json``, which carries the key and format like
+        the entry does. Payload files of probes not in ``extras`` are
+        left as they are, so one probe sweep never rewrites or evicts
+        another's payload, and the summary schema the golden tests pin
+        stays untouched.
 
-        Entries are compact: one line of JSON with sorted keys and no
+        Files are compact: one line of JSON with sorted keys and no
         indentation. ``json.dumps`` without ``indent`` runs CPython's C
         encoder (with ``indent`` it falls back to the pure-Python one),
-        which matters for probe entries carrying ledger, lineage and
-        audit payloads. Pipe an entry through ``python -m json.tool`` to
-        read it.
+        which matters for the ledger, lineage and audit payloads. Pipe a
+        file through ``python -m json.tool`` to read it.
 
         Every entry is stamped with a ``provenance`` section (schema
         version, git SHA, the point's RNG seed, short code fingerprint)
@@ -178,6 +207,10 @@ class ResultCache:
 
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        for probe, payload in (extras or {}).items():
+            doc = {"format": CACHE_FORMAT, "key": key, "payload": payload}
+            with atomic_write(self._path(key, probe)) as fh:
+                fh.write(json.dumps(doc, sort_keys=True))
         entry = {
             "format": CACHE_FORMAT,
             "key": key,
@@ -190,23 +223,21 @@ class ResultCache:
                 "code_fingerprint": code_fingerprint()[:16],
             },
         }
-        if extras is not None:
-            entry["extras"] = extras
         with atomic_write(path) as fh:
             fh.write(json.dumps(entry, sort_keys=True))
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Number of cached points (payload files are not counted)."""
+        return sum(1 for p in self.root.glob("*/*.json") if "." not in p.stem)
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry and payload file; returns the points removed."""
         removed = 0
         for path in list(self.root.glob("*/*.json")):
             try:
                 path.unlink()
-                removed += 1
             except OSError:
-                pass
+                continue
+            if "." not in path.stem:
+                removed += 1
         return removed

@@ -244,7 +244,7 @@ def run_fabric_sweep(
     The probes of ``run_sweep`` (``audit_dir``, ``ledger``, ``lineage``)
     are unsupported here: their payloads do not travel through shard
     result files. Run probed sweeps locally, where the probes combine
-    on one run and share one cache entry per point.
+    on one run and each payload is cached beside the point's entry.
     """
     from repro.experiments.sweep import (
         PointResult,

@@ -450,7 +450,7 @@ def run_point_probed(
     A probe is one of ``"audit"``, ``"ledger"`` and ``"lineage"``.
     Returns ``(summary, payloads, trace)``. ``payloads`` maps
     each requested probe to its JSON-safe payload, which a sweep caches
-    under the probe's name in the entry's extras:
+    in a payload file named after the probe, beside the point's entry:
 
     * ``audit`` — ``{"summary", "records"}``: the LB audit trail (see
       :func:`repro.telemetry.audit_summary`);
@@ -464,8 +464,8 @@ def run_point_probed(
     and a lineage recorder for lineage. With no probes nothing is
     attached. Every probe is strictly observational, so the summary is
     bit-identical whatever the probes, and so is each payload whatever
-    else rides along — which is why probes combine on one run and share
-    one cache entry.
+    else rides along — which is why probes combine on one run and each
+    payload can be cached and served on its own.
 
     ``trace`` is None unless audit is requested; it feeds the
     Chrome/Perfetto export and is never cached. Audit traces every
@@ -705,7 +705,7 @@ class PointResult:
     :meth:`repro.obs.lineage.LineageRecorder.payload`) when the sweep
     ran with ``lineage=True``, else None. The three probes combine: a
     sweep run with several of them fills every requested field from one
-    execution (or one cache entry) of the point.
+    execution of the point, or from its cache entry and payload files.
     """
 
     index: int
@@ -796,12 +796,13 @@ def run_sweep(
     ``audit_dir``, ``ledger`` and ``lineage`` each request one probe
     (see :func:`run_point_probed`). Probes combine freely: every point
     runs once with all requested probes attached, each probe's payload
-    rides the :class:`PointResult` and the point's one cache entry (as
-    an extra named after the probe), and summaries stay bit-identical to
-    an unprobed sweep. A cache hit is served only if it carries every
-    requested payload; otherwise the point is re-executed and the new
-    entry keeps the extras the old one had, so probe sweeps never evict
-    each other's payloads.
+    rides the :class:`PointResult` and is cached in a payload file of
+    its own beside the point's entry, and summaries stay bit-identical
+    to an unprobed sweep. A cache hit reads the entry and only the
+    requested payload files, and is served only if all of them are
+    there; otherwise the point is re-executed, which rewrites its entry
+    and the requested payloads and leaves other probes' payload files
+    alone, so probe sweeps never evict each other's payloads.
 
     Parameters
     ----------
@@ -855,14 +856,14 @@ def run_sweep(
     ledger:
         The ledger probe (:mod:`repro.obs.ledger`): every point's
         conservation-checked time-attribution summary rides the
-        :class:`PointResult`, the cache entry and the registry record
-        (with a sweep-level aggregate).
+        :class:`PointResult`, its own cache payload file and the registry
+        record (with a sweep-level aggregate).
     lineage:
         The lineage probe (:mod:`repro.obs.lineage`): every point's
         per-chare load samples, migration residencies, per-iteration
         imbalance metrics and counterfactual LB bounds ride the
-        :class:`PointResult`, the cache entry and the registry record
-        (with a sweep-level aggregate).
+        :class:`PointResult`, its own cache payload file and the registry
+        record (with a sweep-level aggregate).
     """
     if driver not in ("local", "fabric"):
         raise ValueError(f"unknown driver {driver!r}")
@@ -938,18 +939,15 @@ def run_sweep(
 
     outcomes: Dict[int, PointResult] = {}
     misses: List[SweepPoint] = []
-    # extras of hits re-executed for a missing probe payload; the new
-    # entry keeps them, so one probe sweep never evicts another's payload
-    kept_extras: Dict[int, Dict[str, Any]] = {}
     for p in points:
         hit = cache.get(keys[p.index]) if cache is not None else None
         payloads: Dict[str, Any] = {}
         if hit is not None and probes:
-            extras = cache.get_extras(keys[p.index]) or {}
-            payloads = {name: extras[name] for name in probes if name in extras}
+            # only the requested payload files are read; a point missing
+            # any of them is re-executed with every requested probe
+            payloads = cache.get_extras(keys[p.index], probes)
             if len(payloads) < len(probes):
                 hit = None
-                kept_extras[p.index] = extras
         if hit is None:
             misses.append(p)
             continue
@@ -992,8 +990,7 @@ def run_sweep(
         summary = ScenarioSummary.from_dict(summary_dict)
         outcomes[index] = point_result(p, summary, wall, worker, payloads)
         if cache is not None:
-            extras = {**kept_extras.get(index, {}), **payloads}
-            cache.put(keys[index], p.params, summary_dict, extras=extras or None)
+            cache.put(keys[index], p.params, summary_dict, extras=payloads or None)
         if "audit" in payloads:
             records = payloads["audit"]["records"]
             n = write_audit_jsonl(records, audit_file(p, ".jsonl"))

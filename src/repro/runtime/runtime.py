@@ -58,6 +58,16 @@ __all__ = ["Runtime", "RunStats", "compute_comm_delay", "apply_migrations"]
 ChareKey = Tuple[str, int]
 _log = get_logger(__name__)
 _new = tuple.__new__
+_INF = float("inf")
+
+
+def bad_work_error(chare: Chare, iteration: int, demand) -> ValueError:
+    """The one-line error both backends raise for chare work that is not
+    a finite non-negative demand (what :class:`SimProcess` refuses)."""
+    return ValueError(
+        f"{chare!r}.work({iteration}) returned {demand!r}, "
+        "not a finite non-negative demand"
+    )
 
 
 def compute_comm_delay(
@@ -438,10 +448,8 @@ class Runtime:
         if self.run_kernels:
             chare.execute(msg.iteration)
         demand = chare.work(msg.iteration)
-        if demand < 0:
-            raise ValueError(
-                f"{chare!r}.work({msg.iteration}) returned negative {demand}"
-            )
+        if not 0.0 <= demand < _INF:
+            raise bad_work_error(chare, msg.iteration, demand)
         return demand
 
     def _task_done(self, msg: ComputeMsg, proc: SimProcess) -> None:

@@ -47,6 +47,21 @@ __all__ = ["SharedCore"]
 _COMPLETION_EPS = 1e-9
 
 
+def _clock_stalled(core_id: int, now: float, remaining: float) -> RuntimeError:
+    """The error both backends raise when re-projecting a task cannot
+    advance the clock.
+
+    Past 2**24 s half an ulp of the clock exceeds :data:`_COMPLETION_EPS`,
+    so a projection ``now + d`` can leave a remainder above the slack that
+    ``now + remainder`` rounds away: re-projecting would fire at ``now``
+    forever.
+    """
+    return RuntimeError(
+        f"core {core_id}: a task's remaining {remaining!r} CPU-s cannot "
+        f"advance the simulated clock past {now!r} s (float resolution)"
+    )
+
+
 class SharedCore:
     """One physical core executing processes under processor sharing.
 
@@ -96,7 +111,6 @@ class SharedCore:
         self.busy_time: float = 0.0
         self.idle_time: float = 0.0
         self.cpu_by_owner: Dict[str, float] = {}
-        self.dispatch_count: int = 0
         #: optional :class:`~repro.obs.ledger.TimeLedger` (null hook:
         #: None by default — a single identity check per accrual)
         self.ledger = None
@@ -149,7 +163,6 @@ class SharedCore:
         if process.started_at is None:
             process.started_at = self.engine.now
         self._runnable[process.pid] = process
-        self.dispatch_count += 1
         self._changed()
 
     def preempt(self, process: SimProcess) -> None:
@@ -242,8 +255,13 @@ class SharedCore:
         # this handle has fired: keep it out of _changed's cancel sweep
         del self._pending_events[process.pid]
         self._accrue()
-        if process.remaining > _COMPLETION_EPS:
+        remaining = process.remaining
+        if remaining > _COMPLETION_EPS:
             # Numerically the projection can land a hair early; re-project.
+            now = self.engine.now
+            rate = (process.weight / self.total_weight) * self.speed
+            if now + remaining / rate == now:
+                raise _clock_stalled(self.core_id, now, remaining)
             self._changed()
             return
         process.remaining = 0.0

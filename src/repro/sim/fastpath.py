@@ -76,6 +76,7 @@ from repro.power.model import PowerModel
 from repro.runtime.runtime import (
     RunStats,
     apply_migrations,
+    bad_work_error,
     compute_comm_delay,
 )
 from repro.runtime.tracing import (
@@ -85,7 +86,7 @@ from repro.runtime.tracing import (
     TaskEvent,
     TraceLog,
 )
-from repro.sim.cpu import _COMPLETION_EPS
+from repro.sim.cpu import _COMPLETION_EPS, _clock_stalled
 from repro.sim.procstat import ProcStat
 from repro.telemetry import AuditTrail
 from repro.util import check_positive, left_sum
@@ -140,6 +141,9 @@ class _FastSim:
             else:  # _EV_LAUNCH
                 self.now = time
                 obj._launch(time)
+
+
+_INF = float("inf")
 
 
 class _FastProc:
@@ -301,8 +305,16 @@ class _FastCore:
         p = procs[self._cand_proc]
         sched = self._cand_sched
         self.accrue(t)
-        if p.remaining > _COMPLETION_EPS:
+        rem = p.remaining
+        if rem > _COMPLETION_EPS:
             # projection landed a hair early (float round-off): re-project
+            # at the rate change() will use, unless that cannot advance t
+            if len(procs) == 1:
+                rate = self.speed
+            else:
+                rate = (p.weight / (procs[0].weight + procs[1].weight)) * self.speed
+            if t + rem / rate == t:
+                raise _clock_stalled(self.core_id, t, rem)
             self.change(t)
             return
         p.remaining = 0.0
@@ -336,10 +348,8 @@ class _FastCore:
             p.qpos = pos + 1
             nxt = p.chs[pos]
             d = nxt.work(job._iteration)
-            if d < 0:
-                raise ValueError(
-                    f"{nxt!r}.work({job._iteration}) returned negative {d}"
-                )
+            if not 0.0 <= d < _INF:
+                raise bad_work_error(nxt, job._iteration, d)
             p.key = keys[pos]
             p.remaining = d
             p.cpu_time = 0.0
@@ -568,12 +578,11 @@ class _FastJob:
         lin = self.lineage
         tr = self.trace
         work = []
+        inf = _INF
         for ch in chs:
             d = ch.work(iteration)
-            if d < 0:
-                raise ValueError(
-                    f"{ch!r}.work({iteration}) returned negative {d}"
-                )
+            if not 0.0 <= d < inf:
+                raise bad_work_error(ch, iteration, d)
             work.append(d)
         dt = T - core.last
         if dt > 0.0:  # idle gap since the core's last activity
@@ -584,7 +593,7 @@ class _FastJob:
         name = self.name
         # accumulate straight into the LB database's window dict — the
         # record_task wrapper only adds validation, and ``work`` was
-        # already checked non-negative above
+        # already checked finite and non-negative above
         tc = self.db._task_cpu
         tc_get = tc.get
         comps = self._completions
@@ -607,6 +616,8 @@ class _FastJob:
                 # engine re-projection: new event at t + remaining
                 sched = t
                 e = t + rem
+                if e == t:
+                    raise _clock_stalled(cid, t, rem)
                 dtx = e - t
                 busy += dtx
                 own += dtx
@@ -635,10 +646,8 @@ class _FastJob:
         chs = self._percore_chares[cid]
         ch = chs[pos]
         d = ch.work(self._iteration)
-        if d < 0:
-            raise ValueError(
-                f"{ch!r}.work({self._iteration}) returned negative {d}"
-            )
+        if not 0.0 <= d < _INF:
+            raise bad_work_error(ch, self._iteration, d)
         core = self.cores[cid]
         if core.last != t:  # zero-width accruals are no-ops
             core.accrue(t)

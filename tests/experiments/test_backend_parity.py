@@ -682,3 +682,79 @@ def test_contended_random_lineage_and_audit_identical(params):
     res_e, res_f, pay_e, pay_f = _run_both_lineaged(params)
     _assert_results_identical(res_e, res_f)
     assert pay_e == pay_f
+
+
+# A chare whose first task takes ``big`` CPU-seconds pushes the clock of
+# every later task past ``big``. Past 2**24 s (~1.7e7 s) half an ulp of
+# the clock exceeds the completion slack, so a task can be left with a
+# remainder that re-projecting cannot add to the clock: both backends
+# used to spin forever there. The scenarios run in a child process under
+# a timeout, so a regression fails instead of hanging the suite.
+_CLOCK_SCRIPT = """
+import json
+from repro.apps import SyntheticApp
+from repro.experiments.runner import run_scenario
+from repro.experiments.scenario import BackgroundSpec, Scenario
+
+def scenario(big, contended):
+    app = SyntheticApp(
+        lambda i, it: big if it == 0 else 0.0123 + 0.0007 * i, num_chares=4
+    )
+    bg = None
+    if contended:
+        bg = BackgroundSpec(
+            model=SyntheticApp(
+                lambda i, it: big if it == 0 else 0.0151 + 0.0003 * i,
+                num_chares=2,
+            ),
+            core_ids=(0, 1),
+            iterations=10,
+        )
+    return Scenario(app=app, num_cores=2, iterations=4, bg=bg)
+
+out = {}
+for big in (3e7, 1e7):
+    for contended in (False, True):
+        for backend in ("events", "fast"):
+            try:
+                r = run_scenario(scenario(big, contended), backend=backend)
+            except RuntimeError as err:
+                outcome = ["error", str(err)]
+            else:
+                outcome = ["result", repr((
+                    r.app, r.bg, r.energy, sorted(r.final_mapping.items()),
+                    r.app_time, r.bg_time,
+                ))]
+            out[f"{big:g}/{'contended' if contended else 'solo'}/{backend}"] = outcome
+print(json.dumps(out))
+"""
+
+
+def test_clock_too_coarse_to_advance_raises_on_both_backends():
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLOCK_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    out = json.loads(proc.stdout)
+    for regime in ("solo", "contended"):
+        stalled_e, stalled_f = out[f"3e+07/{regime}/events"], out[f"3e+07/{regime}/fast"]
+        assert stalled_e[0] == "error"
+        assert "cannot advance the simulated clock past" in stalled_e[1]
+        assert stalled_f == stalled_e  # the same one-line error, bit for bit
+        # below 2**24 s the same scenario finishes, identically
+        fine_e, fine_f = out[f"1e+07/{regime}/events"], out[f"1e+07/{regime}/fast"]
+        assert fine_e[0] == "result"
+        assert fine_f == fine_e

@@ -174,6 +174,18 @@ class TestResultCache:
         cache.put(key, params, summary.to_dict())
         assert len(cache) == 1
         assert ScenarioSummary.from_dict(cache.get(key)) == summary
+        # payload files sit beside the entry and add no point
+        extras = {"ledger": {"a": 1}, "lineage": [2]}
+        cache.put(key, params, summary.to_dict(), extras=extras)
+        assert len(cache) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*.json")) == [
+            f"{key}.json",
+            f"{key}.ledger.json",
+            f"{key}.lineage.json",
+        ]
+        assert cache.get_extras(key) == extras
+        assert cache.get_extras(key, ("lineage", "audit")) == {"lineage": [2]}
+        assert ScenarioSummary.from_dict(cache.get(key)) == summary
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -196,8 +208,32 @@ class TestResultCache:
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" + "0" * 62, {}, {"x": 1})
-        assert cache.clear() == 1
+        cache.put("cd" + "0" * 62, {}, {"x": 2}, extras={"audit": {}, "ledger": {}})
+        assert len(cache) == 2
+        assert cache.clear() == 2  # points, not files
         assert len(cache) == 0
+        assert list(tmp_path.rglob("*.json")) == []
+
+    def test_put_leaves_other_payload_files_alone(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "0" * 62
+        cache.put(key, {}, {"x": 1}, extras={"audit": {"a": 1}, "ledger": {"l": 1}})
+        audit = cache._path(key, "audit")
+        inode = audit.stat().st_ino
+        cache.put(key, {}, {"x": 1}, extras={"ledger": {"l": 2}})
+        assert audit.stat().st_ino == inode  # never rewritten
+        assert cache.get_extras(key) == {"audit": {"a": 1}, "ledger": {"l": 2}}
+
+    def test_damaged_payload_is_a_miss_for_its_probe_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key, other = "ab" + "0" * 62, "ab" + "1" * 62
+        cache.put(key, {}, {"x": 1}, extras={"audit": [1], "ledger": [2], "lineage": [3]})
+        cache.put(other, {}, {"x": 2}, extras={"audit": [4]})
+        cache._path(key, "lineage").write_text('{"format": 2, "key"')  # truncated
+        cache._path(key, "audit").write_bytes(cache._path(other, "audit").read_bytes())
+        assert cache.get(key) == {"x": 1}
+        assert cache.get_extras(key) == {"ledger": [2]}
+        assert cache.get_extras(key, ("audit", "lineage")) == {}
 
     def test_key_depends_on_params_and_code(self):
         a = point_key(normalize_params(TINY))
@@ -316,7 +352,8 @@ class TestRunSweep:
 
 
 class TestProbeCacheExtras:
-    """Audit, ledger and lineage sweeps share one cache entry per point."""
+    """Audit, ledger and lineage sweeps share each point's cache entry and
+    keep one payload file per probe beside it."""
 
     def test_probe_sweeps_keep_each_others_extras(self, tmp_path):
         spec = tiny_spec(bg=True)
@@ -341,6 +378,74 @@ class TestProbeCacheExtras:
                     assert canonical_json(getattr(w, field)) == canonical_json(
                         getattr(c, field)
                     )
+
+    def test_damaged_payload_re_executes_only_its_probe(self, tmp_path):
+        spec = tiny_spec(bg=True)
+        cache = ResultCache(tmp_path / "cache")
+        probes = {
+            "ledger": {"ledger": True},
+            "lineage": {"lineage": True},
+            "audit": {"audit_dir": tmp_path / "cold"},
+        }
+        cold = {name: run_sweep(spec, cache=cache, **kw) for name, kw in probes.items()}
+        files = sorted((tmp_path / "cache").rglob("*.json"))
+        assert len(files) == 4 * 4  # an entry and three payloads per point
+        snapshot = {f: f.read_bytes() for f in files}
+        inodes = {f: f.stat().st_ino for f in files}
+        k0, k1 = cold["ledger"].results[0].key, cold["ledger"].results[1].key
+        truncated = cache._path(k0, "lineage")
+        truncated.write_bytes(snapshot[truncated][: len(snapshot[truncated]) // 2])
+        foreign = cache._path(k1, "audit")
+        foreign.write_bytes(snapshot[cache._path(k0, "audit")])  # carries k0
+
+        probes["audit"] = {"audit_dir": tmp_path / "warm"}
+        warm = {name: run_sweep(spec, cache=cache, **kw) for name, kw in probes.items()}
+        executed = {
+            name: [r.index for r in res.results if not r.cached]
+            for name, res in warm.items()
+        }
+        assert executed == {"ledger": [], "lineage": [0], "audit": [1]}
+        for name in probes:
+            assert warm[name].summaries() == cold[name].summaries()
+            assert [canonical_json(getattr(r, name)) for r in warm[name].results] == [
+                canonical_json(getattr(r, name)) for r in cold[name].results
+            ]
+        for path in (tmp_path / "cold").glob("*.jsonl"):
+            assert (tmp_path / "warm" / path.name).read_bytes() == path.read_bytes()
+        # the damaged payloads are back, byte for byte, and only they and
+        # the two re-executed points' entries were rewritten
+        assert sorted((tmp_path / "cache").rglob("*.json")) == files
+        assert {f: f.read_bytes() for f in files} == snapshot
+        rewritten = {cache._path(k0), cache._path(k1), truncated, foreign}
+        for f in files:
+            if f not in rewritten:
+                assert f.stat().st_ino == inodes[f], f.name
+
+    def test_ledger_hit_never_parses_other_payloads(self, tmp_path, monkeypatch):
+        spec = tiny_spec(bg=True)
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_sweep(
+            spec, cache=cache, ledger=True, lineage=True, audit_dir=tmp_path / "audit"
+        )
+        for r in cold.results:
+            for probe in ("lineage", "audit"):
+                cache._path(r.key, probe).write_text("{not json")
+        parsed = []
+        load = ResultCache._load
+
+        def recording_load(self, path, key):
+            parsed.append(path.name)
+            return load(self, path, key)
+
+        monkeypatch.setattr(ResultCache, "_load", recording_load)
+        warm = run_sweep(spec, cache=cache, ledger=True)
+        assert warm.metrics.hit_rate == 1.0
+        # each hit parses its entry once and its ledger payload once
+        assert sorted(parsed) == sorted(
+            f"{r.key}{suffix}.json" for r in cold.results for suffix in ("", ".ledger")
+        )
+        assert warm.summaries() == cold.summaries()
+        assert [r.ledger for r in warm.results] == [r.ledger for r in cold.results]
 
 
 @pytest.fixture(scope="module")

@@ -99,20 +99,30 @@ def test_zero_work_ties_trace_in_engine_order(cores, bg):
     assert res_e.trace.migrations == res_f.trace.migrations
 
 
+_SITES = {
+    "solo": (False, 0, "_run_solo_core"),
+    "contended": (True, 0, "_dispatch"),
+    "contended-later-task": (True, 1, "on_completion"),
+}
+_BAD_WORK = {"": -1.0, "-nan": math.nan, "-inf": math.inf}
+
+
 @pytest.mark.parametrize(
-    "bg, chare, site",
+    "bg, chare, site, bad",
     [
-        (False, 0, "_run_solo_core"),
-        (True, 0, "_dispatch"),
-        (True, 1, "on_completion"),
+        (*_SITES[where], _BAD_WORK[value])
+        for value in _BAD_WORK
+        for where in _SITES
     ],
-    ids=["solo", "contended", "contended-later-task"],
+    ids=[where + value for value in _BAD_WORK for where in _SITES],
 )
-def test_negative_work_rejected(bg, chare, site):
+def test_negative_work_rejected(bg, chare, site, bad):
     # two chares per core: chare 0 is core 0's first task, chare 1 the
-    # task the replay dispatches when chare 0 completes
+    # task the replay dispatches when chare 0 completes. NaN and inf are
+    # refused where -1.0 is, as on the engine (the fast path once
+    # returned a result for contended NaN and hung on contended inf)
     app = SyntheticApp(
-        lambda index, iteration: -1.0 if (index, iteration) == (chare, 2) else 0.01,
+        lambda index, iteration: bad if (index, iteration) == (chare, 2) else 0.01,
         num_chares=4,
     )
     background = None
@@ -123,6 +133,13 @@ def test_negative_work_rejected(bg, chare, site):
             iterations=10,
         )
     sc = Scenario(app=app, num_cores=2, iterations=5, bg=background)
-    with pytest.raises(ValueError, match="negative") as err:
+    with pytest.raises(
+        ValueError, match=r"\.work\(2\) returned .*, not a finite non-negative demand"
+    ) as err:
         run_scenario(sc, backend="fast")
     assert err.traceback[-1].name == site
+    assert f"synthetic[{chare}]" in str(err.value)
+    # the engine refuses the same work with the same one-line error
+    with pytest.raises(ValueError) as engine_err:
+        run_scenario(sc, backend="events")
+    assert str(engine_err.value) == str(err.value)
