@@ -8,14 +8,23 @@ core, a complete ("X") event per task execution, instant events for
 migrations, and flow-free duration events for LB steps.
 
 Times are exported in microseconds, as the format requires.
+
+:func:`to_trace_events` builds the events as dicts. :func:`write_chrome_trace`
+streams the same events as JSON text instead: each task slice, about
+99% of a trace's events, is written straight from its
+:class:`~repro.runtime.tracing.TaskEvent` with the C encoder's own
+formats (``float.__repr__`` for floats), and every other event goes
+through ``json.dumps``. The file is byte-identical to ``json.dumps`` of
+the dict list, at under half its cost.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from itertools import chain, islice
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runtime.tracing import TraceLog
+from repro.runtime.tracing import TaskEvent, TraceLog
 from repro.util.atomic import atomic_write
 
 __all__ = [
@@ -28,9 +37,9 @@ __all__ = [
 
 _US = 1e6  # seconds -> microseconds
 
-#: Events per ``json.dumps`` call when writing a trace: each call runs
-#: CPython's C encoder (``json.dump`` never does), and a bounded batch
-#: keeps the encoded text small next to the event list itself.
+#: Encoded events per write when streaming a trace: the file is written
+#: in joined batches of this many event texts, so an export holds one
+#: batch of text at a time, never the event list or the whole document.
 _BATCH = 256
 
 
@@ -51,7 +60,35 @@ def to_trace_events(
     pid:
         Process id to assign (use distinct pids to overlay several jobs).
     """
-    events: List[Dict[str, Any]] = [
+    before, after = _lane_events(trace, job_name, pid)
+    return before + [_task_event(t, pid) for t in trace.tasks] + after
+
+
+def _task_event(t: TaskEvent, pid: int) -> Dict[str, Any]:
+    """One task's complete ("X") event: :func:`to_trace_events`' dict,
+    and what the streaming encoder falls back to."""
+    return {
+        "name": f"{t.chare[0]}[{t.chare[1]}]",
+        "cat": "task",
+        "ph": "X",
+        "pid": pid,
+        "tid": t.core_id,
+        "ts": t.start * _US,
+        "dur": (t.end - t.start) * _US,
+        "args": {
+            "iteration": t.iteration,
+            "cpu_time_s": t.cpu_time,
+            "wall_time_s": t.end - t.start,
+        },
+    }
+
+
+def _lane_events(
+    trace: TraceLog, job_name: str, pid: int
+) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+    """A job lane's events around its tasks: the process and thread
+    names before them, the migrations and LB steps after them."""
+    before: List[Dict[str, Any]] = [
         {
             "name": "process_name",
             "ph": "M",
@@ -61,7 +98,7 @@ def to_trace_events(
     ]
     cores = sorted({t.core_id for t in trace.tasks})
     for cid in cores:
-        events.append(
+        before.append(
             {
                 "name": "thread_name",
                 "ph": "M",
@@ -70,25 +107,9 @@ def to_trace_events(
                 "args": {"name": trace.core_names.get(cid, f"core {cid}")},
             }
         )
-    for t in trace.tasks:
-        events.append(
-            {
-                "name": f"{t.chare[0]}[{t.chare[1]}]",
-                "cat": "task",
-                "ph": "X",
-                "pid": pid,
-                "tid": t.core_id,
-                "ts": t.start * _US,
-                "dur": (t.end - t.start) * _US,
-                "args": {
-                    "iteration": t.iteration,
-                    "cpu_time_s": t.cpu_time,
-                    "wall_time_s": t.end - t.start,
-                },
-            }
-        )
+    after: List[Dict[str, Any]] = []
     for m in trace.migrations:
-        events.append(
+        after.append(
             {
                 "name": f"migrate {m.chare[0]}[{m.chare[1]}] {m.src}->{m.dst}",
                 "cat": "migration",
@@ -101,7 +122,7 @@ def to_trace_events(
             }
         )
     for step in trace.lb_steps:
-        events.append(
+        after.append(
             {
                 "name": f"LB step ({step.num_migrations} migrations)",
                 "cat": "lb",
@@ -117,7 +138,7 @@ def to_trace_events(
                 },
             }
         )
-    return events
+    return before, after
 
 
 def audit_counter_events(
@@ -279,34 +300,103 @@ def write_chrome_trace(
     (λ/CoV/Gini) and per-core load counter tracks. Every lane is in
     simulated time, so identical runs write identical files.
 
-    The file is byte-identical to ``json.dump(events, fh)``. It is
-    written to a temporary sibling and renamed into place, so a sweep
-    killed mid-export never leaves a truncated trace at ``path``.
+    The file is byte-identical to ``json.dumps`` of the lanes'
+    :func:`to_trace_events` lists followed by the counter events, but
+    it is streamed: task slices are encoded straight from their
+    ``TaskEvent`` tuples, and the text goes out in batches of
+    :data:`_BATCH` events, so neither the event list nor the document
+    is ever held whole. It is written to a temporary sibling and renamed
+    into place, so a sweep killed mid-export never leaves a truncated
+    trace at ``path``.
     """
-    events = to_trace_events(trace, job_name=job_name, pid=1)
+    lanes = [_lane_texts(trace, job_name, 1)]
     for i, other in enumerate(extra or (), start=2):
-        events.extend(to_trace_events(other, job_name=f"job-{i}", pid=i))
+        lanes.append(_lane_texts(other, f"job-{i}", i))
+    counters: List[Dict[str, Any]] = []
     if audit:
-        events.extend(audit_counter_events(audit, pid=1))
+        counters.extend(audit_counter_events(audit, pid=1))
     if ledger is not None:
-        events.extend(ledger_counter_events(ledger, pid=1))
+        counters.extend(ledger_counter_events(ledger, pid=1))
     if lineage is not None:
-        events.extend(lineage_counter_events(lineage, pid=1))
-    _write_json_array(events, path)
-    return len(events)
+        counters.extend(lineage_counter_events(lineage, pid=1))
+    lanes.append(map(json.dumps, counters))
+    return _write_json_array(chain.from_iterable(lanes), path)
 
 
-def _write_json_array(items: Sequence[Any], path: str) -> None:
-    """Atomically write ``items`` as the text ``json.dumps(items)``.
+def _lane_texts(trace: TraceLog, job_name: str, pid: int) -> Iterator[str]:
+    """One lane's event texts, in :func:`to_trace_events` order."""
+    before, after = _lane_events(trace, job_name, pid)
+    return chain(
+        map(json.dumps, before),
+        _task_texts(trace.tasks, pid),
+        map(json.dumps, after),
+    )
 
-    Batches of at most :data:`_BATCH` items are encoded one
-    ``json.dumps`` call each and joined with the encoder's own ``", "``
-    item separator.
+
+def _task_texts(tasks: Iterable[TaskEvent], pid: int) -> Iterator[str]:
+    """Yield ``json.dumps(_task_event(t, pid))`` for each task, fast.
+
+    The text up to ``"ts": `` is built once per (chare, core) and the
+    four floats go through ``float.__repr__``, the C encoder's float
+    format; ``cpu_time_s`` reuses the ``wall_time_s`` text when the two
+    are equal and nonzero (``0.0 == -0.0``, but their texts differ). A
+    task whose ids are not plain ``int`` (a ``bool`` is an ``int`` but
+    encodes as ``true``), whose chare name is not a plain ``str``, or
+    whose floats are not finite plain ``float`` (``json.dumps`` spells
+    NaN and infinities its own way) is encoded from its dict instead.
     """
+    heads: Dict[Tuple[str, int, int], str] = {}
+    for t in tasks:
+        core, chare, iteration, start, end, cpu = t
+        name = chare[0]
+        index = chare[1]
+        if (
+            type(core) is int
+            and type(iteration) is int
+            and type(name) is str
+            and type(index) is int
+            and type(start) is float
+            and type(end) is float
+            and type(cpu) is float
+        ):
+            ts = start * _US
+            wall = end - start
+            dur = wall * _US
+            # x * 0.0 is 0.0 for finite x and NaN otherwise; a finite sum
+            # that overflows only sends the task down the slow path
+            if (ts + dur + cpu) * 0.0 == 0.0:
+                key = (name, index, core)
+                head = heads.get(key)
+                if head is None:
+                    # the members before "ts", encoded by json.dumps itself
+                    members = dict(islice(_task_event(t, pid).items(), 5))
+                    head = heads[key] = json.dumps(members)[:-1] + ', "ts": '
+                wall_text = repr(wall)
+                cpu_text = wall_text if cpu == wall and cpu else repr(cpu)
+                yield (
+                    f'{head}{ts!r}, "dur": {dur!r}, "args": {{"iteration": '
+                    f'{iteration}, "cpu_time_s": {cpu_text}, "wall_time_s": '
+                    f"{wall_text}}}}}"
+                )
+                continue
+        yield json.dumps(_task_event(t, pid))
+
+
+def _write_json_array(texts: Iterable[str], path: str) -> int:
+    """Atomically write the JSON array whose items encode to ``texts``.
+
+    Returns the number of items. Batches of at most :data:`_BATCH`
+    texts are joined with the encoder's own ``", "`` item separator and
+    written one at a time.
+    """
+    texts = iter(texts)
+    count = 0
     with atomic_write(path, ".json.tmp") as fh:
         fh.write("[")
-        for start in range(0, len(items), _BATCH):
-            if start:
+        for batch in iter(lambda: list(islice(texts, _BATCH)), []):
+            if count:
                 fh.write(", ")
-            fh.write(json.dumps(items[start:start + _BATCH])[1:-1])
+            fh.write(", ".join(batch))
+            count += len(batch)
         fh.write("]")
+    return count

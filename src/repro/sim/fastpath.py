@@ -266,6 +266,13 @@ class _FastCore:
         and lets version stamps kill the stale ones; only the *earliest*
         (first-inserted on ties, matching dict order) ever fires validly,
         so pushing just that one is equivalent and halves heap traffic.
+
+        Which of two tied processes goes first has not shown in any
+        output: the two-process accrual advances both alike. Ties do
+        occur (equal work and weight, started together), and
+        ``test_corun_completion_tie_parity`` runs them, but with
+        ``t1 <= t0`` it and every other parity test pass just as with
+        ``t1 < t0``, so no test pins the rule.
         """
         self.version += 1
         procs = self.procs

@@ -494,6 +494,60 @@ def test_arrival_parity(start, bg_cores, bg_iterations, weight, balancer):
     assert tr_e.migrations == tr_f.migrations
 
 
+@pytest.mark.parametrize(
+    "balancer", [None, RefineVMInterferenceLB], ids=["none", "refine-vm"]
+)
+@pytest.mark.parametrize("work", [0.01, 0.0])
+def test_corun_completion_tie_parity(work, balancer):
+    """An application task and a background task on one core, projected
+    to complete at the same instant: equal work, equal weight, both
+    started at t=0 on core 0. Results, trace, ledger, lineage and audit
+    must equal the engine's. This covers the co-run tie, but it cannot
+    tell the fast path's first-inserted tie rule (``t1 < t0`` in
+    ``_FastCore.change``) from ``t1 <= t0``: both give these outputs."""
+    runs = []
+    for backend in ("events", "fast"):
+        scenario = Scenario(
+            app=SyntheticApp(lambda index, iteration: work, num_chares=4),
+            num_cores=2,
+            iterations=10,
+            balancer=None if balancer is None else balancer(0.05),
+            policy=LBPolicy(period_iterations=2),
+            bg=BackgroundSpec(
+                model=SyntheticApp(lambda index, iteration: work, num_chares=2),
+                core_ids=(0,),
+                iterations=10,
+                weight=1.0,
+                start=0.0,
+            ),
+            tracing=True,
+        )
+        trail = AuditTrail()
+        ledger = TimeLedger(job="app", core_ids=scenario.app_core_ids)
+        lineage = LineageRecorder(job="app", core_ids=scenario.app_core_ids)
+        res = run_scenario(
+            scenario, backend=backend, audit=trail, ledger=ledger, lineage=lineage
+        )
+        runs.append((res, trail.records, ledger.summary(),
+                     lineage.payload(audit=trail.records)))
+    (res_e, audit_e, led_e, lin_e), (res_f, audit_f, led_f, lin_f) = runs
+    _assert_results_identical(res_e, res_f)
+    # the tie: core 0's first application task shared the core half and
+    # half for its whole life, so the background task that started with
+    # it, with the same work and weight, completed at the same instant
+    first = min((t for t in res_e.trace.tasks if t.core_id == 0),
+                key=lambda t: t.start)
+    assert (first.start, first.end, first.cpu_time) == (0.0, 2 * work, work)
+    assert res_e.trace.tasks == res_f.trace.tasks
+    assert res_e.trace.iterations == res_f.trace.iterations
+    assert res_e.trace.lb_steps == res_f.trace.lb_steps
+    assert res_e.trace.migrations == res_f.trace.migrations
+    assert led_e == led_f
+    assert lin_e == lin_f
+    assert audit_e == audit_f
+    assert (len(audit_e) > 0) == (balancer is not None)
+
+
 class TestTraceParity:
     """Projections traces are part of the parity contract: the fast path
     records the engine's task, iteration, LB-step and migration events,
