@@ -35,6 +35,9 @@ __all__ = ["Mol3D", "MDCellChare"]
 #: Serialised bytes per particle (position, velocity, force — 9 doubles).
 _BYTES_PER_PARTICLE = 72.0
 
+_TWO_PI = 2.0 * math.pi
+_sin = math.sin
+
 
 class MDCellChare(Chare):
     """One spatial cell of the MD decomposition.
@@ -85,13 +88,6 @@ class MDCellChare(Chare):
         self._velocities: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def particles_at(self, iteration: int) -> float:
-        """Effective particle count at ``iteration`` (slow drift)."""
-        factor = 1.0 + self.drift_amp * math.sin(
-            2.0 * math.pi * iteration / self.drift_period + self.drift_phase
-        )
-        return self.particles * factor
-
     #: Mean interacting neighbours per particle at average density (the
     #: cutoff-sphere population; ~64 for liquid-like densities).
     NEIGHBORS_AT_AVG_DENSITY = 64.0
@@ -110,8 +106,16 @@ class MDCellChare(Chare):
         decomposition, as real cutoff MD is — while denser cells are
         *quadratically* heavier, which is what creates Mol3D's internal
         load imbalance.
+
+        The particle count ``n`` drifts slowly with ``iteration`` (see
+        ``drift_amp``); it is computed here, inline, because this method
+        runs once per task.
         """
-        n = self.particles_at(iteration)
+        n = self.particles * (
+            1.0
+            + self.drift_amp
+            * _sin(_TWO_PI * iteration / self.drift_period + self.drift_phase)
+        )
         pairs = 0.5 * n * (n / self.avg_particles) * self.NEIGHBORS_AT_AVG_DENSITY
         return pairs * LJ_FLOPS_PER_PAIR / self.core_speed
 

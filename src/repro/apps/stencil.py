@@ -99,6 +99,8 @@ class StencilStripChare(Chare):
             ((self.jitter_seed * 2654435761 + self.index * 40503) % 6283) / 1000.0
         )
         self._base_work = self.rows * self.cols * self.flops_per_cell / self.core_speed
+        # the index term of the jitter phase, computed once per chare
+        self._index_phase = 2.3 * self.index
         # kernel state, allocated lazily only if execute() is used
         self._grid: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
@@ -114,7 +116,7 @@ class StencilStripChare(Chare):
         amp = self.jitter_amp
         if amp == 0.0:
             return self._base_work
-        phase = 0.7 * iteration + 2.3 * self.index + self._jitter_phase
+        phase = 0.7 * iteration + self._index_phase + self._jitter_phase
         return self._base_work * (1.0 + amp * _sin(phase))
 
     def execute(self, iteration: int) -> None:

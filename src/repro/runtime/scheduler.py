@@ -83,8 +83,10 @@ class CoreScheduler:
         msg = self._queue.popleft()
         self._current = msg
         demand = self._work_of(msg)
+        # named after the job alone: ``key`` (and ``owner``) identify the
+        # task, so no name string is formatted per task
         proc = SimProcess(
-            name=f"{self.owner}:{msg.chare[0]}[{msg.chare[1]}]@it{msg.iteration}",
+            name=self.owner,
             demand=demand,
             weight=self.weight,
             owner=self.owner,

@@ -22,10 +22,13 @@ same primitive operations, so IEEE-754 produces the same bits:
   chain under processor sharing with a single runnable process completes
   at the fold ``end_k = end_{k-1} + demand_k`` — exactly the floats the
   engine's dispatch/projection events produce, because a solo share is
-  ``w/w == 1.0`` and ``dt * 1.0 == dt``. The chain is evaluated by one
-  scalar loop per core. The engine's completion-epsilon re-projection
-  (``remaining > 1e-9`` at the projected completion) is replayed inside
-  that loop in the same exact form.
+  ``w/w == 1.0`` and ``dt * 1.0 == dt``. One call per iteration folds
+  every solo core of the job, one scalar loop per core that evaluates
+  each task's work as it folds it; all solo cores reach the barrier
+  through one arrival event at the latest of their end times. The
+  engine's completion-epsilon re-projection (``remaining > 1e-9`` at the
+  projected completion) is replayed inside that loop in the same exact
+  form.
 * **Contended cores** (application and background sharing a core, the
   paper's Figure 1 mechanism, or a background core the power meter
   reads when the application finishes): an exact event *replay*. At
@@ -41,7 +44,9 @@ same primitive operations, so IEEE-754 produces the same bits:
   shared helpers and the real :class:`~repro.core.database.LBDatabase`,
   :class:`~repro.sim.procstat.ProcStat` and
   :class:`~repro.core.balancer.LoadBalancer` objects operate on
-  duck-typed fast cores.
+  duck-typed fast cores. Task CPU times enter the database's LB window
+  only when the job has a balancer, the window's one reader; every job
+  still snapshots its cores at launch, because that snapshot syncs them.
 
 A core is eligible for solo-analytic advancement only while no *other*
 unfinished job can observe it mid-iteration — either by running on it or
@@ -57,14 +62,15 @@ With ``scenario.tracing`` the application's
 one ``TaskEvent`` per completion (from the completion sites of the solo
 fold and the replay), one ``IterationEvent`` per barrier, and per LB
 step one ``MigrationEvent`` per migration plus one ``LBStepEvent``. Each
-core's tasks are appended in execution order, but cores are folded one
-after another; the log sorts every iteration into its canonical order,
-so the trace equals the engine's.
+core's tasks are appended in execution order, but solo cores are folded
+one after another; the log sorts every iteration into its canonical
+order, so the trace equals the engine's.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.netmodel import NetworkModel
@@ -131,7 +137,7 @@ class _FastSim:
                     obj.on_completion(time)
             elif kind == _EV_ARRIVE:
                 self.now = time
-                obj._core_drained(time)
+                obj._core_drained(time, arg)
             elif kind == _EV_BEGIN:
                 self.now = time
                 obj._begin_iteration(arg, time)
@@ -332,10 +338,11 @@ class _FastCore:
         # single hottest block — one call frame instead of three)
         job = p.job
         cpu = p.cpu_time
-        # direct window-dict accumulation (see _run_solo_core): the share
+        # direct window-dict accumulation (see _run_solo_cores): the share
         # arithmetic only ever yields non-negative floats
-        tc = job.db._task_cpu
-        tc[p.key] = tc.get(p.key, 0.0) + cpu
+        if job.balancer is not None:
+            tc = job.db._task_cpu
+            tc[p.key] = tc.get(p.key, 0.0) + cpu
         if job.lineage is not None:
             job.lineage.record_sample(p.key, job._iteration, p.cid, cpu)
         if job.trace is not None:
@@ -364,7 +371,7 @@ class _FastCore:
             procs.append(p)
             self.change(t)
             return
-        job._core_drained(t)
+        job._core_drained(t, 1)
         if self.version == v and procs:
             # the completion cascade did not dispatch onto this core:
             # re-project the surviving co-runner ourselves
@@ -438,9 +445,10 @@ class _FastJob:
         # Sorted at the barrier, this reproduces the engine's chronological
         # (time, event-seq) fold order for total_task_cpu_s.
         self._completions: List[Tuple[float, float, int, float]] = []
-        # per-core sorted task lists, rebuilt after migrations
-        self._percore_keys: Dict[int, List[ChareKey]] = {}
-        self._percore_chares: Dict[int, list] = {}
+        # the (rank, cid, core, keys, chares) entry of each non-empty core
+        # in rank order, its keys sorted and its chares in key order;
+        # rebuilt after migrations
+        self._percore_ranks: List[tuple] = []
         self._percore_dirty = True
         self._comm_delay_cache: Optional[float] = None
         for cid in core_ids:
@@ -500,11 +508,13 @@ class _FastJob:
         for key, cid in self.mapping.items():
             per[cid].append(key)
         chares = self.chares
-        self._percore_keys = {cid: sorted(per[cid]) for cid in self.core_ids}
-        self._percore_chares = {
-            cid: [chares[k] for k in keys]
-            for cid, keys in self._percore_keys.items()
-        }
+        ranks = []
+        for rank, cid in enumerate(self.core_ids):
+            keys = sorted(per[cid])
+            if keys:
+                chs = [chares[k] for k in keys]
+                ranks.append((rank, cid, self.cores[cid], keys, chs))
+        self._percore_ranks = ranks
         self._percore_dirty = False
 
     def _solo(self, core: _FastCore) -> bool:
@@ -551,123 +561,123 @@ class _FastJob:
         self._expected = len(self.core_ids)
         if self._percore_dirty:
             self._rebuild_percore()
-        sim = self.sim
-        empty = 0
-        for rank, cid in enumerate(self.core_ids):
-            keys = self._percore_keys[cid]
-            if not keys:
-                empty += 1
-                continue
-            core = self.cores[cid]
-            if self._solo(core):
-                end = self._run_solo_core(
-                    core, cid, keys, self._percore_chares[cid],
-                    iteration, T, rank,
-                )
-                sim.push(end, _EV_ARRIVE, self, 0)
-            else:
-                self._dispatch(cid, 0, T, rank)
-        for _ in range(empty):  # object-less cores arrive instantly
-            self._core_drained(T)
+        ranks = self._percore_ranks
+        solo = []
+        replay = []
+        for entry in ranks:
+            (solo if self._solo(entry[2]) else replay).append(entry)
+        if solo:
+            end = self._run_solo_cores(solo, iteration, T)
+        for rank, cid, core, keys, chs in replay:
+            self._dispatch(rank, cid, core, keys, chs, T)
+        if solo:  # the solo cores arrive together, at the last one's end
+            self.sim.push(end, _EV_ARRIVE, self, len(solo))
+        empty = len(self.core_ids) - len(ranks)
+        if empty:  # object-less cores arrive instantly
+            self._core_drained(T, empty)
 
     # -- solo-analytic advancement -------------------------------------
-    def _run_solo_core(
-        self, core, cid, keys, chs, iteration, T, rank
-    ) -> float:
-        """Advance one core's whole iteration without events.
+    def _run_solo_cores(self, ranks: List[tuple], iteration: int, T: float) -> float:
+        """Advance the whole iteration of every core in ``ranks`` without
+        events, one core after another.
 
-        Returns the barrier-arrival time. Every fold replicates the
-        accrual the engine performs at the corresponding dispatch or
-        completion event (solo share is exactly 1.0, so each task's
-        accrued CPU equals ``end_k - end_{k-1}``).
+        ``ranks`` holds ``(rank, cid, core, keys, chares)`` entries in rank
+        order. Returns the latest barrier-arrival time among them, and
+        ``T`` if none is later. Every fold replicates the accrual the
+        engine performs at the corresponding dispatch or completion event
+        (solo share is exactly 1.0, so each task's accrued CPU equals
+        ``end_k - end_{k-1}``).
         """
         led = self.ledger
         lin = self.lineage
         tr = self.trace
-        work = []
-        inf = _INF
-        for ch in chs:
-            d = ch.work(iteration)
-            if not 0.0 <= d < inf:
-                raise bad_work_error(ch, iteration, d)
-            work.append(d)
-        dt = T - core.last
-        if dt > 0.0:  # idle gap since the core's last activity
-            if led is not None:
-                # no runnable procs in the gap: idle, or LB pause
-                led.accrue(cid, core.last, T, ())
-            core.idle_time += dt
-        name = self.name
+        hooked = led is not None or lin is not None or tr is not None
         # accumulate straight into the LB database's window dict — the
-        # record_task wrapper only adds validation, and ``work`` was
-        # already checked finite and non-negative above
-        tc = self.db._task_cpu
-        tc_get = tc.get
-        comps = self._completions
-        busy = core.busy_time
-        own = core.cpu_by_owner.get(name, 0.0)
-        wall = 0.0
-        t = T
-        for i in range(len(work)):
-            d = work[i]
-            start = t
-            sched = t
-            e = t + d
-            c = e - t
-            rem = d - c
-            busy += c
-            own += c
-            cpu = c
-            t = e
-            while rem > _COMPLETION_EPS:
-                # engine re-projection: new event at t + remaining
+        # record_task wrapper only adds validation, and each demand is
+        # checked finite and non-negative below. Only a balancer reads
+        # the window, so a job without one skips it.
+        tc = self.db._task_cpu if self.balancer is not None else None
+        append = self._completions.append
+        walls = self._iter_core_wall
+        name = self.name
+        eps = _COMPLETION_EPS
+        inf = _INF
+        last = T
+        for rank, cid, core, keys, chs in ranks:
+            dt = T - core.last
+            if dt > 0.0:  # idle gap since the core's last activity
+                if led is not None:
+                    # no runnable procs in the gap: idle, or LB pause
+                    led.accrue(cid, core.last, T, ())
+                core.idle_time += dt
+            busy = core.busy_time
+            own = core.cpu_by_owner.get(name, 0.0)
+            wall = 0.0
+            t = T
+            for k, ch in zip(keys, chs):
+                d = ch.work(iteration)
+                if not 0.0 <= d < inf:
+                    raise bad_work_error(ch, iteration, d)
+                start = t
                 sched = t
-                e = t + rem
-                if e == t:
-                    raise _clock_stalled(cid, t, rem)
-                dtx = e - t
-                busy += dtx
-                own += dtx
-                cpu += dtx
-                rem -= dtx
+                e = t + d
+                c = e - t
+                rem = d - c
+                busy += c
+                own += c
+                cpu = c
                 t = e
-            k = keys[i]
-            tc[k] = tc_get(k, 0.0) + cpu
-            if lin is not None:
-                lin.record_sample(k, iteration, cid, cpu)
-            if tr is not None:
-                tr.add_task(TaskEvent(cid, k, iteration, start, t, cpu))
-            wall += t - start
-            comps.append((t, sched, rank, cpu))
-            if led is not None:
-                led.accrue_app(cid, start, t, k)
-        core.busy_time = busy
-        core.cpu_by_owner[name] = own
-        core.last = t
-        self._iter_core_wall[cid] = wall
-        return t
+                while rem > eps:
+                    # engine re-projection: new event at t + remaining
+                    sched = t
+                    e = t + rem
+                    if e == t:
+                        raise _clock_stalled(cid, t, rem)
+                    dtx = e - t
+                    busy += dtx
+                    own += dtx
+                    cpu += dtx
+                    rem -= dtx
+                    t = e
+                if tc is not None:
+                    tc[k] = tc.get(k, 0.0) + cpu
+                if hooked:
+                    if lin is not None:
+                        lin.record_sample(k, iteration, cid, cpu)
+                    if tr is not None:
+                        tr.add_task(TaskEvent(cid, k, iteration, start, t, cpu))
+                    if led is not None:
+                        led.accrue_app(cid, start, t, k)
+                wall += t - start
+                append((t, sched, rank, cpu))
+            core.busy_time = busy
+            core.cpu_by_owner[name] = own
+            core.last = t
+            walls[cid] = wall
+            if t > last:
+                last = t
+        return last
 
     # -- replay path ----------------------------------------------------
-    def _dispatch(self, cid: int, pos: int, t: float, rank: int) -> None:
-        keys = self._percore_keys[cid]
-        chs = self._percore_chares[cid]
-        ch = chs[pos]
+    def _dispatch(self, rank, cid, core, keys, chs, t: float) -> None:
+        """Start a replayed core's iteration with its first task."""
+        ch = chs[0]
         d = ch.work(self._iteration)
         if not 0.0 <= d < _INF:
             raise bad_work_error(ch, self._iteration, d)
-        core = self.cores[cid]
         if core.last != t:  # zero-width accruals are no-ops
             core.accrue(t)
-        p = _FastProc(self, keys[pos], self.weight, d, t, cid, rank)
+        p = _FastProc(self, keys[0], self.weight, d, t, cid, rank)
         p.keys = keys
         p.chs = chs
-        p.qpos = pos + 1
+        p.qpos = 1
         core.procs.append(p)
         core.change(t)
 
     # -- barrier --------------------------------------------------------
-    def _core_drained(self, t: float) -> None:
-        self._arrived += 1
+    def _core_drained(self, t: float, n: int) -> None:
+        """``n`` cores reached the barrier at ``t``."""
+        self._arrived += n
         if self._arrived == self._expected:
             self._end_iteration(t)
 
@@ -685,10 +695,9 @@ class _FastJob:
             # whose 0.0 terms leave the sum unchanged; fold task CPU in
             # that order
             comps.sort()
-            total = self.total_task_cpu_s
-            for entry in comps:
-                total += entry[3]
-            self.total_task_cpu_s = total
+            self.total_task_cpu_s = left_sum(
+                map(itemgetter(3), comps), self.total_task_cpu_s
+            )
             del comps[:]
         self.iteration_imbalance.append(self._measure_imbalance())
         return self._iteration + 1
@@ -746,7 +755,6 @@ class _FastJob:
         """
         sim = self.sim
         core_ids = self.core_ids
-        cores = self.cores
         ledger = self.ledger
         lineage = self.lineage
         while True:
@@ -760,17 +768,8 @@ class _FastJob:
             if self._percore_dirty:
                 self._rebuild_percore()
             sim.now = T
-            t = T  # barrier = last core's arrival (empty cores arrive at T)
-            for rank, cid in enumerate(core_ids):
-                keys = self._percore_keys[cid]
-                if not keys:
-                    continue
-                end = self._run_solo_core(
-                    cores[cid], cid, keys, self._percore_chares[cid],
-                    iteration, T, rank,
-                )
-                if end > t:
-                    t = end
+            # barrier = last core's arrival (empty cores arrive at T)
+            t = self._run_solo_cores(self._percore_ranks, iteration, T)
             sim.now = t
             completed = self._barrier_bookkeeping(t)
             if completed == self._total_iterations:

@@ -46,7 +46,8 @@ class SimProcess:
     Parameters
     ----------
     name:
-        Human-readable identifier (appears in traces and error messages).
+        Human-readable label, shown by ``repr()`` next to ``owner`` and
+        ``key``.
     demand:
         CPU-seconds this process must consume before completing.
     weight:
@@ -115,5 +116,6 @@ class SimProcess:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimProcess(pid={self.pid}, name={self.name!r}, "
+            f"owner={self.owner!r}, key={self.key!r}, "
             f"state={self.state.value}, remaining={self.remaining:.6g})"
         )

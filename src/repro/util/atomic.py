@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from typing import IO, Any, Iterator, Mapping, Union
 
 __all__ = ["atomic_write", "atomic_write_json"]
+
+_CREATE_FLAGS = (
+    os.O_WRONLY
+    | os.O_CREAT
+    | os.O_EXCL
+    | getattr(os, "O_NOFOLLOW", 0)
+    | getattr(os, "O_CLOEXEC", 0)
+)
 
 
 @contextmanager
@@ -20,10 +28,16 @@ def atomic_write(
     Readers see either the complete previous file or the complete new
     one. If the body raises, the temporary file is removed and ``path``
     is untouched; a killed process leaves at most a stray ``*suffix``
-    file, never a truncated ``path``.
+    file, never a truncated ``path``. The file gets the mode a new file
+    written by ``open(path, "w")`` gets: ``0666`` less the umask.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=suffix)
+    tmp = os.path.join(
+        os.path.dirname(path) or ".", f"tmp{secrets.token_hex(8)}{suffix}"
+    )
+    # requested as 0666, as open(path, "w") does, so the kernel applies
+    # the umask alike (tempfile.mkstemp always creates 0600)
+    fd = os.open(tmp, _CREATE_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

@@ -73,3 +73,12 @@ def test_interference_stretches_wall_not_cpu():
     proc = done[0]
     assert proc.cpu_time == pytest.approx(2.0)  # instrumented CPU time
     assert proc.completed_at == pytest.approx(4.0)  # stretched wall time
+
+
+def test_task_process_is_identified_by_owner_and_key():
+    eng, core, sched, done, drains = make_sched(work=1.0)
+    sched.enqueue(ComputeMsg(chare=("a", 7), iteration=3))
+    eng.run()
+    (_, proc), = done
+    assert (proc.name, proc.owner, proc.key) == ("app", "app", ("a", 7))
+    assert "owner='app'" in repr(proc) and "key=('a', 7)" in repr(proc)

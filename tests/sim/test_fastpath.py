@@ -4,8 +4,9 @@ Scenario-level parity lives in ``tests/experiments/test_backend_parity``;
 these tests pin the solo fold on cores carrying few and many chares (the
 ablation sweeps go up to 16 chares per core), the trace order when
 zero-work tasks tie across cores, and the rejection of negative work at
-each site that evaluates a task (solo fold, replay dispatch, replay
-completion), with exact ``==`` against the event engine.
+each site that evaluates a task (solo fold, on its first core and on a
+later one, replay dispatch, replay completion), with exact ``==`` against
+the event engine.
 """
 
 import math
@@ -100,7 +101,10 @@ def test_zero_work_ties_trace_in_engine_order(cores, bg):
 
 
 _SITES = {
-    "solo": (False, 0, "_run_solo_core"),
+    "solo": (False, 0, "_run_solo_cores"),
+    # chare 2 is core 1's first task: the second core of the one fold
+    # call that advances both solo cores
+    "solo-second-core": (False, 2, "_run_solo_cores"),
     "contended": (True, 0, "_dispatch"),
     "contended-later-task": (True, 1, "on_completion"),
 }
@@ -118,9 +122,10 @@ _BAD_WORK = {"": -1.0, "-nan": math.nan, "-inf": math.inf}
 )
 def test_negative_work_rejected(bg, chare, site, bad):
     # two chares per core: chare 0 is core 0's first task, chare 1 the
-    # task the replay dispatches when chare 0 completes. NaN and inf are
-    # refused where -1.0 is, as on the engine (the fast path once
-    # returned a result for contended NaN and hung on contended inf)
+    # task the replay dispatches when chare 0 completes, chare 2 core 1's
+    # first task. NaN and inf are refused where -1.0 is, as on the engine
+    # (the fast path once returned a result for contended NaN and hung on
+    # contended inf)
     app = SyntheticApp(
         lambda index, iteration: bad if (index, iteration) == (chare, 2) else 0.01,
         num_chares=4,
