@@ -5,14 +5,15 @@ strategies a per-processor summary. We mirror that contract:
 
 * :class:`TaskRecord` — one migratable object: measured CPU time over the
   last LB window plus its serialised size (migration cost input).
-* :class:`CoreLoad` — one core: its task records and the Eq.-(2)
-  background load ``O_p``.
+* :class:`CoreLoad` — one core: its task records, the Eq.-(2)
+  background load ``O_p`` and the task records' CPU sum.
 * :class:`LBView` — the whole picture at one LB step, immutable, with the
   paper's Eq. (1) average ``T_avg`` as a property.
 * :class:`Migration` — one decision: move ``chare`` from ``src`` to ``dst``.
 * :class:`LBDatabase` — the runtime-side accumulator that builds views:
-  it sums per-chare CPU between LB steps and derives O_p from
-  ``/proc/stat`` snapshots (never from simulator ground truth).
+  it sums per-chare CPU between LB steps, in one list per core laid out
+  from the chare mapping, and derives O_p from ``/proc/stat`` snapshots
+  (never from simulator ground truth).
 
 ``TaskRecord``, ``CoreLoad`` and ``Migration`` are built per task, core
 or decision at every LB step, so they are named tuples: immutable,
@@ -24,6 +25,8 @@ construction. :meth:`LBDatabase.build_view` builds its records with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sim.procstat import CoreStatSnapshot, ProcStat
@@ -90,10 +93,16 @@ class TaskRecord(_TaskRecordFields):
         return _new(cls, (chare, cpu_time, state_bytes, comm))
 
 
+#: ``(chare, cpu_time, state_bytes, comm)`` -> :class:`TaskRecord`,
+#: unchecked (for inputs :class:`LBDatabase` has already checked)
+_task_record = partial(_new, TaskRecord)
+
+
 class _CoreLoadFields(NamedTuple):
     core_id: int
     tasks: Tuple[TaskRecord, ...]
     bg_load: float = 0.0
+    task_time: float = 0.0
 
 
 class CoreLoad(_CoreLoadFields):
@@ -108,21 +117,29 @@ class CoreLoad(_CoreLoadFields):
     bg_load:
         O_p from Eq. (2): CPU-seconds the core spent on work external to
         the application during the window.
+    task_time:
+        Σ_i t_i^p — instrumented task CPU time on this core, the
+        ``left_sum`` of ``tasks``' CPU times. Computed when omitted, so
+        ``CoreLoad(core_id, tasks, bg_load)`` carries its sum; a given
+        value is taken as is (pickling passes every field).
     """
 
     __slots__ = ()
 
     def __new__(
-        cls, core_id: int, tasks: Tuple[TaskRecord, ...], bg_load: float = 0.0
+        cls,
+        core_id: int,
+        tasks: Tuple[TaskRecord, ...],
+        bg_load: float = 0.0,
+        task_time: Optional[float] = None,
     ) -> "CoreLoad":
         if not (type(bg_load) is float and 0.0 <= bg_load < _INF):
             check_non_negative("bg_load", bg_load)
-        return _new(cls, (core_id, tasks, bg_load))
-
-    @property
-    def task_time(self) -> float:
-        """Σ_i t_i^p — instrumented task CPU time on this core."""
-        return left_sum(t.cpu_time for t in self.tasks)
+        if task_time is None:
+            task_time = left_sum([t.cpu_time for t in tasks])
+        elif not (type(task_time) is float and 0.0 <= task_time < _INF):
+            check_non_negative("task_time", task_time)
+        return _new(cls, (core_id, tasks, bg_load, task_time))
 
     @property
     def total_load(self) -> float:
@@ -199,6 +216,8 @@ def validate_migrations(view: LBView, migrations: Sequence[Migration]) -> None:
     Checks: every chare exists, its ``src`` matches the view's mapping, the
     destination core is part of the view, and no chare moves twice.
     """
+    if not migrations:
+        return
     mapping = view.task_map()
     valid_cores = {c.core_id for c in view.cores}
     moved = set()
@@ -219,11 +238,15 @@ def validate_migrations(view: LBView, migrations: Sequence[Migration]) -> None:
 class LBDatabase:
     """Runtime-side accumulator building :class:`LBView` snapshots.
 
-    Between LB steps the runtime calls :meth:`record_task` after every
-    entry-method completion. At an LB step, :meth:`build_view` combines the
-    accumulated per-chare CPU times with ``/proc/stat`` deltas to compute
-    each core's O_p (Eq. 2), then :meth:`reset_window` starts the next
-    window.
+    The LB window is one CPU list per core, aligned with that core's
+    chare keys in sorted order. :meth:`layout` lays it out from the
+    chare mapping; the runtimes call it at launch and again after every
+    LB step that migrated. Between LB steps each completed entry method
+    adds its CPU time at its chare's position (:meth:`record_task`, or
+    in place through :meth:`core_window`). At an LB step,
+    :meth:`build_view` combines the per-core lists with ``/proc/stat``
+    deltas to compute each core's O_p (Eq. 2), then :meth:`reset_window`
+    starts the next window.
 
     Parameters
     ----------
@@ -262,10 +285,71 @@ class LBDatabase:
                         f"negative comm volume {nbytes} to {other} on {chare}"
                     )
                 check_finite(f"comm volume to {other} on {chare}", nbytes)
-        self._task_cpu: Dict[ChareKey, float] = {}
+        # the layout: core_id -> (core_id, keys, cpus, sizes, comms), the
+        # lists aligned, in /proc/stat's core order
+        self._cores: Dict[int, tuple] = {
+            cid: (cid, [], [], [], []) for cid in procstat.core_ids()
+        }
+        # chare -> (its core's cpus, position), made by the first
+        # record_task of a layout (the fast path adds in place instead)
+        self._slot: Optional[Dict[ChareKey, Tuple[List[float], int]]] = None
+        self._laid_out: Optional[Mapping[ChareKey, int]] = None
+        # CPU recorded for chares outside the layout (kept until laid out)
+        self._unplaced: Dict[ChareKey, float] = {}
         self._window_start: Dict[int, CoreStatSnapshot] = procstat.snapshot_all()
         # snapshots the last build_view took (see reset_window)
         self._view_snaps: Optional[Dict[int, CoreStatSnapshot]] = None
+
+    # ------------------------------------------------------------------
+    # layout
+    # ------------------------------------------------------------------
+    def layout(self, mapping: Mapping[ChareKey, int]) -> None:
+        """Lay the window out from ``mapping`` (chare -> core).
+
+        Each core gets its chare keys in sorted order and a CPU list
+        aligned with them. CPU already recorded for a chare moves with
+        it, so a layout may come at any point of a window; the runtimes
+        lay out at launch and after each LB step that migrated, when the
+        window is empty. :meth:`core_window` lists handed out earlier
+        are not updated.
+        """
+        keys_of: Dict[int, List[ChareKey]] = {cid: [] for cid in self._cores}
+        for chare, core_id in mapping.items():
+            keys = keys_of.get(core_id)
+            if keys is None:
+                raise ValueError(
+                    f"chare {chare} mapped to core {core_id} outside the job"
+                )
+            keys.append(chare)
+        recorded = self._unplaced
+        for _cid, keys, cpus, _sizes, _comms in self._cores.values():
+            recorded.update(zip(keys, cpus))
+        pop = recorded.pop
+        state_bytes = self._state_bytes
+        comm = self._comm
+        cores = {}
+        for core_id, keys in keys_of.items():
+            keys.sort()
+            cores[core_id] = (
+                core_id,
+                keys,
+                [pop(chare, 0.0) for chare in keys],
+                [state_bytes.get(chare, 0.0) for chare in keys],
+                [comm.get(chare, ()) for chare in keys],
+            )
+        self._cores = cores
+        self._slot = None
+        self._laid_out = mapping
+
+    def core_window(self, core_id: int) -> Tuple[List[ChareKey], List[float]]:
+        """``core_id``'s chare keys in sorted order and its CPU list.
+
+        The CPU list is the LB window itself: an engine may add a task's
+        CPU time at its chare's position instead of calling
+        :meth:`record_task`. Both lists belong to the current layout.
+        """
+        _cid, keys, cpus, _sizes, _comms = self._cores[core_id]
+        return keys, cpus
 
     # ------------------------------------------------------------------
     # accumulation
@@ -276,12 +360,28 @@ class LBDatabase:
         # comparisons; defer to the full checker only to raise
         if not (type(cpu_time) is float and 0.0 <= cpu_time < _INF):
             check_non_negative("cpu_time", cpu_time)
-        self._task_cpu[chare] = self._task_cpu.get(chare, 0.0) + cpu_time
+        slots = self._slot
+        if slots is None:
+            slots = self._slot = {
+                chare: (cpus, i)
+                for _cid, keys, cpus, _sizes, _comms in self._cores.values()
+                for i, chare in enumerate(keys)
+            }
+        slot = slots.get(chare)
+        if slot is None:
+            unplaced = self._unplaced
+            unplaced[chare] = unplaced.get(chare, 0.0) + cpu_time
+        else:
+            cpus, i = slot
+            cpus[i] += cpu_time
 
     def set_state_bytes(self, chare: ChareKey, nbytes: float) -> None:
         """Register/refresh a chare's serialised size."""
         check_non_negative("nbytes", nbytes)
         self._state_bytes[chare] = nbytes
+        for _cid, keys, _cpus, sizes, _comms in self._cores.values():
+            if chare in keys:
+                sizes[keys.index(chare)] = nbytes
 
     # ------------------------------------------------------------------
     # view construction
@@ -289,60 +389,54 @@ class LBDatabase:
     def build_view(self, mapping: Mapping[ChareKey, int]) -> LBView:
         """Snapshot the current window as an :class:`LBView`.
 
-        Each core's task records are in chare order.
+        Each core's task records are in chare order, built from the
+        core's window list, with the core's CPU sum stored on its
+        :class:`CoreLoad`.
 
         Parameters
         ----------
         mapping:
-            Current chare -> core assignment from the runtime.
+            Current chare -> core assignment from the runtime. Unless it
+            is the mapping object the window was last laid out from, the
+            window is laid out from it first; a runtime that changes its
+            mapping in place calls :meth:`layout` itself.
         """
-        procstat = self._procstat
-        snaps = self._view_snaps = procstat.snapshot_all()
-        core_ids = procstat.core_ids()
-        per_core: Dict[int, List[TaskRecord]] = {cid: [] for cid in core_ids}
-        task_cpu = self._task_cpu
-        state_bytes = self._state_bytes
-        comm = self._comm
-        # one sort of the keys puts every core's records in chare order
-        for chare in sorted(mapping):
-            core_id = mapping[chare]
-            tasks = per_core.get(core_id)
-            if tasks is None:
-                raise ValueError(
-                    f"chare {chare} mapped to core {core_id} outside the job"
-                )
-            cpu = task_cpu.get(chare, 0.0)
-            if not (type(cpu) is float and 0.0 <= cpu < _INF):
-                check_non_negative("cpu_time", cpu)
-            tasks.append(
-                _new(
-                    TaskRecord,
-                    (chare, cpu, state_bytes.get(chare, 0.0), comm.get(chare, ())),
-                )
-            )
+        if mapping is not self._laid_out:
+            self.layout(mapping)
+        snaps = self._view_snaps = self._procstat.snapshot_all()
+        window_start = self._window_start
+        background_load = ProcStat.background_load
         cores = []
         window = 0.0
-        window_start = self._window_start
-        for cid in core_ids:
+        for cid, keys, cpus, sizes, comms in self._cores.values():
             delta = snaps[cid].delta(window_start[cid])
             window = max(window, delta.time)
-            tasks = tuple(per_core[cid])
-            task_sum = left_sum([t.cpu_time for t in tasks])
-            bg = ProcStat.background_load(delta, task_sum)
+            # every term is a checked non-negative float, so a finite sum
+            # means finite terms
+            task_sum = left_sum(cpus)
+            if not 0.0 <= task_sum < _INF:
+                for cpu in cpus:
+                    check_non_negative("cpu_time", cpu)
+            tasks = tuple(map(_task_record, zip(keys, cpus, sizes, comms)))
+            bg = background_load(delta, task_sum)
             if not 0.0 <= bg < _INF:
                 check_non_negative("bg_load", bg)
-            cores.append(_new(CoreLoad, (cid, tasks, bg)))
+            cores.append(_new(CoreLoad, (cid, tasks, bg, task_sum)))
         return LBView(cores=tuple(cores), window=window)
 
     def reset_window(self) -> None:
-        """Zero the per-chare accumulators and re-baseline ``/proc/stat``.
+        """Zero the window and re-baseline ``/proc/stat``.
 
-        Right after :meth:`build_view`, at the same simulated time, the
-        view's snapshots are still the current counters (they move only
-        as the clock does), so they become the new baseline; once the
-        clock has moved, fresh snapshots are taken.
+        The per-core lists are zeroed in place, so lists handed out by
+        :meth:`core_window` stay the window. Right after
+        :meth:`build_view`, at the same simulated time, the view's
+        snapshots are still the current counters (they move only as the
+        clock does), so they become the new baseline; once the clock has
+        moved, fresh snapshots are taken.
         """
-        self._task_cpu.clear()
+        for _cid, _keys, cpus, _sizes, _comms in self._cores.values():
+            cpus[:] = repeat(0.0, len(cpus))
+        self._unplaced.clear()
         snaps = self._view_snaps
         if snaps is None or not self._procstat.is_current(snaps):
             snaps = self._procstat.snapshot_all()

@@ -52,6 +52,11 @@ from repro.util import check_non_negative, left_sum
 __all__ = ["RefineVMInterferenceLB"]
 
 
+def _biggest_first(task: TaskRecord) -> Tuple[float, ChareKey]:
+    """Sort key: biggest CPU time first, ties by chare."""
+    return (-task.cpu_time, task.chare)
+
+
 class RefineVMInterferenceLB(LoadBalancer):
     """Interference-aware refinement balancer (the paper's Algorithm 1).
 
@@ -112,31 +117,41 @@ class RefineVMInterferenceLB(LoadBalancer):
     # Algorithm 1
     # ------------------------------------------------------------------
     def decide(self, view: LBView) -> List[Migration]:
-        t_avg = self._t_avg(view)
-        eps = self._eps(t_avg)
-
-        # mutable working state: per-core load, task lists, and the task
-        # location map (kept current as migrations are decided; subclasses
-        # such as the communication-aware variant use it)
+        # mutable working state: per-core load, read once per core, and
+        # the task location map (kept current as migrations are decided;
+        # subclasses such as the communication-aware variant use it)
         load: Dict[int, float] = {}
-        tasks: Dict[int, List[TaskRecord]] = {}
         location: Dict[ChareKey, int] = {}
+        core_tasks: Dict[int, Tuple[TaskRecord, ...]] = {}
+        core_load = self._core_load
         for c in view.cores:
-            load[c.core_id] = self._core_load(c.task_time, c.bg_load)
-            # biggest-first ordering supports the "biggest task" selection
-            tasks[c.core_id] = sorted(
-                c.tasks, key=lambda t: (-t.cpu_time, t.chare)
-            )
+            cid = c.core_id
+            load[cid] = core_load(c.task_time, c.bg_load)
+            core_tasks[cid] = c.tasks
             for t in c.tasks:
-                location[t.chare] = c.core_id
+                location[t.chare] = cid
+        # Eq. (1) over the loads in view order, as _t_avg folds it
+        t_avg = left_sum(load.values()) / len(view.cores) if view.cores else 0.0
+        eps = self._eps(t_avg)
 
         overheap, underset = self._classify(view, load, t_avg, eps)
 
+        # donors' task lists, biggest first (the "biggest task" order),
+        # sorted when a donor is first popped. Only donors' lists are
+        # read: a receiver comes from the underset and stays within
+        # T_avg + ε, so it never enters the overheap, and a heavy core
+        # receives nothing before its first pop
+        donor_lists: Dict[int, List[TaskRecord]] = {}
         migrations: List[Migration] = []
         while len(overheap) > 0:  # line 10
             donor, _donor_load = overheap.pop()  # line 11
+            donor_tasks = donor_lists.get(donor)
+            if donor_tasks is None:
+                donor_tasks = donor_lists[donor] = sorted(
+                    core_tasks[donor], key=_biggest_first
+                )
             best = self._best_core_and_task(  # line 12
-                donor, tasks[donor], load, underset, t_avg, eps,
+                donor, donor_tasks, load, underset, t_avg, eps,
                 location=location,
             )
             if best is None:
@@ -147,8 +162,7 @@ class RefineVMInterferenceLB(LoadBalancer):
             migrations.append(Migration(chare=task.chare, src=donor, dst=dest))  # line 13
 
             # line 14: updateHeapAndSet()
-            tasks[donor].remove(task)
-            tasks[dest].append(task)
+            donor_tasks.remove(task)
             location[task.chare] = dest
             load[donor] -= task.cpu_time
             load[dest] += task.cpu_time

@@ -16,7 +16,7 @@ quantifies the reaction-latency/overhead trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.util import check_non_negative, check_positive
 
@@ -39,6 +39,12 @@ class LBPolicy:
         (the centralised gather + algorithm time on the master core).
     """
 
+    #: Whether :meth:`due` reads the measured ``imbalance``. A class
+    #: constant, not a field: the runtimes measure per-core iteration
+    #: walls only for policies that set it, and pass ``imbalance=None``
+    #: to all others.
+    reads_imbalance: ClassVar[bool] = False
+
     period_iterations: int = 10
     skip_first: int = 0
     decision_overhead_s: float = 1e-3
@@ -60,10 +66,11 @@ class LBPolicy:
 
         Iterations are counted from 1. Balancing after the final iteration
         is pointless and never signalled. The runtime also passes the
-        measured per-iteration ``imbalance`` (max over cores of the
-        iteration wall share, divided by the mean) and the number of
-        iterations ``since_last_lb``; the periodic policy ignores both —
-        they exist for adaptive subclasses.
+        number of iterations ``since_last_lb`` and the measured
+        per-iteration ``imbalance`` (max over cores of the iteration wall
+        share, divided by the mean). ``imbalance`` is None unless the
+        policy class sets :attr:`reads_imbalance`. The periodic policy
+        ignores both — they exist for adaptive subclasses.
         """
         if completed_iteration >= total_iterations:
             return False
@@ -93,6 +100,8 @@ class AdaptiveLBPolicy(LBPolicy):
         Minimum iterations between steps, so one disturbance does not
         cause a burst of migrations before its effect is measured.
     """
+
+    reads_imbalance: ClassVar[bool] = True
 
     imbalance_threshold: float = 1.25
     min_gap_iterations: int = 2

@@ -273,9 +273,6 @@ class Runtime:
         self.arrays: Dict[str, ChareArray] = {}
         self.chares: Dict[ChareKey, Chare] = {}
         self.mapping: Dict[ChareKey, int] = {}
-        # each core's chare keys, sorted; None before the first iteration
-        # and after every LB step that migrated
-        self._percore_keys: Optional[Dict[int, List[ChareKey]]] = None
 
         self.schedulers: Dict[int, CoreScheduler] = {
             cid: CoreScheduler(
@@ -382,6 +379,7 @@ class Runtime:
             # baseline the instrumentation window at launch, not at
             # construction, so a delayed job does not see pre-launch time
             self.db = LBDatabase(procstat, state_bytes, comm=comm)
+            self.db.layout(self.mapping)
             if self.audit is not None:
                 self.audit.mark_launch(self._true_bg_cpu())
             self._begin_iteration(0)
@@ -422,17 +420,11 @@ class Runtime:
         self._iter_core_wall = {cid: 0.0 for cid in self.core_ids}
         self._arrived = 0
         self._expected_arrivals = len(self.core_ids)
-        percore_keys = self._percore_keys
-        if percore_keys is None:
-            per_core: Dict[int, List[ChareKey]] = {cid: [] for cid in self.core_ids}
-            for key, cid in self.mapping.items():
-                per_core[cid].append(key)
-            percore_keys = self._percore_keys = {
-                cid: sorted(keys) for cid, keys in per_core.items()
-            }
+        # each core's chare keys in sorted order: the LB window's layout
+        core_window = self.db.core_window
         empty_cores = 0
         for cid in self.core_ids:
-            keys = percore_keys[cid]
+            keys = core_window(cid)[0]
             if not keys:
                 empty_cores += 1
                 continue
@@ -501,10 +493,13 @@ class Runtime:
                 cb(self)
             return
         delay = self.comm_delay()
-        if self.balancer is not None and self.policy.due(
+        policy = self.policy
+        if self.balancer is not None and policy.due(
             completed,
             self._total_iterations,
-            imbalance=self.iteration_imbalance[-1],
+            imbalance=(
+                self.iteration_imbalance[-1] if policy.reads_imbalance else None
+            ),
             since_last_lb=completed - self._last_lb_completed,
         ):
             self._last_lb_completed = completed
@@ -570,6 +565,9 @@ class Runtime:
                     decision_overhead_s=self.policy.decision_overhead_s,
                 )
         self.db.reset_window()
+        if migrations:
+            # the window follows the chares to their new cores
+            self.db.layout(self.mapping)
         self.lb_step_count += 1
         if self.trace.enabled:
             self.trace.add_lb_step(
@@ -635,8 +633,6 @@ class Runtime:
             local_comm_factor=self.local_comm_factor,
         )
         self.migration_count += len(migrations)
-        if migrations:
-            self._percore_keys = None
         if self.trace.enabled:
             for m in migrations:
                 self.trace.add_migration(

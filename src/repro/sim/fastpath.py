@@ -44,9 +44,12 @@ same primitive operations, so IEEE-754 produces the same bits:
   shared helpers and the real :class:`~repro.core.database.LBDatabase`,
   :class:`~repro.sim.procstat.ProcStat` and
   :class:`~repro.core.balancer.LoadBalancer` objects operate on
-  duck-typed fast cores. Task CPU times enter the database's LB window
-  only when the job has a balancer, the window's one reader; every job
-  still snapshots its cores at launch, because that snapshot syncs them.
+  duck-typed fast cores. Task CPU times enter the database's LB window,
+  at each chare's position in its core's list, only when the job has a
+  balancer, the window's one reader; every job still snapshots its cores
+  at launch, because that snapshot syncs them. Per-core iteration walls
+  and their imbalance ratio are folded only for a policy that reads them
+  (``reads_imbalance``).
 
 A core is eligible for solo-analytic advancement only while no *other*
 unfinished job can observe it mid-iteration — either by running on it or
@@ -157,14 +160,16 @@ class _FastProc:
 
     The object doubles as the job's per-core dispatch cursor: it is
     recycled for every task of its job's queue on ``core`` within an
-    iteration, carrying the queue (``keys``/``chs``/``qpos``) so a
-    completion can dispatch the next task without any dict lookups.
+    iteration, carrying the queue (``keys``/``chs``/``qpos``) and the
+    core's LB window list (``cpus``, aligned with ``keys``; None without
+    a balancer) so a completion can record its task and dispatch the
+    next one without any dict lookups.
     """
 
     __slots__ = (
         "job", "key", "owner", "weight",
         "remaining", "cpu_time", "started_at", "cid", "rank",
-        "keys", "chs", "qpos",
+        "keys", "chs", "cpus", "qpos",
     )
 
     def __init__(self, job, key, weight, remaining, started_at, cid, rank):
@@ -179,6 +184,7 @@ class _FastProc:
         self.rank = rank
         self.keys = ()
         self.chs = ()
+        self.cpus = None
         self.qpos = 0
 
 
@@ -332,28 +338,28 @@ class _FastCore:
             return
         p.remaining = 0.0
         procs.pop(self._cand_proc)
-        self.version += 1
-        v = self.version
         # task completion bookkeeping, fused inline (the replay loop's
         # single hottest block — one call frame instead of three)
         job = p.job
         cpu = p.cpu_time
-        # direct window-dict accumulation (see _run_solo_cores): the share
-        # arithmetic only ever yields non-negative floats
-        if job.balancer is not None:
-            tc = job.db._task_cpu
-            tc[p.key] = tc.get(p.key, 0.0) + cpu
+        keys = p.keys
+        pos = p.qpos
+        # the task's LB window position is pos - 1 (see _run_solo_cores):
+        # the share arithmetic only ever yields non-negative floats
+        cpus = p.cpus
+        if cpus is not None:
+            cpus[pos - 1] += cpu
         if job.lineage is not None:
             job.lineage.record_sample(p.key, job._iteration, p.cid, cpu)
         if job.trace is not None:
             job.trace.add_task(
                 TaskEvent(p.cid, p.key, job._iteration, p.started_at, t, cpu)
             )
-        # _begin_iteration pre-seeds every core id with 0.0
-        job._iter_core_wall[p.cid] += t - p.started_at
+        walls = job._iter_core_wall
+        if walls is not None:
+            # _begin_iteration pre-seeds every core id with 0.0
+            walls[p.cid] += t - p.started_at
         job._completions.append((t, sched, p.rank, cpu))
-        keys = p.keys
-        pos = p.qpos
         if pos < len(keys):
             # dispatch the core's next task inline, recycling the proc
             # object (it just left self.procs and nothing else holds it;
@@ -371,11 +377,12 @@ class _FastCore:
             procs.append(p)
             self.change(t)
             return
+        # re-project the surviving co-runner before the barrier hears of
+        # the drain, as the engine's completion does (_changed() before
+        # the callback): an event the barrier schedules at this instant
+        # (a zero communication delay) then queues behind the projection
+        self.change(t)
         job._core_drained(t, 1)
-        if self.version == v and procs:
-            # the completion cascade did not dispatch onto this core:
-            # re-project the surviving co-runner ourselves
-            self.change(t)
 
 
 class _FastJob:
@@ -421,12 +428,14 @@ class _FastJob:
         self._total_iterations = 0
         self._iteration = 0
         self._iter_started = 0.0
-        self._iter_core_wall: Dict[int, float] = {}
+        #: per-core wall of the current iteration, for a policy that
+        #: reads imbalance (None otherwise: no walls are folded)
+        self._iter_core_wall: Optional[Dict[int, float]] = None
+        self._reads_imbalance = balancer is not None and policy.reads_imbalance
         self._arrived = 0
         self._expected = 0
         self.finished_at: Optional[float] = None
         self.iteration_times: List[float] = []
-        self.iteration_imbalance: List[float] = []
         self.lb_step_count = 0
         self.migration_count = 0
         self.migration_cost_s = 0.0
@@ -445,8 +454,9 @@ class _FastJob:
         # Sorted at the barrier, this reproduces the engine's chronological
         # (time, event-seq) fold order for total_task_cpu_s.
         self._completions: List[Tuple[float, float, int, float]] = []
-        # the (rank, cid, core, keys, chares) entry of each non-empty core
-        # in rank order, its keys sorted and its chares in key order;
+        # the (rank, cid, core, keys, chares, cpus) entry of each non-empty
+        # core in rank order: the LB window's sorted keys, the chares in
+        # key order and the window's CPU list (None without a balancer);
         # rebuilt after migrations
         self._percore_ranks: List[tuple] = []
         self._percore_dirty = True
@@ -499,21 +509,24 @@ class _FastJob:
         if self.comm_graph is not None:
             comm = {key: self.comm_graph.neighbors(key) for key in self.chares}
         self.db = LBDatabase(procstat, state_bytes, comm=comm)
+        self.db.layout(self.mapping)
         if self.audit is not None:
             self.audit.mark_launch(self._true_bg_cpu())
         self._begin_iteration(0, t)
 
     def _rebuild_percore(self) -> None:
-        per: Dict[int, List[ChareKey]] = {cid: [] for cid in self.core_ids}
-        for key, cid in self.mapping.items():
-            per[cid].append(key)
+        core_window = self.db.core_window
+        windowed = self.balancer is not None
         chares = self.chares
         ranks = []
         for rank, cid in enumerate(self.core_ids):
-            keys = sorted(per[cid])
+            keys, cpus = core_window(cid)
             if keys:
                 chs = [chares[k] for k in keys]
-                ranks.append((rank, cid, self.cores[cid], keys, chs))
+                ranks.append(
+                    (rank, cid, self.cores[cid], keys, chs,
+                     cpus if windowed else None)
+                )
         self._percore_ranks = ranks
         self._percore_dirty = False
 
@@ -556,7 +569,8 @@ class _FastJob:
             self.lineage.mark_iteration(iteration, T)
         self._iteration = iteration
         self._iter_started = T
-        self._iter_core_wall = {cid: 0.0 for cid in self.core_ids}
+        if self._reads_imbalance:
+            self._iter_core_wall = {cid: 0.0 for cid in self.core_ids}
         self._arrived = 0
         self._expected = len(self.core_ids)
         if self._percore_dirty:
@@ -568,8 +582,8 @@ class _FastJob:
             (solo if self._solo(entry[2]) else replay).append(entry)
         if solo:
             end = self._run_solo_cores(solo, iteration, T)
-        for rank, cid, core, keys, chs in replay:
-            self._dispatch(rank, cid, core, keys, chs, T)
+        for entry in replay:
+            self._dispatch(entry, T)
         if solo:  # the solo cores arrive together, at the last one's end
             self.sim.push(end, _EV_ARRIVE, self, len(solo))
         empty = len(self.core_ids) - len(ranks)
@@ -581,9 +595,9 @@ class _FastJob:
         """Advance the whole iteration of every core in ``ranks`` without
         events, one core after another.
 
-        ``ranks`` holds ``(rank, cid, core, keys, chares)`` entries in rank
-        order. Returns the latest barrier-arrival time among them, and
-        ``T`` if none is later. Every fold replicates the accrual the
+        ``ranks`` holds ``(rank, cid, core, keys, chares, cpus)`` entries
+        in rank order. Returns the latest barrier-arrival time among them,
+        and ``T`` if none is later. Every fold replicates the accrual the
         engine performs at the corresponding dispatch or completion event
         (solo share is exactly 1.0, so each task's accrued CPU equals
         ``end_k - end_{k-1}``).
@@ -592,18 +606,18 @@ class _FastJob:
         lin = self.lineage
         tr = self.trace
         hooked = led is not None or lin is not None or tr is not None
-        # accumulate straight into the LB database's window dict — the
-        # record_task wrapper only adds validation, and each demand is
-        # checked finite and non-negative below. Only a balancer reads
-        # the window, so a job without one skips it.
-        tc = self.db._task_cpu if self.balancer is not None else None
+        # each task's CPU goes straight into the LB window list ``cpus``
+        # at the task's position — the record_task wrapper only adds
+        # validation, and each demand is checked finite and non-negative
+        # below. Only a balancer reads the window (cpus is None without
+        # one), and only an imbalance-reading policy the walls.
         append = self._completions.append
         walls = self._iter_core_wall
         name = self.name
         eps = _COMPLETION_EPS
         inf = _INF
         last = T
-        for rank, cid, core, keys, chs in ranks:
+        for rank, cid, core, keys, chs, cpus in ranks:
             dt = T - core.last
             if dt > 0.0:  # idle gap since the core's last activity
                 if led is not None:
@@ -614,7 +628,7 @@ class _FastJob:
             own = core.cpu_by_owner.get(name, 0.0)
             wall = 0.0
             t = T
-            for k, ch in zip(keys, chs):
+            for i, ch in enumerate(chs):
                 d = ch.work(iteration)
                 if not 0.0 <= d < inf:
                     raise bad_work_error(ch, iteration, d)
@@ -639,28 +653,32 @@ class _FastJob:
                     cpu += dtx
                     rem -= dtx
                     t = e
-                if tc is not None:
-                    tc[k] = tc.get(k, 0.0) + cpu
+                if cpus is not None:
+                    cpus[i] += cpu
                 if hooked:
+                    k = keys[i]
                     if lin is not None:
                         lin.record_sample(k, iteration, cid, cpu)
                     if tr is not None:
                         tr.add_task(TaskEvent(cid, k, iteration, start, t, cpu))
                     if led is not None:
                         led.accrue_app(cid, start, t, k)
-                wall += t - start
+                if walls is not None:
+                    wall += t - start
                 append((t, sched, rank, cpu))
             core.busy_time = busy
             core.cpu_by_owner[name] = own
             core.last = t
-            walls[cid] = wall
+            if walls is not None:
+                walls[cid] = wall
             if t > last:
                 last = t
         return last
 
     # -- replay path ----------------------------------------------------
-    def _dispatch(self, rank, cid, core, keys, chs, t: float) -> None:
+    def _dispatch(self, entry: tuple, t: float) -> None:
         """Start a replayed core's iteration with its first task."""
+        rank, cid, core, keys, chs, cpus = entry
         ch = chs[0]
         d = ch.work(self._iteration)
         if not 0.0 <= d < _INF:
@@ -670,6 +688,7 @@ class _FastJob:
         p = _FastProc(self, keys[0], self.weight, d, t, cid, rank)
         p.keys = keys
         p.chs = chs
+        p.cpus = cpus
         p.qpos = 1
         core.procs.append(p)
         core.change(t)
@@ -699,7 +718,6 @@ class _FastJob:
                 map(itemgetter(3), comps), self.total_task_cpu_s
             )
             del comps[:]
-        self.iteration_imbalance.append(self._measure_imbalance())
         return self._iteration + 1
 
     def _finish(self, t: float) -> None:
@@ -728,7 +746,7 @@ class _FastJob:
         return self.balancer is not None and self.policy.due(
             completed,
             self._total_iterations,
-            imbalance=self.iteration_imbalance[-1],
+            imbalance=self._measure_imbalance() if self._reads_imbalance else None,
             since_last_lb=completed - self._last_lb_completed,
         )
 
@@ -757,6 +775,7 @@ class _FastJob:
         core_ids = self.core_ids
         ledger = self.ledger
         lineage = self.lineage
+        reads_imbalance = self._reads_imbalance
         while True:
             if ledger is not None:
                 ledger.mark_iteration(iteration, T)
@@ -764,7 +783,8 @@ class _FastJob:
                 lineage.mark_iteration(iteration, T)
             self._iteration = iteration
             self._iter_started = T
-            self._iter_core_wall = {cid: 0.0 for cid in core_ids}
+            if reads_imbalance:
+                self._iter_core_wall = {cid: 0.0 for cid in core_ids}
             if self._percore_dirty:
                 self._rebuild_percore()
             sim.now = T
@@ -789,6 +809,7 @@ class _FastJob:
             iteration = completed
 
     def _measure_imbalance(self) -> float:
+        """The last iteration's max/mean per-core wall (as Runtime's)."""
         # _iter_core_wall is pre-seeded each iteration with every core id
         # in core_ids order, so values() folds in that exact order
         walls = self._iter_core_wall.values()
@@ -847,10 +868,12 @@ class _FastJob:
                     migration_cost_s=cost,
                     decision_overhead_s=self.policy.decision_overhead_s,
                 )
+        self.db.reset_window()
         if migrations:
+            # the window follows the chares to their new cores
+            self.db.layout(self.mapping)
             self._percore_dirty = True
             self._comm_delay_cache = None
-        self.db.reset_window()
         self.lb_step_count += 1
         if trace is not None:
             trace.add_lb_step(

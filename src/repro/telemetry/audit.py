@@ -118,9 +118,11 @@ class AuditTrail:
         """Open a step record from the balancer's decision (no runtime
         context yet); returns the (mutable) record."""
         bytes_moved = 0.0
-        size = {t.chare: t.state_bytes for c in view.cores for t in c.tasks}
-        for m in migrations:
-            bytes_moved += size.get(m.chare, 0.0)
+        # one chare -> record map serves every migration's lookups
+        by_chare = {t.chare: t for c in view.cores for t in c.tasks}
+        moved = [by_chare.get(m.chare) for m in migrations]
+        for t in moved:
+            bytes_moved += 0.0 if t is None else t.state_bytes
         record: Dict[str, Any] = {
             "schema": AUDIT_SCHEMA,
             "step": len(self.records),
@@ -147,18 +149,10 @@ class AuditTrail:
                     "chare": _chare_list(m.chare),
                     "src": m.src,
                     "dst": m.dst,
-                    "cpu_time": next(
-                        (
-                            t.cpu_time
-                            for c in view.cores
-                            for t in c.tasks
-                            if t.chare == m.chare
-                        ),
-                        0.0,
-                    ),
-                    "state_bytes": size.get(m.chare, 0.0),
+                    "cpu_time": 0.0 if t is None else t.cpu_time,
+                    "state_bytes": 0.0 if t is None else t.state_bytes,
                 }
-                for m in migrations
+                for m, t in zip(migrations, moved)
             ],
             "num_migrations": len(migrations),
             "bytes_moved": bytes_moved,

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import SyntheticApp
-from repro.core import LBPolicy, RefineLB, RefineVMInterferenceLB
+from repro.cluster.netmodel import NetworkModel
+from repro.core import AdaptiveLBPolicy, LBPolicy, RefineLB, RefineVMInterferenceLB
 from repro.experiments.fabric.coordinator import run_fabric_sweep
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
@@ -546,6 +547,112 @@ def test_corun_completion_tie_parity(work, balancer):
     assert lin_e == lin_f
     assert audit_e == audit_f
     assert (len(audit_e) > 0) == (balancer is not None)
+
+
+def _barrier_tie_scenario(net, app_work, weight, chares, cores):
+    """A background job of one chare on core 0 beside the application:
+    its one-core barrier has no communication delay on any network, and
+    the application's has none on ``NetworkModel.zero()``."""
+    return Scenario(
+        app=SyntheticApp(lambda index, iteration: app_work, num_chares=chares),
+        num_cores=cores,
+        iterations=3,
+        policy=LBPolicy(period_iterations=2),
+        net=NetworkModel.zero() if net == "zero" else NetworkModel.native(),
+        bg=BackgroundSpec(
+            model=SyntheticApp(lambda index, iteration: 0.03, num_chares=1),
+            core_ids=(0,),
+            iterations=3,
+            weight=weight,
+            start=0.0,
+        ),
+        tracing=True,
+    )
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("chares", [1, 4])
+@pytest.mark.parametrize("weight", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("app_work", [0.005, 0.01])
+@pytest.mark.parametrize("net", ["zero", "native"])
+def test_zero_delay_barrier_tie_parity(net, app_work, weight, chares, cores):
+    """A completion that drains a job whose barrier releases at that same
+    instant (zero communication delay), while a co-runner keeps the core.
+    The engine re-projects the co-runner before the completion callback
+    reaches the barrier, so the co-runner's projection is queued ahead of
+    anything the barrier schedules at that instant; the fast path must
+    order the two alike."""
+    res_e, res_f = [
+        run_scenario(
+            _barrier_tie_scenario(net, app_work, weight, chares, cores),
+            backend=backend,
+        )
+        for backend in ("events", "fast")
+    ]
+    _assert_results_identical(res_e, res_f)
+    assert res_e.trace.tasks == res_f.trace.tasks
+    assert res_e.trace.iterations == res_f.trace.iterations
+
+
+def _adaptive_scenario(policy, balancer, weight):
+    # _arrival_scenario's inputs over 30 iterations, the background job
+    # on cores 1 and 4 from t = 0.0137 until after the application ends
+    app = SyntheticApp(
+        lambda index, iteration: 0.005 + 0.003 * ((index // 2 + iteration) % 5),
+        num_chares=24,
+        state_bytes=256.0,
+    )
+    return Scenario(
+        app=app,
+        num_cores=6,
+        iterations=30,
+        balancer=balancer(0.05),
+        policy=policy,
+        bg=BackgroundSpec(
+            model=SyntheticApp(lambda index, iteration: 0.02, num_chares=2),
+            core_ids=(1, 4),
+            iterations=60,
+            weight=weight,
+            start=0.0137,
+        ),
+        tracing=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "balancer", [RefineLB, RefineVMInterferenceLB], ids=["refine", "refine-vm"]
+)
+@pytest.mark.parametrize("weight", [0.5, 2.0])
+def test_adaptive_policy_parity(balancer, weight):
+    """An imbalance-triggered policy on a contended run: the fast path
+    folds per-core walls only for a policy that reads imbalance, and its
+    triggers, results and trace must equal the engine's."""
+    adaptive = AdaptiveLBPolicy(
+        period_iterations=25, imbalance_threshold=1.2, min_gap_iterations=2
+    )
+    runs = []
+    for backend in ("events", "fast"):
+        trail = AuditTrail()
+        res = run_scenario(
+            _adaptive_scenario(adaptive, balancer, weight),
+            backend=backend,
+            audit=trail,
+        )
+        runs.append((res, trail.records))
+    (res_e, audit_e), (res_f, audit_f) = runs
+    _assert_results_identical(res_e, res_f)
+    assert res_e.trace.tasks == res_f.trace.tasks
+    assert res_e.trace.iterations == res_f.trace.iterations
+    assert res_e.trace.lb_steps == res_f.trace.lb_steps
+    assert res_e.trace.migrations == res_f.trace.migrations
+    assert audit_e == audit_f
+    # the trigger fired: more steps than the periodic heartbeat alone
+    periodic = run_scenario(
+        _adaptive_scenario(LBPolicy(period_iterations=25), balancer, weight),
+        backend="fast",
+    )
+    assert periodic.app.lb_steps == 1
+    assert res_f.app.lb_steps > 5 * periodic.app.lb_steps
 
 
 class TestTraceParity:

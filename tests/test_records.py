@@ -27,7 +27,7 @@ _TASK = TaskRecord(("a", 0), 1.5, 64.0, ((("a", 1), 8.0),))
 #: (class, field values) of one instance of every converted record
 RECORDS = [
     (TaskRecord, (("a", 0), 1.5, 64.0, ((("a", 1), 8.0),))),
-    (CoreLoad, (3, (_TASK,), 0.25)),
+    (CoreLoad, (3, (_TASK,), 0.25, 1.5)),
     (Migration, (("a", 0), 1, 2)),
     (CoreStatSnapshot, (2.0, 1.5, 0.5, 1.25)),
     (TaskEvent, (1, ("a", 0), 4, 0.5, 0.75, 0.2)),
