@@ -89,6 +89,22 @@ class AppModel(abc.ABC):
         """
         return None
 
+    def job_comm_graph(
+        self, num_cores: int, use_comm_graph: bool
+    ) -> Optional[CommGraph]:
+        """The graph a job on ``num_cores`` cores charges communication by.
+
+        None without ``use_comm_graph`` (the flat :meth:`comm_bytes`
+        volume); otherwise :meth:`comm_graph`, which the application must
+        provide. Both backends resolve a scenario's graph here.
+        """
+        if not use_comm_graph:
+            return None
+        graph = self.comm_graph(num_cores)
+        if graph is None:
+            raise ValueError(f"{type(self).__name__} does not provide a comm graph")
+        return graph
+
     # ------------------------------------------------------------------
     def instantiate(
         self,
@@ -113,13 +129,7 @@ class AppModel(abc.ABC):
         must implement :meth:`comm_graph`). ``audit`` is forwarded to
         the :class:`Runtime` unchanged.
         """
-        graph = None
-        if use_comm_graph:
-            graph = self.comm_graph(len(core_ids))
-            if graph is None:
-                raise ValueError(
-                    f"{type(self).__name__} does not provide a comm graph"
-                )
+        graph = self.job_comm_graph(len(core_ids), use_comm_graph)
         rt = Runtime(
             engine,
             cluster,

@@ -14,18 +14,19 @@ completion of *both* jobs, and collects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.experiments.scenario import Scenario
-from repro.power.meter import EnergyReading, PowerMeter
+from repro.power.meter import EnergyReading, read_nodes
 from repro.power.model import PowerModel
-from repro.runtime.runtime import RunStats, Runtime
+from repro.runtime.runtime import Job, RunStats, Runtime
 from repro.runtime.tracing import TraceLog
 from repro.sim.engine import SimulationEngine
 from repro.telemetry import AuditTrail
 
-__all__ = ["BACKENDS", "ExperimentResult", "run_scenario"]
+__all__ = ["BACKENDS", "ExperimentResult", "run_jobs", "run_scenario"]
 
 ChareKey = Tuple[str, int]
 
@@ -156,45 +157,72 @@ def run_scenario(
             weight=scenario.bg.weight,
             net=scenario.net,
         )
-
-    app_nodes = cluster.nodes_for(scenario.app_core_ids)
-    meter = PowerMeter(
-        cluster,
-        model=PowerModel(cores_per_node=scenario.cores_per_node),
-        nodes=app_nodes,
+    return run_jobs(
+        scenario,
+        engine,
+        app_rt,
+        bg_rt,
+        cluster.nodes_for(scenario.app_core_ids),
+        ledger=ledger,
+        lineage=lineage,
     )
+
+
+def run_jobs(
+    scenario: Scenario,
+    clock,
+    app: Job,
+    bg: Optional[Job],
+    nodes: Sequence[Node],
+    *,
+    ledger=None,
+    lineage=None,
+) -> ExperimentResult:
+    """Run a scenario's application job ``app`` and background job ``bg``.
+
+    Both backends run their jobs here: ``clock`` is the executor's event
+    loop (``now`` and ``run()``: a
+    :class:`~repro.sim.engine.SimulationEngine`, or the fast path's),
+    ``nodes`` the application's nodes, holding the executor's cores.
+    Meters ``nodes`` when the application finishes, attaches ``ledger``
+    and ``lineage`` to the application (see :func:`run_scenario`), starts
+    both jobs, runs them and checks that both finished.
+    """
+    power_model = PowerModel(cores_per_node=scenario.cores_per_node)
     reading_at_app_end: list = []
-    app_rt.on_finish(lambda rt: reading_at_app_end.append(meter.reading()))
+    app.on_finish(
+        lambda job: reading_at_app_end.append(
+            read_nodes(nodes, power_model, clock.now)
+        )
+    )
 
     if ledger is not None:
-        app_rt.ledger = ledger
-        for cid in scenario.app_core_ids:
-            cluster.core(cid).ledger = ledger
+        app.ledger = ledger
+        for core in app.cores.values():
+            core.ledger = ledger
 
-        def close_ledger(rt: Runtime) -> None:
+        def close_ledger(job: Job) -> None:
             # bring every app core's accounting (and with it the ledger
             # cursor) to the finish time, then seal + conservation-check
-            for cid in scenario.app_core_ids:
-                cluster.core(cid).sync()
-            ledger.close(engine.now)
+            for core in job.cores.values():
+                core.sync()
+            ledger.close(clock.now)
 
-        app_rt.on_finish(close_ledger)
+        app.on_finish(close_ledger)
 
     if lineage is not None:
-        app_rt.lineage = lineage
-        lineage.record_placement(app_rt.mapping)
+        app.lineage = lineage
+        lineage.record_placement(app.mapping)
+        app.on_finish(
+            lambda job: lineage.close(clock.now, bg_cpu=job._true_bg_cpu())
+        )
 
-        def close_lineage(rt: Runtime) -> None:
-            lineage.close(engine.now, bg_cpu=rt._true_bg_cpu())
+    app.start(scenario.iterations)
+    if bg is not None:
+        bg.start(scenario.bg.iterations, at=scenario.bg.start)
 
-        app_rt.on_finish(close_lineage)
-
-    app_rt.start(scenario.iterations)
-    if bg_rt is not None:
-        bg_rt.start(scenario.bg.iterations, at=scenario.bg.start)
-
-    engine.run()
-    if not app_rt.done or (bg_rt is not None and not bg_rt.done):
+    clock.run()
+    if not app.done or (bg is not None and not bg.done):
         raise RuntimeError(
             "simulation drained before both jobs finished — "
             "a scheduling deadlock would be a library bug"
@@ -202,9 +230,9 @@ def run_scenario(
 
     return ExperimentResult(
         scenario=scenario,
-        app=app_rt.stats,
-        bg=bg_rt.stats if bg_rt is not None else None,
+        app=app.stats,
+        bg=bg.stats if bg is not None else None,
         energy=reading_at_app_end[0],
-        trace=app_rt.trace,
-        final_mapping=dict(app_rt.mapping),
+        trace=app.trace,
+        final_mapping=dict(app.mapping),
     )

@@ -35,6 +35,7 @@ __all__ = [
     "PowerMeter",
     "decompose_energy",
     "exact_dynamic_split",
+    "read_nodes",
 ]
 
 
@@ -71,6 +72,20 @@ class EnergyReading:
         if self.time <= 0:
             return 0.0
         return self.energy_j / self.time
+
+
+def read_nodes(nodes: Sequence[Node], model: PowerModel, now: float) -> EnergyReading:
+    """Exact cumulative reading of ``nodes`` at simulated time ``now``.
+
+    Each node's busy time is synced to ``now`` and summed in node order.
+    The one reading code: :meth:`PowerMeter.reading` and the experiment
+    runner's metering of either backend's cores both call it.
+    """
+    busy = 0.0
+    for node in nodes:
+        busy += node.total_busy_time()
+    energy = model.energy(now, busy, len(nodes)) if now > 0 else 0.0
+    return EnergyReading(time=now, energy_j=energy, busy_core_seconds=busy)
 
 
 class PowerMeter:
@@ -110,12 +125,7 @@ class PowerMeter:
     # ------------------------------------------------------------------
     def reading(self) -> EnergyReading:
         """Exact cumulative reading at the current simulated time."""
-        now = self.cluster.engine.now
-        busy = 0.0
-        for node in self.nodes:
-            busy += node.total_busy_time()
-        energy = self.model.energy(now, busy, len(self.nodes)) if now > 0 else 0.0
-        return EnergyReading(time=now, energy_j=energy, busy_core_seconds=busy)
+        return read_nodes(self.nodes, self.model, self.cluster.engine.now)
 
     # ------------------------------------------------------------------
     # reconstructed time series (requires record_intervals=True)

@@ -38,27 +38,32 @@ same primitive operations, so IEEE-754 produces the same bits:
   :meth:`~repro.sim.cpu.SharedCore._changed` would schedule. A
   completion records the task and dispatches the core's next one in
   place, without a new process object.
-* **Everything else** (communication delays, LB policy/strategy, LB
-  database, migration application, audit records, Projections
-  trace events, power model) is the *same code* the event engine uses —
-  shared helpers and the real :class:`~repro.core.database.LBDatabase`,
-  :class:`~repro.sim.procstat.ProcStat` and
-  :class:`~repro.core.balancer.LoadBalancer` objects operate on
-  duck-typed fast cores. Task CPU times enter the database's LB window,
-  at each chare's position in its core's list, only when the job has a
-  balancer, the window's one reader; every job still snapshots its cores
-  at launch, because that snapshot syncs them. Per-core iteration walls
-  and their imbalance ratio are folded only for a policy that reads them
-  (``reads_imbalance``).
+* **Everything else** is the event engine's own code, not a copy of
+  it: each fast job is a :class:`~repro.runtime.runtime.Job`, as each
+  event :class:`~repro.runtime.runtime.Runtime` is, so the chares and
+  their placement, the LB window opened at launch, the communication
+  delay, the due check, the whole LB step (view, balancer, migration,
+  audit, lineage, ledger pause) and the run's counters are one
+  implementation, and :func:`~repro.experiments.runner.run_jobs` drives,
+  probes and meters both backends' runs. The real
+  :class:`~repro.core.database.LBDatabase`,
+  :class:`~repro.sim.procstat.ProcStat` and power-meter reading operate
+  on duck-typed fast cores. Task CPU times enter the database's LB
+  window, at each chare's position in its core's list, only when the
+  job has a balancer, the window's one reader. Per-core iteration walls
+  and their imbalance ratio are folded only for a policy that reads
+  them (``reads_imbalance``).
 
-A core is eligible for solo-analytic advancement only while no *other*
-unfinished job can observe it mid-iteration — either by running on it or
-by syncing it (the power meter reads every core of the application's
-nodes when the application finishes). Cores failing that test are
-replayed; correctness never depends on the classification being tight.
-Once every other job of the run has finished, the remaining job runs
-the rest of its iterations in *inline mode*: solo folds, barriers and LB
-steps with the clock advanced directly, without heap events.
+A core is folded solo only while no *other* unfinished job can observe
+it mid-iteration, either by running on it or by syncing it (the power
+meter reads every core of the application's nodes when the application
+finishes). While another job runs that split does not change, so
+:func:`run_scenario_fast` hands each job its replayed cores: the
+application's cores the background job shares, and the background
+job's cores on the application's nodes. Once every other job of the run
+has finished, the remaining job runs the rest of its iterations in
+*inline mode*: solo folds, barriers and LB steps with the clock advanced
+directly, without heap events.
 
 With ``scenario.tracing`` the application's
 :class:`~repro.runtime.tracing.TraceLog` receives the engine's records:
@@ -74,31 +79,22 @@ from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cluster.netmodel import NetworkModel
-from repro.core.database import LBDatabase
-from repro.core.policies import LBPolicy
+from repro.cluster.node import Node
+from repro.experiments.runner import ExperimentResult, run_jobs
 from repro.experiments.scenario import Scenario
-from repro.power.meter import EnergyReading
-from repro.power.model import PowerModel
-from repro.runtime.runtime import (
-    RunStats,
-    apply_migrations,
-    bad_work_error,
-    compute_comm_delay,
-)
-from repro.runtime.tracing import (
-    IterationEvent,
-    LBStepEvent,
-    MigrationEvent,
-    TaskEvent,
-    TraceLog,
-)
+from repro.runtime.runtime import Job, bad_work_error
+from repro.runtime.tracing import TaskEvent
 from repro.sim.cpu import _COMPLETION_EPS, _clock_stalled
-from repro.sim.procstat import ProcStat
 from repro.telemetry import AuditTrail
-from repro.util import check_positive, left_sum
+from repro.util import left_sum
+
+# Not used here: the benchmark's layer tracer (bench/layers.py) patches
+# ``apply_migrations`` in this module as well as in repro.runtime.runtime,
+# where Job's LB step looks it up, and refuses to run if it is missing.
+from repro.runtime.runtime import apply_migrations  # noqa: F401
 
 __all__ = ["run_scenario_fast"]
 
@@ -116,12 +112,14 @@ _EV_LB = 4
 class _FastSim:
     """Minimal clock + event heap shared by all fast jobs of one run."""
 
-    __slots__ = ("now", "_heap", "_seq")
+    __slots__ = ("now", "_heap", "_seq", "unfinished")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[tuple] = []
         self._seq: int = 0
+        #: jobs of the run that have not finished (gates inline mode)
+        self.unfinished: int = 0
 
     def push(self, time: float, kind: int, obj, arg) -> None:
         self._seq += 1
@@ -204,7 +202,7 @@ class _FastCore:
 
     __slots__ = (
         "engine", "core_id", "speed", "busy_time", "idle_time",
-        "cpu_by_owner", "last", "procs", "version", "jobs", "readers",
+        "cpu_by_owner", "last", "procs", "version",
         "ledger", "_cand_proc", "_cand_sched",
     )
 
@@ -218,8 +216,6 @@ class _FastCore:
         self.last = sim.now
         self.procs: List[_FastProc] = []
         self.version = 0
-        self.jobs: List["_FastJob"] = []
-        self.readers: List["_FastJob"] = []
         #: optional TimeLedger (null hook, mirrors SharedCore.ledger)
         self.ledger = None
         self._cand_proc = 0
@@ -351,7 +347,7 @@ class _FastCore:
             cpus[pos - 1] += cpu
         if job.lineage is not None:
             job.lineage.record_sample(p.key, job._iteration, p.cid, cpu)
-        if job.trace is not None:
+        if job.trace.enabled:
             job.trace.add_task(
                 TaskEvent(p.cid, p.key, job._iteration, p.started_at, t, cpu)
             )
@@ -385,71 +381,32 @@ class _FastCore:
         job._core_drained(t, 1)
 
 
-class _FastJob:
-    """One barrier-synchronized iterative job (mirrors Runtime)."""
+class _FastJob(Job):
+    """One job on the fast path: a :class:`~repro.runtime.runtime.Job`
+    whose iterations run as solo folds, replayed cores or inline.
+
+    ``replayed`` holds the cores that must be replayed while another job
+    of the run is unfinished: the cores both jobs run on, and, for the
+    background job, its cores the power meter reads when the
+    application finishes. The split is fixed for the run's layout, so
+    it is made once per layout, with the per-core entries.
+    """
 
     def __init__(
         self,
         sim: _FastSim,
-        cores: Dict[int, _FastCore],
         core_ids: List[int],
-        *,
-        name: str,
-        weight: float,
-        net: NetworkModel,
-        balancer,
-        policy,
-        comm_bytes: float,
-        comm_graph,
-        local_comm_factor: float,
+        core_of: Callable[[int], _FastCore],
         cores_per_node: int,
-        audit: Optional[AuditTrail],
+        *,
+        replayed: FrozenSet[int],
+        **job,
     ) -> None:
+        super().__init__(core_ids, core_of, cores_per_node, **job)
         self.sim = sim
-        self.cores = cores
-        self.core_ids = core_ids
-        self.name = name
-        self.weight = float(weight)
-        self.net = net
-        self.balancer = balancer
-        self.policy = policy
-        self.comm_bytes = float(comm_bytes)
-        self.comm_graph = comm_graph
-        self.local_comm_factor = float(local_comm_factor)
-        self.audit = audit
-        if balancer is not None:
-            balancer.attach_audit(audit)
-        self._node_of: Dict[int, int] = {
-            cid: cid // cores_per_node for cid in core_ids
-        }
-        self.chares: Dict[ChareKey, object] = {}
-        self.mapping: Dict[ChareKey, int] = {}
-        self.db: Optional[LBDatabase] = None
-        self._total_iterations = 0
-        self._iteration = 0
-        self._iter_started = 0.0
-        #: per-core wall of the current iteration, for a policy that
-        #: reads imbalance (None otherwise: no walls are folded)
-        self._iter_core_wall: Optional[Dict[int, float]] = None
-        self._reads_imbalance = balancer is not None and policy.reads_imbalance
+        self._replayed = replayed
         self._arrived = 0
         self._expected = 0
-        self.finished_at: Optional[float] = None
-        self.iteration_times: List[float] = []
-        self.lb_step_count = 0
-        self.migration_count = 0
-        self.migration_cost_s = 0.0
-        self.total_task_cpu_s = 0.0
-        self._last_lb_completed = 0
-        #: the run's other jobs (set by the driver; gates inline mode)
-        self.others: List["_FastJob"] = []
-        #: optional TimeLedger (null hook, mirrors Runtime.ledger)
-        self.ledger = None
-        #: optional LineageRecorder (null hook, mirrors Runtime.lineage)
-        self.lineage = None
-        #: optional TraceLog (null hook; set when the scenario traces)
-        self.trace: Optional[TraceLog] = None
-        self._on_finish: List[Callable[["_FastJob"], None]] = []
         # per-iteration completion buffer: (end, sched, core_rank, cpu).
         # Sorted at the barrier, this reproduces the engine's chronological
         # (time, event-seq) fold order for total_task_cpu_s.
@@ -457,93 +414,53 @@ class _FastJob:
         # the (rank, cid, core, keys, chares, cpus) entry of each non-empty
         # core in rank order: the LB window's sorted keys, the chares in
         # key order and the window's CPU list (None without a balancer);
-        # rebuilt after migrations
+        # rebuilt when the mapping changes, with its solo/replay split
         self._percore_ranks: List[tuple] = []
+        self._solo_ranks: List[tuple] = []
+        self._replay_ranks: List[tuple] = []
         self._percore_dirty = True
-        self._comm_delay_cache: Optional[float] = None
-        for cid in core_ids:
-            cores[cid].jobs.append(self)
+        sim.unfinished += 1
 
-    # ------------------------------------------------------------------
-    # setup / results
-    # ------------------------------------------------------------------
-    def register(self, array, core_ids: List[int]) -> None:
-        """Block-map ``array`` onto the job's cores (as Runtime does)."""
-        placement = array.block_mapping(core_ids)
-        for chare in array:
-            cid = placement[chare.key]
-            self.chares[chare.key] = chare
-            self.mapping[chare.key] = cid
-            chare.current_core = cid
+    def _schedule_launch(self, at: Optional[float]) -> None:
+        self.sim.push(self.sim.now if at is None else at, _EV_LAUNCH, self, 0)
 
-    def start(self, iterations: int, *, at: Optional[float] = None) -> None:
-        check_positive("iterations", iterations)
-        self._total_iterations = int(iterations)
-        self.sim.push(
-            self.sim.now if at is None else at, _EV_LAUNCH, self, 0
-        )
+    def _launch(self, t: float) -> None:
+        self._open_window()
+        self._begin_iteration(0, t)
 
-    @property
-    def stats(self) -> RunStats:
-        return RunStats(
-            name=self.name,
-            finished_at=self.finished_at,
-            iterations=self._total_iterations,
-            iteration_times=tuple(self.iteration_times),
-            lb_steps=self.lb_step_count,
-            total_migrations=self.migration_count,
-            total_migration_cost_s=self.migration_cost_s,
-            total_task_cpu_s=self.total_task_cpu_s,
-        )
+    def _mapping_changed(self) -> None:
+        super()._mapping_changed()
+        self._percore_dirty = True
+
+    def _finish(self, t: float) -> None:
+        self.sim.unfinished -= 1
+        super()._finish(t)
 
     # ------------------------------------------------------------------
     # iteration machinery
     # ------------------------------------------------------------------
-    def _launch(self, t: float) -> None:
-        # snapshot the instrumentation window at launch, not construction
-        procstat = ProcStat(
-            {cid: self.cores[cid] for cid in self.core_ids}, self.name
-        )
-        state_bytes = {k: c.state_bytes for k, c in self.chares.items()}
-        comm = None
-        if self.comm_graph is not None:
-            comm = {key: self.comm_graph.neighbors(key) for key in self.chares}
-        self.db = LBDatabase(procstat, state_bytes, comm=comm)
-        self.db.layout(self.mapping)
-        if self.audit is not None:
-            self.audit.mark_launch(self._true_bg_cpu())
-        self._begin_iteration(0, t)
-
     def _rebuild_percore(self) -> None:
         core_window = self.db.core_window
         windowed = self.balancer is not None
         chares = self.chares
+        cores = self.cores
+        replayed = self._replayed
         ranks = []
+        solo = []
+        replay = []
         for rank, cid in enumerate(self.core_ids):
             keys, cpus = core_window(cid)
             if keys:
-                chs = [chares[k] for k in keys]
-                ranks.append(
-                    (rank, cid, self.cores[cid], keys, chs,
-                     cpus if windowed else None)
+                entry = (
+                    rank, cid, cores[cid], keys, [chares[k] for k in keys],
+                    cpus if windowed else None,
                 )
+                ranks.append(entry)
+                (replay if cid in replayed else solo).append(entry)
         self._percore_ranks = ranks
+        self._solo_ranks = solo
+        self._replay_ranks = replay
         self._percore_dirty = False
-
-    def _solo(self, core: _FastCore) -> bool:
-        """May this iteration run analytically on ``core``?
-
-        Only if no other unfinished job can run on or sync the core
-        mid-iteration (readers: the power meter touches every core of the
-        application's nodes at application finish).
-        """
-        for other in core.jobs:
-            if other is not self and other.finished_at is None:
-                return False
-        for other in core.readers:
-            if other is not self and other.finished_at is None:
-                return False
-        return True
 
     def _alone(self) -> bool:
         """True when every other job of the run is finished.
@@ -554,39 +471,27 @@ class _FastJob:
         execute inline with ``sim.now`` advanced directly, without a
         single heap event.
         """
-        for other in self.others:
-            if other.finished_at is None:
-                return False
-        return True
+        return self.sim.unfinished == 1
 
     def _begin_iteration(self, iteration: int, T: float) -> None:
         if self._alone():
             self._run_inline(iteration, T)
             return
-        if self.ledger is not None:
-            self.ledger.mark_iteration(iteration, T)
-        if self.lineage is not None:
-            self.lineage.mark_iteration(iteration, T)
-        self._iteration = iteration
-        self._iter_started = T
-        if self._reads_imbalance:
-            self._iter_core_wall = {cid: 0.0 for cid in self.core_ids}
+        self._open_iteration(iteration, T)
         self._arrived = 0
         self._expected = len(self.core_ids)
         if self._percore_dirty:
             self._rebuild_percore()
-        ranks = self._percore_ranks
-        solo = []
-        replay = []
-        for entry in ranks:
-            (solo if self._solo(entry[2]) else replay).append(entry)
+        # another job is unfinished: cores it can run on or read mid-
+        # iteration are replayed, the rest folded
+        solo = self._solo_ranks
         if solo:
             end = self._run_solo_cores(solo, iteration, T)
-        for entry in replay:
+        for entry in self._replay_ranks:
             self._dispatch(entry, T)
         if solo:  # the solo cores arrive together, at the last one's end
             self.sim.push(end, _EV_ARRIVE, self, len(solo))
-        empty = len(self.core_ids) - len(ranks)
+        empty = len(self.core_ids) - len(self._percore_ranks)
         if empty:  # object-less cores arrive instantly
             self._core_drained(T, empty)
 
@@ -604,7 +509,7 @@ class _FastJob:
         """
         led = self.ledger
         lin = self.lineage
-        tr = self.trace
+        tr = self.trace if self.trace.enabled else None
         hooked = led is not None or lin is not None or tr is not None
         # each task's CPU goes straight into the LB window list ``cpus``
         # at the task's position — the record_task wrapper only adds
@@ -702,11 +607,7 @@ class _FastJob:
 
     def _barrier_bookkeeping(self, t: float) -> int:
         """Record one finished iteration; return the completed count."""
-        if self.trace is not None:
-            self.trace.add_iteration(
-                IterationEvent(self._iteration, self._iter_started, t)
-            )
-        self.iteration_times.append(t - self._iter_started)
+        self._record_iteration(t)
         comps = self._completions
         if comps:
             # chronological (time, schedule-time, core) order == the event
@@ -720,47 +621,18 @@ class _FastJob:
             del comps[:]
         return self._iteration + 1
 
-    def _finish(self, t: float) -> None:
-        self.finished_at = t
-        for cb in self._on_finish:
-            cb(self)
-
-    def _comm_delay(self) -> float:
-        # pure function of the (net, mapping) inputs — cache between LB
-        # steps, invalidate whenever a migration changes the mapping
-        d = self._comm_delay_cache
-        if d is None:
-            d = compute_comm_delay(
-                net=self.net,
-                num_cores=len(self.core_ids),
-                comm_bytes=self.comm_bytes,
-                comm_graph=self.comm_graph,
-                mapping=self.mapping,
-                node_of=self._node_of,
-                local_comm_factor=self.local_comm_factor,
-            )
-            self._comm_delay_cache = d
-        return d
-
-    def _lb_due(self, completed: int) -> bool:
-        return self.balancer is not None and self.policy.due(
-            completed,
-            self._total_iterations,
-            imbalance=self._measure_imbalance() if self._reads_imbalance else None,
-            since_last_lb=completed - self._last_lb_completed,
-        )
-
     def _end_iteration(self, t: float) -> None:
         completed = self._barrier_bookkeeping(t)
         if completed == self._total_iterations:
             self._finish(t)
             return
-        delay = self._comm_delay()
-        if self._lb_due(completed):
-            self._last_lb_completed = completed
-            self.sim.push(t + delay, _EV_LB, self, completed)
-        else:
-            self.sim.push(t + delay, _EV_BEGIN, self, completed)
+        delay = self.comm_delay()
+        kind = _EV_LB if self._lb_due(completed) else _EV_BEGIN
+        self.sim.push(t + delay, kind, self, completed)
+
+    def _lb_step(self, next_iteration: int, t: float) -> None:
+        pause = self._balance(next_iteration, t)
+        self.sim.push(t + pause, _EV_BEGIN, self, next_iteration)
 
     def _run_inline(self, iteration: int, T: float) -> None:
         """Run the rest of the job inline — no heap events at all.
@@ -772,19 +644,8 @@ class _FastJob:
         would have shown it.
         """
         sim = self.sim
-        core_ids = self.core_ids
-        ledger = self.ledger
-        lineage = self.lineage
-        reads_imbalance = self._reads_imbalance
         while True:
-            if ledger is not None:
-                ledger.mark_iteration(iteration, T)
-            if lineage is not None:
-                lineage.mark_iteration(iteration, T)
-            self._iteration = iteration
-            self._iter_started = T
-            if reads_imbalance:
-                self._iter_core_wall = {cid: 0.0 for cid in core_ids}
+            self._open_iteration(iteration, T)
             if self._percore_dirty:
                 self._rebuild_percore()
             sim.now = T
@@ -795,110 +656,14 @@ class _FastJob:
             if completed == self._total_iterations:
                 self._finish(t)
                 return
-            delay = self._comm_delay()
+            delay = self.comm_delay()
             if self._lb_due(completed):
-                self._last_lb_completed = completed
                 t_lb = t + delay
                 sim.now = t_lb
-                pause = self._do_lb(completed)
-                if ledger is not None:
-                    ledger.mark_pause(t_lb, t_lb + pause)
-                T = t_lb + pause
+                T = t_lb + self._balance(completed, t_lb)
             else:
                 T = t + delay
             iteration = completed
-
-    def _measure_imbalance(self) -> float:
-        """The last iteration's max/mean per-core wall (as Runtime's)."""
-        # _iter_core_wall is pre-seeded each iteration with every core id
-        # in core_ids order, so values() folds in that exact order
-        walls = self._iter_core_wall.values()
-        mean = left_sum(walls) / len(walls)
-        if mean <= 0.0:
-            return 1.0
-        return max(walls) / mean
-
-    # ------------------------------------------------------------------
-    # load balancing / audit (same objects as the event path)
-    # ------------------------------------------------------------------
-    def _lb_step(self, next_iteration: int, t: float) -> None:
-        pause = self._do_lb(next_iteration)
-        if self.ledger is not None:
-            self.ledger.mark_pause(t, t + pause)
-        self.sim.push(t + pause, _EV_BEGIN, self, next_iteration)
-
-    def _do_lb(self, next_iteration: int) -> float:
-        """One LB step at the current clock; returns the resume pause."""
-        view = self.db.build_view(self.mapping)
-        migrations = self.balancer.balance(view)
-        cost = apply_migrations(
-            migrations,
-            chares=self.chares,
-            mapping=self.mapping,
-            net=self.net,
-            node_of=self._node_of,
-            local_comm_factor=self.local_comm_factor,
-        )
-        self.migration_count += len(migrations)
-        self.migration_cost_s += cost
-        trace = self.trace
-        if trace is not None:
-            now = self.sim.now
-            for m in migrations:
-                trace.add_migration(
-                    MigrationEvent(
-                        now, m.chare, m.src, m.dst,
-                        self.chares[m.chare].state_bytes,
-                    )
-                )
-        if self.audit is not None or self.lineage is not None:
-            bg_cpu = self._true_bg_cpu()
-            if self.lineage is not None:
-                self.lineage.record_lb_step(
-                    time=self.sim.now,
-                    iteration=next_iteration,
-                    migrations=[(m.chare, m.src, m.dst) for m in migrations],
-                    bg_cpu=bg_cpu,
-                )
-            if self.audit is not None:
-                self.audit.commit_step(
-                    time=self.sim.now,
-                    iteration=next_iteration,
-                    bg_cpu=bg_cpu,
-                    migration_cost_s=cost,
-                    decision_overhead_s=self.policy.decision_overhead_s,
-                )
-        self.db.reset_window()
-        if migrations:
-            # the window follows the chares to their new cores
-            self.db.layout(self.mapping)
-            self._percore_dirty = True
-            self._comm_delay_cache = None
-        self.lb_step_count += 1
-        if trace is not None:
-            trace.add_lb_step(
-                LBStepEvent(
-                    time=self.sim.now,
-                    iteration=next_iteration,
-                    num_migrations=len(migrations),
-                    migration_cost_s=cost,
-                    t_avg=view.t_avg,
-                    max_load=max((c.total_load for c in view.cores), default=0.0),
-                )
-            )
-        return self.policy.decision_overhead_s + cost
-
-    def _true_bg_cpu(self) -> Dict[int, float]:
-        bg: Dict[int, float] = {}
-        for cid in self.core_ids:
-            core = self.cores[cid]
-            core.sync()
-            bg[cid] = left_sum(
-                cpu
-                for owner, cpu in core.cpu_by_owner.items()
-                if owner != self.name
-            )
-        return bg
 
 
 # ----------------------------------------------------------------------
@@ -910,24 +675,17 @@ def run_scenario_fast(
     audit: Optional[AuditTrail] = None,
     ledger=None,
     lineage=None,
-):
+) -> ExperimentResult:
     """Execute ``scenario`` on the fast path (see module docstring).
 
-    ``ledger`` optionally attaches a
-    :class:`~repro.obs.ledger.TimeLedger` over the application's cores;
-    it is closed at application finish, after the energy reading.
-
-    ``lineage`` optionally attaches a
-    :class:`~repro.obs.lineage.LineageRecorder` to the application job;
-    it observes per-chare load samples and LB migrations and is closed
-    at application finish.
-
-    Returns the same :class:`~repro.experiments.runner.ExperimentResult`
-    as :func:`~repro.experiments.runner.run_scenario`, bit-identical —
-    its trace included when ``scenario.tracing`` is set.
+    Builds the run's fast cores and its two jobs, then runs them through
+    :func:`~repro.experiments.runner.run_jobs`, which the event
+    engine's runs go through too: ``audit``, ``ledger`` and ``lineage`` attach as
+    they do there. Returns the same
+    :class:`~repro.experiments.runner.ExperimentResult` as
+    :func:`~repro.experiments.runner.run_scenario`, bit-identical — its
+    trace included when ``scenario.tracing`` is set.
     """
-    from repro.experiments.runner import ExperimentResult
-
     sim = _FastSim()
     cores: Dict[int, _FastCore] = {}
     cores_per_node = scenario.cores_per_node
@@ -944,143 +702,61 @@ def run_scenario_fast(
 
     net = scenario.net or NetworkModel.native()
 
-    def build_job(model, core_ids, *, name, weight, balancer, policy,
-                  use_comm_graph, job_audit):
-        graph = None
-        if use_comm_graph:
-            graph = model.comm_graph(len(core_ids))
-            if graph is None:
-                raise ValueError(
-                    f"{type(model).__name__} does not provide a comm graph"
-                )
-        for cid in core_ids:
-            get_core(cid)
-        job = _FastJob(
+    def build_job(model, core_ids, replayed, *, use_comm_graph=False, **job):
+        graph = model.job_comm_graph(len(core_ids), use_comm_graph)
+        fast_job = _FastJob(
             sim,
-            cores,
-            list(core_ids),
-            name=name,
-            weight=weight,
+            core_ids,
+            get_core,
+            cores_per_node,
+            replayed=replayed,
             net=net,
-            balancer=balancer,
-            policy=policy,
             comm_bytes=model.comm_bytes(len(core_ids)),
             comm_graph=graph,
-            local_comm_factor=0.25,
-            cores_per_node=cores_per_node,
-            audit=job_audit,
+            **job,
         )
-        job.register(model.build_array(len(core_ids)), list(core_ids))
-        return job
+        fast_job.register_array(model.build_array(len(core_ids)))
+        return fast_job
 
+    app_core_ids = list(scenario.app_core_ids)
+    # the power meter reads every core of the application's nodes when
+    # the application finishes
+    app_node_ids = sorted({cid // cores_per_node for cid in app_core_ids})
+    app_replayed = bg_replayed = frozenset()
+    if scenario.bg is not None:
+        app_replayed = frozenset(app_core_ids).intersection(scenario.bg.core_ids)
+        bg_replayed = frozenset(
+            cid for cid in scenario.bg.core_ids
+            if cid // cores_per_node in app_node_ids
+        )
     app = build_job(
         scenario.app,
-        list(scenario.app_core_ids),
+        app_core_ids,
+        app_replayed,
+        use_comm_graph=scenario.use_comm_graph,
         name="app",
-        weight=1.0,
         balancer=scenario.balancer,
         policy=scenario.policy,
-        use_comm_graph=scenario.use_comm_graph,
-        job_audit=audit,
+        tracing=scenario.tracing,
+        audit=audit,
     )
     bg = None
     if scenario.bg is not None:
         bg = build_job(
             scenario.bg.model,
             list(scenario.bg.core_ids),
+            bg_replayed,
             name="bg",
             weight=scenario.bg.weight,
-            balancer=None,
-            policy=LBPolicy(),
-            use_comm_graph=False,
-            job_audit=None,
         )
-
-    if bg is not None:
-        app.others.append(bg)
-        bg.others.append(app)
-
-    # the power meter reads every core of the application's nodes when the
-    # application finishes — register it as a reader so co-located cores
-    # stay on the exact replay path while the application is unfinished
-    app_node_ids = sorted({cid // cores_per_node for cid in scenario.app_core_ids})
-    for nid in app_node_ids:
-        for cid in range(nid * cores_per_node, (nid + 1) * cores_per_node):
-            core = cores.get(cid)
-            if core is not None:
-                core.readers.append(app)
-
-    power_model = PowerModel(cores_per_node=cores_per_node)
-
-    def reading_at_app_end(job) -> None:
-        # exact transcription of PowerMeter.reading over the app's nodes
-        now = sim.now
-        busy = 0.0
-        for nid in app_node_ids:
-            node_busy = 0.0
-            for cid in range(nid * cores_per_node, (nid + 1) * cores_per_node):
-                core = cores.get(cid)
-                if core is not None:
-                    core.accrue(now)
-                    node_busy += core.busy_time
-                # untouched cores contribute an exact 0.0
-            busy += node_busy
-        energy = (
-            power_model.energy(now, busy, len(app_node_ids)) if now > 0 else 0.0
-        )
-        job._energy_reading = EnergyReading(
-            time=now, energy_j=energy, busy_core_seconds=busy
-        )
-
-    app._energy_reading = None
-    app._on_finish.append(reading_at_app_end)
-
-    trace = TraceLog(enabled=scenario.tracing)
-    if scenario.tracing:
-        app.trace = trace
-
-    if ledger is not None:
-        app.ledger = ledger
-        for cid in scenario.app_core_ids:
-            cores[cid].ledger = ledger
-
-        def close_ledger(job) -> None:
-            # runs after reading_at_app_end, which already accrued every
-            # core of the app's nodes to sim.now — every cursor is at the
-            # finish time, so the conservation check is total
-            now = sim.now
-            for cid in scenario.app_core_ids:
-                cores[cid].accrue(now)
-            ledger.close(now)
-
-        app._on_finish.append(close_ledger)
-
-    if lineage is not None:
-        app.lineage = lineage
-        lineage.record_placement(app.mapping)
-
-        def close_lineage(job) -> None:
-            lineage.close(sim.now, bg_cpu=job._true_bg_cpu())
-
-        app._on_finish.append(close_lineage)
-
-    app.start(scenario.iterations)
-    if bg is not None:
-        bg.start(scenario.bg.iterations, at=scenario.bg.start)
-
-    sim.run()
-
-    if app.finished_at is None or (bg is not None and bg.finished_at is None):
-        raise RuntimeError(
-            "simulation drained before both jobs finished — "
-            "a scheduling deadlock would be a library bug"
-        )
-
-    return ExperimentResult(
-        scenario=scenario,
-        app=app.stats,
-        bg=bg.stats if bg is not None else None,
-        energy=app._energy_reading,
-        trace=trace,
-        final_mapping=dict(app.mapping),
-    )
+    # the metered nodes hold the cores the run touches; an untouched
+    # core's busy time is an exact 0.0, which leaves each sum unchanged
+    nodes = [
+        Node(nid, [
+            cores[cid]
+            for cid in range(nid * cores_per_node, (nid + 1) * cores_per_node)
+            if cid in cores
+        ])
+        for nid in app_node_ids
+    ]
+    return run_jobs(scenario, sim, app, bg, nodes, ledger=ledger, lineage=lineage)

@@ -17,13 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import SyntheticApp
+from repro.apps import Jacobi2D, SyntheticApp, Wave2D
 from repro.cluster.netmodel import NetworkModel
-from repro.core import AdaptiveLBPolicy, LBPolicy, RefineLB, RefineVMInterferenceLB
+from repro.core import (
+    AdaptiveLBPolicy,
+    CommAwareRefineLB,
+    HierarchicalLB,
+    LBPolicy,
+    MigrationCostAwareLB,
+    RefineLB,
+    RefineVMInterferenceLB,
+)
 from repro.experiments.fabric.coordinator import run_fabric_sweep
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
-from repro.experiments.sweep import build_scenario, run_point, run_sweep
+from repro.experiments.sweep import (
+    background_job_iterations,
+    build_scenario,
+    run_point,
+    run_sweep,
+)
 from repro.experiments.sweep_presets import smoke_spec
 from repro.obs.ledger import TimeLedger
 from repro.obs.lineage import LineageRecorder
@@ -653,6 +666,100 @@ def test_adaptive_policy_parity(balancer, weight):
     )
     assert periodic.app.lb_steps == 1
     assert res_f.app.lb_steps > 5 * periodic.app.lb_steps
+
+
+_NETS = {"native": NetworkModel.native, "virtualized": NetworkModel.virtualized}
+
+#: balancer name -> factory of a fresh instance priced on ``net``
+_WRAPPED_BALANCERS = {
+    "comm-aware": lambda net: CommAwareRefineLB(0.05),
+    "hierarchical": lambda net: HierarchicalLB(
+        lambda c: c // 4, RefineVMInterferenceLB(0.05)
+    ),
+    "migration-cost": lambda net: MigrationCostAwareLB(
+        RefineVMInterferenceLB(0.05), net
+    ),
+}
+
+
+def _wrapped_scenario(app, balancer, net_name, use_comm_graph, iterations=24):
+    """``app`` on 8 cores beside the 2-core background job on cores 0-1,
+    sized to last the whole run, with an LB step every 4 iterations."""
+    net = _NETS[net_name]()
+    bg_model = Wave2D.background(grid_size=170)
+    return Scenario(
+        app=app,
+        num_cores=8,
+        iterations=iterations,
+        balancer=_WRAPPED_BALANCERS[balancer](net),
+        policy=LBPolicy(period_iterations=4),
+        bg=BackgroundSpec(
+            model=bg_model,
+            core_ids=(0, 1),
+            iterations=background_job_iterations(
+                app, 8, iterations, bg_model, weight=1.0
+            ),
+        ),
+        net=net,
+        tracing=True,
+        use_comm_graph=use_comm_graph,
+    )
+
+
+def _assert_wrapped_parity(make_scenario):
+    """Results, trace and audit equal on both backends; returns the
+    engine's migration count."""
+    runs = []
+    for backend in ("events", "fast"):
+        trail = AuditTrail()
+        res = run_scenario(make_scenario(), backend=backend, audit=trail)
+        runs.append((res, trail.records))
+    (res_e, audit_e), (res_f, audit_f) = runs
+    _assert_results_identical(res_e, res_f)
+    assert res_e.trace.tasks == res_f.trace.tasks
+    assert res_e.trace.iterations == res_f.trace.iterations
+    assert res_e.trace.lb_steps == res_f.trace.lb_steps
+    assert res_e.trace.migrations == res_f.trace.migrations
+    assert audit_e == audit_f
+    assert res_e.app.lb_steps > 0
+    return res_e.app.total_migrations
+
+
+@pytest.mark.parametrize("balancer", sorted(_WRAPPED_BALANCERS))
+def test_comm_graph_and_wrapped_balancer_parity(balancer):
+    """Placement-dependent communication, the comm-aware receiver choice
+    and the two balancer wrappers on both networks: a migrating step
+    changes the mapping the communication delay is computed from, so the
+    cached delay must follow it on both backends. The cost gate
+    suppresses every step at Jacobi2D strip sizes; small chare state
+    lets its migrations through (a synthetic app, no comm graph)."""
+    migrated = []
+    for use_comm_graph in (False, True):
+        for net_name in sorted(_NETS):
+            migrated.append(
+                _assert_wrapped_parity(
+                    lambda: _wrapped_scenario(
+                        Jacobi2D(grid_size=512, odf=4),
+                        balancer,
+                        net_name,
+                        use_comm_graph,
+                    )
+                )
+            )
+    if balancer == "migration-cost":
+        migrated.append(
+            _assert_wrapped_parity(
+                lambda: _wrapped_scenario(
+                    SyntheticApp([0.004] * 64, state_bytes=4e3),
+                    balancer,
+                    "native",
+                    False,
+                )
+            )
+        )
+    # every balancer moves chares in at least one case, so the comm
+    # delay cache is reset mid-run
+    assert max(migrated) > 0
 
 
 class TestTraceParity:

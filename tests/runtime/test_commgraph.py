@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.apps import Jacobi2D, Mol3D
+from repro.apps import Jacobi2D, Mol3D, Wave2D
 from repro.cluster import Cluster, NetworkModel
+from repro.core import CommAwareRefineLB, LBPolicy
+from repro.experiments.sweep import background_job_iterations
 from repro.runtime import Chare, ChareArray, CommGraph, Runtime
+from repro.runtime import runtime as runtime_module
+from repro.runtime.runtime import compute_comm_delay
 from repro.sim import SimulationEngine
 
 
@@ -152,3 +156,73 @@ class TestRuntimeCommDelay:
         rt.start(iterations=3)
         eng.run()
         assert rt.done
+
+
+class TestCommDelayCache:
+    """``Runtime.comm_delay()`` is cached until the mapping changes; the
+    cached value must always equal a fresh computation on the current
+    mapping (parity cannot show this: both backends share the cache)."""
+
+    @staticmethod
+    def _fresh(rt, cores_per_node):
+        return compute_comm_delay(
+            net=rt.net,
+            num_cores=len(rt.core_ids),
+            comm_bytes=rt.comm_bytes,
+            comm_graph=rt.comm_graph,
+            mapping=rt.mapping,
+            node_of={cid: cid // cores_per_node for cid in rt.core_ids},
+            local_comm_factor=rt.local_comm_factor,
+        )
+
+    def test_cached_delay_follows_every_migrating_step(self):
+        eng = SimulationEngine()
+        cl = Cluster(eng, num_nodes=2, cores_per_node=4)
+        net = NetworkModel.virtualized()
+        app = Jacobi2D(grid_size=512, odf=4)
+        rt = app.instantiate(
+            eng,
+            cl,
+            list(range(8)),
+            net=net,
+            balancer=CommAwareRefineLB(0.05),
+            policy=LBPolicy(period_iterations=4),
+            use_comm_graph=True,
+        )
+        bg_model = Wave2D.background(grid_size=170)
+        bg = bg_model.instantiate(eng, cl, [0, 1], name="bg", net=net)
+        delays = []
+
+        def check(job, iteration):
+            # every barrier, the ones after a migrating step included
+            delays.append(job.comm_delay())
+            assert delays[-1] == self._fresh(job, 4)
+
+        rt.on_iteration(check)
+        rt.start(24)
+        bg.start(background_job_iterations(app, 8, 24, bg_model, weight=1.0))
+        eng.run()
+        assert rt.done and bg.done
+        assert len(delays) == 24
+        # steps migrated, and the delay moved with the mapping
+        assert rt.migration_count > 0
+        assert len(set(delays)) > 1
+
+    def test_delay_read_before_placement_is_not_reused(self, monkeypatch):
+        # no real delay read before placement can differ from one after
+        # it (a comm graph needs every edge endpoint placed, a flat
+        # volume ignores the mapping), so make each read report the
+        # size of the mapping it was computed from
+        monkeypatch.setattr(
+            runtime_module,
+            "compute_comm_delay",
+            lambda **inputs: float(len(inputs["mapping"])),
+        )
+        eng = SimulationEngine()
+        cl = Cluster(eng, num_nodes=1, cores_per_node=2)
+        rt = Runtime(eng, cl, [0, 1])
+        assert rt.comm_delay() == 0.0
+        rt.register_array(
+            ChareArray("a", [TestRuntimeCommDelay.UnitChare(i) for i in range(4)])
+        )
+        assert rt.comm_delay() == 4.0
