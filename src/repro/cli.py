@@ -12,8 +12,6 @@ writing code::
     python -m repro sweep --preset fig2 --workers 4
     python -m repro sweep --spec my_sweep.json -j 4 --jsonl progress.jsonl
     python -m repro sweep --preset smoke --live
-    python -m repro fabric run --preset smoke --workers 2
-    python -m repro fabric worker .repro-fabric/smoke
     python -m repro watch progress.jsonl --follow
     python -m repro runs list
     python -m repro runs check latest
@@ -42,7 +40,7 @@ __all__ = ["build_parser", "main"]
 
 
 def _add_sweep_source_args(p: argparse.ArgumentParser) -> None:
-    """The spec-source options shared by ``sweep`` and ``fabric run``."""
+    """The spec-source options of ``sweep``."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument(
         "--spec", type=Path, metavar="FILE", help="sweep spec JSON file"
@@ -236,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser(
         "watch",
-        help="render live sweep progress from a --jsonl event file "
-        "or a fabric job directory",
+        help="render live sweep progress from a --jsonl event file",
     )
     pw.add_argument(
         "path", type=Path, metavar="PATH",
-        help="progress JSONL file written by 'sweep --jsonl', or a "
-        "fabric job directory (tails every worker event stream)",
+        help="progress JSONL file written by 'sweep --jsonl'",
     )
     pw.add_argument(
         "--follow", "-f", action="store_true",
@@ -260,160 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay", action="store_true",
         help="replay the complete file and exit 1 unless it ends in "
         "sweep_done (CI assertion mode; incompatible with --follow)",
-    )
-
-    pfab = sub.add_parser(
-        "fabric",
-        help="distributed sweeps: sharded coordinator/worker execution "
-        "over a shared job directory",
-    )
-    fab_sub = pfab.add_subparsers(dest="fabric_command", required=True)
-    pfr = fab_sub.add_parser(
-        "run",
-        help="coordinate a sharded sweep across worker processes "
-        "(bit-identical to 'repro sweep' for the same spec)",
-    )
-    _add_sweep_source_args(pfr)
-    pfr.add_argument(
-        "--workers", "-j", type=int, default=2,
-        help="local worker processes to spawn (0 = rely on external "
-        "'repro fabric worker' processes; default: 2)",
-    )
-    pfr.add_argument(
-        "--dir", type=Path, default=None, metavar="DIR",
-        help="job directory shared by coordinator and workers (default: "
-        ".repro-fabric/<spec name>); re-running on a directory with "
-        "partial results resumes it",
-    )
-    shard_group = pfr.add_mutually_exclusive_group()
-    shard_group.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the sweep into N shards (default: 4 per worker)",
-    )
-    shard_group.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="target points per shard instead of a shard count",
-    )
-    pfr.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="fast",
-        help="simulation backend for executed points (results are "
-        "bit-identical across backends)",
-    )
-    pfr.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="shared result cache (default: .repro-cache/sweeps, or "
-        "$REPRO_CACHE_DIR); workers publish completed points here",
-    )
-    pfr.add_argument(
-        "--no-cache", action="store_true",
-        help="run every scenario even if a cached result exists",
-    )
-    pfr.add_argument(
-        "--jsonl", type=Path, default=None, metavar="FILE",
-        help="append the merged multi-worker progress stream to FILE",
-    )
-    pfr.add_argument(
-        "--live", action="store_true",
-        help="render live progress (per-worker state, throughput, ETA) "
-        "to stderr while the sweep runs",
-    )
-    pfr.add_argument(
-        "--registry", type=Path, default=None, metavar="DIR",
-        help="run registry location (default: results/registry, or "
-        "$REPRO_REGISTRY_DIR)",
-    )
-    pfr.add_argument(
-        "--no-registry", action="store_true",
-        help="do not record this sweep in the run registry",
-    )
-    pfr.add_argument(
-        "--fault", action="append", default=None, metavar="SPEC",
-        help="inject a deterministic worker fault: "
-        "kind:worker:shard_ordinal[:point_offset] with kind in "
-        "{kill,hang,dup}, e.g. kill:w0:0:1 (repeatable)",
-    )
-    pfr.add_argument(
-        "--fault-seed", type=int, default=None, metavar="SEED",
-        help="derive a random-but-reproducible fault plan from SEED "
-        "instead of explicit --fault specs",
-    )
-    pfr.add_argument(
-        "--lease-timeout", type=float, default=5.0, metavar="S",
-        help="seconds without a heartbeat before a shard lease is "
-        "considered dead and stolen (default: 5)",
-    )
-    pfr.add_argument(
-        "--heartbeat", type=float, default=0.5, metavar="S",
-        help="worker lease heartbeat interval (default: 0.5)",
-    )
-    pfr.add_argument(
-        "--poll", type=float, default=0.05, metavar="S",
-        help="coordinator/worker poll interval (default: 0.05)",
-    )
-    pfr.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="hard deadline for the whole run; on expiry the job "
-        "directory is left resumable (default: 600)",
-    )
-    pfr.add_argument(
-        "--no-respawn", action="store_true",
-        help="never spawn replacement workers when all die; fail fast "
-        "into a resumable job directory",
-    )
-    pfr.add_argument(
-        "--no-trace", action="store_true",
-        help="disable the flight recorder (no span timestamps, no "
-        "coordinator.jsonl mirror); sweep results are bit-identical "
-        "either way",
-    )
-    pfr.add_argument(
-        "--output", type=Path, default=None, metavar="DIR",
-        help="also write the result table into DIR/sweep_<name>.txt",
-    )
-    pfw = fab_sub.add_parser(
-        "worker",
-        help="join an existing fabric job directory as one worker process",
-    )
-    pfw.add_argument(
-        "dir", type=Path, metavar="DIR",
-        help="job directory published by 'repro fabric run'",
-    )
-    pfw.add_argument(
-        "--worker-id", default=None, metavar="ID",
-        help="stable worker identity (default: w<pid>)",
-    )
-    pft = fab_sub.add_parser(
-        "trace",
-        help="assemble the flight-recorder spans of a fabric job into "
-        "one causal timeline with health metrics and critical path",
-    )
-    pft.add_argument(
-        "dir", type=Path, metavar="DIR",
-        help="job directory written by 'repro fabric run'",
-    )
-    pft.add_argument(
-        "--perfetto", type=Path, default=None, metavar="FILE",
-        help="also export a Chrome/Perfetto trace (one track per "
-        "worker) to FILE",
-    )
-    pft.add_argument(
-        "--json", action="store_true",
-        help="emit the assembled trace as JSON instead of text",
-    )
-    pfs = fab_sub.add_parser(
-        "status",
-        help="snapshot a fabric job directory: queue depth, leases, "
-        "worker liveness (read-only, safe while the job runs)",
-    )
-    pfs.add_argument(
-        "dir", type=Path, metavar="DIR",
-        help="job directory written by 'repro fabric run'",
-    )
-    pfs.add_argument(
-        "--json", action="store_true",
-        help="emit the snapshot as JSON instead of text",
     )
 
     prep = sub.add_parser(
@@ -450,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prs.add_argument(
         "--json", action="store_true",
-        help="emit the record as pure JSON (no stderr summaries), "
-        "for parity with 'runs list --json'",
+        help="accepted for parity with 'runs list --json' (the record "
+        "is always printed as JSON)",
     )
     prd = runs_sub.add_parser("diff", help="compare two runs point by point")
     prd.add_argument("ref_a", metavar="REF_A", help="baseline run ref")
@@ -797,162 +639,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_fabric_worker(args) -> int:
-    from repro.experiments.fabric import worker_main
-
-    try:
-        return worker_main(str(args.dir), args.worker_id)
-    except (ValueError, OSError) as exc:
-        print(f"repro fabric worker: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_fabric_run(args) -> int:
-    from repro.experiments.cache import ResultCache, default_cache_dir
-    from repro.experiments.fabric import (
-        FabricIncomplete,
-        parse_fault,
-        seeded_fault_plan,
-    )
-    from repro.experiments.progress import EventLog
-    from repro.experiments.sweep import run_sweep
-
-    try:
-        spec = _sweep_spec_from_args(args)
-        faults = tuple(parse_fault(f) for f in (args.fault or ()))
-    except (ValueError, OSError) as exc:
-        print(f"repro fabric run: error: {exc}", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print(
-            f"repro fabric run: error: --workers must be >= 0, "
-            f"got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fault_seed is not None:
-        faults += seeded_fault_plan(
-            args.fault_seed,
-            [f"w{i}" for i in range(args.workers)],
-            shard_size=args.shard_size or 1,
-        )
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-
-    registry = None
-    if not args.no_registry:
-        from repro.obs.registry import RunRegistry, default_registry_dir
-
-        registry = RunRegistry(args.registry or default_registry_dir())
-
-    on_event = None
-    if args.live:
-        from repro.obs.watch import LiveWatch
-
-        on_event = LiveWatch(sys.stderr).on_event
-
-    jsonl_stream = None
-    try:
-        if args.jsonl is not None:
-            args.jsonl.parent.mkdir(parents=True, exist_ok=True)
-            jsonl_stream = open(args.jsonl, "a")
-        log = EventLog(stream=jsonl_stream, on_event=on_event)
-        result = run_sweep(
-            spec,
-            workers=args.workers,
-            cache=cache,
-            log=log,
-            registry=registry,
-            backend=args.backend,
-            driver="fabric",
-            fabric_dir=args.dir,
-            fabric_options={
-                "num_shards": args.shards,
-                "shard_size": args.shard_size,
-                "faults": faults,
-                "heartbeat_s": args.heartbeat,
-                "lease_timeout_s": args.lease_timeout,
-                "poll_s": args.poll,
-                "worker_poll_s": args.poll,
-                "respawn": not args.no_respawn,
-                "timeout_s": args.timeout,
-                "trace": not args.no_trace,
-            },
-        )
-    except FabricIncomplete as exc:
-        print(f"repro fabric run: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"repro fabric run: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if jsonl_stream is not None:
-            jsonl_stream.close()
-
-    for event in log.of_type("run_registered"):
-        print(f"[registered as run {event['run_id']}]", file=sys.stderr)
-
-    _emit(_sweep_text(spec, result), f"sweep_{spec.name}", args.output)
-    return 0
-
-
-def _cmd_fabric_trace(args) -> int:
-    import json
-
-    from repro.obs.fabtrace import (
-        assemble_trace,
-        export_perfetto,
-        format_trace_text,
-    )
-
-    try:
-        trace = assemble_trace(args.dir)
-    except (ValueError, OSError) as exc:
-        print(f"repro fabric trace: error: {exc}", file=sys.stderr)
-        return 2
-    if args.perfetto is not None:
-        args.perfetto.parent.mkdir(parents=True, exist_ok=True)
-        n = export_perfetto(trace, args.perfetto)
-        print(
-            f"[perfetto trace: {n} event(s) -> {args.perfetto}]",
-            file=sys.stderr,
-        )
-    if args.json:
-        print(json.dumps(trace.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(format_trace_text(trace))
-    return 1 if trace.problems else 0
-
-
-def _cmd_fabric_status(args) -> int:
-    import json
-
-    from repro.obs.fabtrace import fabric_status, format_status_text
-
-    try:
-        status = fabric_status(args.dir)
-    except (ValueError, OSError) as exc:
-        print(f"repro fabric status: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(status, indent=1, sort_keys=True))
-    else:
-        print(format_status_text(status))
-    return 0
-
-
-def _cmd_fabric(args) -> int:
-    if args.fabric_command == "worker":
-        return _cmd_fabric_worker(args)
-    if args.fabric_command == "trace":
-        return _cmd_fabric_trace(args)
-    if args.fabric_command == "status":
-        return _cmd_fabric_status(args)
-    return _cmd_fabric_run(args)
-
-
 def _cmd_inspect(args) -> int:
     import json
 
@@ -1084,22 +770,6 @@ def _cmd_runs(args) -> int:
         if args.runs_command == "show":
             record = registry.load(args.ref)
             print(json.dumps(record, indent=1, sort_keys=True))
-            fabric = record.get("fabric")
-            if isinstance(fabric, dict) and not args.json:
-                # human-readable summary on stderr; stdout stays pure JSON
-                print(
-                    "[fabric: {w} worker(s), {s} shard(s), "
-                    "{st} steal(s), {r} respawn(s), {d} death(s) "
-                    "in {dir}]".format(
-                        w=len(fabric.get("workers_seen", [])),
-                        s=fabric.get("shards", "?"),
-                        st=fabric.get("steals", 0),
-                        r=fabric.get("respawns", 0),
-                        d=fabric.get("worker_deaths", 0),
-                        dir=fabric.get("fabric_dir", "?"),
-                    ),
-                    file=sys.stderr,
-                )
             return 0
 
         if args.runs_command == "diff":
@@ -1402,7 +1072,6 @@ _COMMANDS = {
     "headline": _cmd_headline,
     "demo": _cmd_demo,
     "sweep": _cmd_sweep,
-    "fabric": _cmd_fabric,
     "watch": _cmd_watch,
     "report": _cmd_report,
     "runs": _cmd_runs,

@@ -110,17 +110,10 @@ class EventLog:
         live-monitoring ingest hook: ``repro sweep --live`` attaches the
         TTY renderer here). None — the default — keeps the emit path at
         a single falsy check, so observation stays opt-in.
-    clock:
-        When True every record additionally carries ``t_wall``
-        (``time.time()``) and ``t_mono`` (``time.monotonic()``) — the
-        dual timestamps the fabric flight recorder needs to rebase
-        inter-host clock skew (:mod:`repro.obs.fabtrace`). Off by
-        default: plain sweep logs stay wall-clock-free so they diff
-        cleanly between runs.
 
-    Emission is thread-safe: a fabric worker's lease-heartbeat thread
-    emits ``lease_heartbeat`` spans concurrently with the main loop, so
-    the append + stream write + callback runs under one lock.
+    Emission is thread-safe: the append + stream write + callback runs
+    under one lock, so a log shared between threads never interleaves
+    two records' lines or reorders them against ``events``.
     """
 
     def __init__(
@@ -128,35 +121,12 @@ class EventLog:
         stream: Optional[TextIO] = None,
         *,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
-        clock: bool = False,
     ) -> None:
         self._stream = stream
-        self._mirrors: List[TextIO] = []
         self._on_event = on_event
-        self._clock = bool(clock)
         self._t0 = time.monotonic()
         self._lock = threading.Lock()
         self.events: List[Dict[str, Any]] = []
-
-    def enable_clock(self) -> None:
-        """Stamp ``t_wall``/``t_mono`` on every subsequent record."""
-        self._clock = True
-
-    def add_mirror(self, stream: TextIO) -> None:
-        """Tee every subsequent record into ``stream`` as JSON lines.
-
-        The fabric coordinator mirrors its own span stream into
-        ``<job dir>/coordinator.jsonl`` without disturbing whatever
-        stream/callback the caller attached.
-        """
-        self._mirrors.append(stream)
-
-    def remove_mirror(self, stream: TextIO) -> None:
-        """Detach a mirror added by :meth:`add_mirror` (no-op if absent)."""
-        try:
-            self._mirrors.remove(stream)
-        except ValueError:
-            pass
 
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Record (and optionally write) one event; returns the record."""
@@ -165,20 +135,12 @@ class EventLog:
             "event": event,
             "t": round(time.monotonic() - self._t0, 6),
         }
-        if self._clock:
-            record["t_wall"] = time.time()
-            record["t_mono"] = time.monotonic()
         record.update(fields)
         with self._lock:
             self.events.append(record)
-            if self._stream is not None or self._mirrors:
-                line = json.dumps(record, sort_keys=True) + "\n"
-                if self._stream is not None:
-                    self._stream.write(line)
-                    self._stream.flush()
-                for mirror in self._mirrors:
-                    mirror.write(line)
-                    mirror.flush()
+            if self._stream is not None:
+                self._stream.write(json.dumps(record, sort_keys=True) + "\n")
+                self._stream.flush()
             if self._on_event is not None:
                 self._on_event(record)
         return record

@@ -65,6 +65,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -84,7 +85,6 @@ from repro.experiments.cache import (
     code_fingerprint,
     point_key,
 )
-from repro.experiments.fabric.shards import default_shard_count, plan_shards
 from repro.experiments.progress import EventLog, SweepMetrics
 from repro.experiments.runner import BACKENDS, ExperimentResult, run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
@@ -119,6 +119,7 @@ __all__ = [
 ]
 
 _log = get_logger(__name__)
+_T = TypeVar("_T")
 
 #: Core counts swept in Figure 2/4. The testbed allocates whole 4-core
 #: nodes, topping out at 8 nodes = 32 cores; with the background job
@@ -547,17 +548,15 @@ def run_shard(
 ):
     """Execute an ordered shard of ``(index, params)`` pairs lazily.
 
-    This generator is the single execution core every sweep driver runs
-    on: the in-process serial path, the local process pool
-    (:func:`_execute_shard`) and the distributed fabric worker
-    (:mod:`repro.experiments.fabric.worker`) all feed it the same pairs
-    and consume the same ``(index, summary_dict, wall_s, worker_tag,
-    payloads, trace)`` tuples — which is why their summaries are
-    bit-identical by construction. The last two are
-    :func:`run_point_probed`'s outputs for ``probes``. Each point is
-    simulated when its tuple is pulled, so callers can interleave
-    progress events, cache writes and fault boundaries between points.
-    ``worker`` overrides the default ``pid:<n>`` provenance tag.
+    This generator is the single execution core of :func:`run_sweep`:
+    the in-process serial path and the local process pool
+    (:func:`_execute_shard`) both feed it the same pairs and consume the
+    same ``(index, summary_dict, wall_s, worker_tag, payloads, trace)``
+    tuples — which is why their summaries are bit-identical by
+    construction. The last two are :func:`run_point_probed`'s outputs
+    for ``probes``. Each point is simulated when its tuple is pulled, so
+    callers can interleave progress events and cache writes between
+    points. ``worker`` overrides the default ``pid:<n>`` provenance tag.
     """
     tag = worker if worker is not None else f"pid:{os.getpid()}"
     for index, params in shard_points:
@@ -573,6 +572,27 @@ def _execute_shard(
     """Pool entry point: drain one shard through :func:`run_shard`."""
     shard_points, backend, probes = payload
     return list(run_shard(shard_points, backend=backend, probes=probes))
+
+
+def _pool_blocks(items: Sequence[_T], workers: int) -> List[Sequence[_T]]:
+    """Split ``items`` into contiguous blocks for a ``workers``-wide pool.
+
+    Four blocks per worker let a worker that finishes early take another
+    block while the rest are still busy. Block sizes differ by at most
+    one, no block is empty, and the blocks concatenate back to ``items``
+    in order.
+    """
+    count = min(len(items), 4 * workers)
+    if count == 0:
+        return []
+    size, extra = divmod(len(items), count)
+    blocks: List[Sequence[_T]] = []
+    start = 0
+    for b in range(count):
+        end = start + size + (1 if b < extra else 0)
+        blocks.append(items[start:end])
+        start = end
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +805,6 @@ def run_sweep(
     audit_dir: Optional[Union[str, Path]] = None,
     registry: Optional["RunRegistry"] = None,
     backend: str = "fast",
-    driver: str = "local",
-    fabric_dir: Optional[Union[str, Path]] = None,
-    fabric_options: Optional[Dict[str, Any]] = None,
     ledger: bool = False,
     lineage: bool = False,
 ) -> SweepResult:
@@ -837,22 +854,6 @@ def run_sweep(
         :func:`repro.experiments.runner.run_scenario`). Summaries are
         bit-identical across backends, so the cache key — and therefore
         hits — are backend-independent.
-    driver:
-        ``"local"`` (default) executes here — in-process or via a
-        process pool; ``"fabric"`` delegates to the distributed
-        coordinator (:func:`repro.experiments.fabric.run_fabric_sweep`),
-        which runs the same shard core across worker processes with
-        crash recovery and resume. Both drivers produce bit-identical
-        summaries for the same spec. Probes require ``"local"``: their
-        payloads do not travel through shard result files.
-    fabric_dir:
-        Job directory for the fabric driver (defaults to
-        ``.repro-fabric/<spec name>``); re-running on a directory with
-        partial results resumes it.
-    fabric_options:
-        Extra keyword arguments forwarded verbatim to
-        :func:`~repro.experiments.fabric.run_fabric_sweep`
-        (``num_shards``, ``faults``, ``lease_timeout_s``, ...).
     ledger:
         The ledger probe (:mod:`repro.obs.ledger`): every point's
         conservation-checked time-attribution summary rides the
@@ -865,8 +866,6 @@ def run_sweep(
         :class:`PointResult`, its own cache payload file and the registry
         record (with a sweep-level aggregate).
     """
-    if driver not in ("local", "fabric"):
-        raise ValueError(f"unknown driver {driver!r}")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     probes = tuple(
@@ -878,26 +877,6 @@ def run_sweep(
         )
         if on
     )
-    if driver == "fabric":
-        if probes:
-            raise ValueError(
-                f"probe(s) {', '.join(probes)} require driver='local': "
-                "probe payloads do not travel through shard result files"
-            )
-        from repro.experiments.fabric.coordinator import run_fabric_sweep
-
-        return run_fabric_sweep(
-            spec,
-            fabric_dir=Path(fabric_dir) if fabric_dir is not None else None,
-            workers=workers,
-            cache=cache,
-            log=log,
-            registry=registry,
-            backend=backend,
-            **(fabric_options or {}),
-        )
-    if fabric_dir is not None or fabric_options is not None:
-        raise ValueError("fabric_dir/fabric_options require driver='fabric'")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     log = log if log is not None else EventLog()
@@ -1023,26 +1002,16 @@ def run_sweep(
             log.emit("point_start", label=p.label, key=keys[p.index])
             finish(*next(results))
     elif misses:
-        # the local pool is a fabric in miniature: the same shard plan
-        # the distributed coordinator publishes, executed by pool
-        # processes through the same run_shard core
-        shards = plan_shards(
-            [p.index for p in misses],
-            default_shard_count(len(misses), workers),
-        )
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-            futures = {}
-            for shard in shards:
-                for index in shard.point_indices:
-                    p = by_index[index]
+        # pool processes drain contiguous blocks of the misses through
+        # the same run_shard core as the serial path
+        blocks = _pool_blocks(misses, workers)
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            pending = set()
+            for block in blocks:
+                for p in block:
                     log.emit("point_start", label=p.label, key=keys[p.index])
-                task = (
-                    [(i, by_index[i].params) for i in shard.point_indices],
-                    backend,
-                    probes,
-                )
-                futures[pool.submit(_execute_shard, task)] = shard.shard_id
-            pending = set(futures)
+                task = ([(p.index, p.params) for p in block], backend, probes)
+                pending.add(pool.submit(_execute_shard, task))
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:

@@ -9,12 +9,8 @@ records what one balancer did. This package is the cross-run layer:
 * :mod:`repro.obs.watch` — live sweep monitoring over the ``schema: 1``
   progress event stream (``repro watch``, ``repro sweep --live``);
 * :mod:`repro.obs.anomaly` — rule-based detectors (Eq. 2 drift, timing
-  penalty outliers, migration spikes, fabric steal storms / respawn
-  burn / straggler shards) behind ``repro runs check``;
-* :mod:`repro.obs.fabtrace` — the fabric flight recorder: assembles
-  every worker's span stream into one clock-rebased causal timeline
-  with health metrics, critical path and a Perfetto export
-  (``repro fabric trace`` / ``repro fabric status``);
+  penalty outliers, migration spikes, ledger and lineage regressions)
+  behind ``repro runs check``;
 * :mod:`repro.obs.report` — the self-contained HTML dashboard
   (``repro report``).
 
@@ -29,19 +25,9 @@ from repro.obs.anomaly import (
     SEV_WARNING,
     Finding,
     Thresholds,
-    check_fabric,
     check_run,
     has_errors,
     max_severity,
-)
-from repro.obs.fabtrace import (
-    FabricTrace,
-    ShardAttempt,
-    assemble_trace,
-    export_perfetto,
-    fabric_status,
-    format_status_text,
-    format_trace_text,
 )
 from repro.obs.registry import (
     RUN_SCHEMA,
@@ -68,16 +54,8 @@ __all__ = [
     "SEV_WARNING",
     "SEV_ERROR",
     "check_run",
-    "check_fabric",
     "max_severity",
     "has_errors",
-    "FabricTrace",
-    "ShardAttempt",
-    "assemble_trace",
-    "export_perfetto",
-    "fabric_status",
-    "format_trace_text",
-    "format_status_text",
     "build_report",
     "render_report",
     "write_report",

@@ -19,15 +19,6 @@ more structured :class:`Finding`\\ s with a severity:
   its matched noLB point (the paper's directional Fig. 2 claim). Tiny
   smoke scenarios legitimately violate this (LB overhead dominates), so
   it is a warning, never an error;
-* ``steal-storm`` — fabric work stealing beyond fault recovery: any
-  steal is reported (info — the CI drills grep for it), and a steal
-  *ratio* (steals / shards) past the thresholds means leases are
-  churning (timeout too tight for the point cost, or hosts flapping);
-* ``respawn-budget-burn`` — replacement workers consumed; an exhausted
-  budget means the next such failure strands the job;
-* ``straggler-shard`` — one committed shard attempt far above this
-  run's median shard wall (with history context when available): the
-  "Anticipating Load Imbalance" signal at fabric granularity;
 * ``ledger-not-conserved`` — a point's time-attribution ledger
   (:mod:`repro.obs.ledger`) failed its bit-exact conservation check:
   the accounting itself is broken, always an error;
@@ -69,7 +60,6 @@ __all__ = [
     "check_estimation_drift",
     "check_lb_benefit",
     "check_history_outliers",
-    "check_fabric",
     "check_ledger",
     "check_lineage",
     "check_run",
@@ -123,13 +113,6 @@ class Thresholds:
     migration_min: int = 4
     #: minimum prior runs before history rules fire at all.
     min_history: int = 1
-    #: steals / shards ratio that warns / errors (any steal is info).
-    steal_ratio_warn: float = 0.25
-    steal_ratio_error: float = 0.75
-    #: committed shard wall vs this run's median that warns.
-    straggler_ratio: float = 2.0
-    #: ... provided the straggler is at least this long (absolute floor).
-    straggler_min_s: float = 0.05
     #: ledger stolen/compute time ratio that warns / errors.
     interference_warn: float = 0.5
     interference_error: float = 1.0
@@ -374,130 +357,6 @@ def check_history_outliers(
                             ),
                         )
                     )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# fabric rules
-# ---------------------------------------------------------------------------
-
-
-def check_fabric(
-    record: Mapping[str, Any],
-    history: Sequence[Mapping[str, Any]] = (),
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> List[Finding]:
-    """Fabric health rules over a run's ``fabric`` block (if any).
-
-    Local sweeps carry no block and produce no findings. Any steal and
-    any respawn is at least an ``info`` finding — the CI recovery
-    drills *expect* their injected fault to surface here and grep for
-    it — escalating only when the ratios say systemic churn rather than
-    one recovered fault.
-    """
-    fabric = record.get("fabric")
-    if not isinstance(fabric, Mapping):
-        return []
-    findings: List[Finding] = []
-    run_id = record.get("run_id", "?")
-    shards = int(fabric.get("shards", 0) or 0)
-
-    steals = int(fabric.get("steals", 0) or 0)
-    if steals > 0:
-        ratio = steals / shards if shards else float(steals)
-        severity = (
-            _severity(
-                ratio, thresholds.steal_ratio_warn, thresholds.steal_ratio_error
-            )
-            or SEV_INFO
-        )
-        findings.append(
-            Finding(
-                rule="steal-storm",
-                severity=severity,
-                subject=f"{run_id}:fabric",
-                message=(
-                    f"{steals} shard lease(s) stolen out of {shards} "
-                    f"shard(s) ({ratio:.0%}) — "
-                    + (
-                        "systemic lease churn: timeout too tight for the "
-                        "point cost, or hosts flapping"
-                        if severity != SEV_INFO
-                        else "expected when recovering from a worker "
-                        "death/hang; a rising ratio means churn"
-                    )
-                ),
-                value=ratio,
-                threshold=thresholds.steal_ratio_warn,
-            )
-        )
-
-    respawns = int(fabric.get("respawns", 0) or 0)
-    budget = int(fabric.get("max_respawns", 0) or 0)
-    if respawns > 0:
-        exhausted = budget > 0 and respawns >= budget
-        findings.append(
-            Finding(
-                rule="respawn-budget-burn",
-                severity=SEV_WARNING if exhausted else SEV_INFO,
-                subject=f"{run_id}:fabric",
-                message=(
-                    f"{respawns} of {budget} replacement worker(s) consumed"
-                    + (
-                        " — budget exhausted; the next total worker loss "
-                        "strands the job until a resume"
-                        if exhausted
-                        else ""
-                    )
-                ),
-                value=float(respawns),
-                threshold=float(budget) if budget else None,
-            )
-        )
-
-    walls = {
-        str(shard): float(wall)
-        for shard, wall in (fabric.get("shard_walls") or {}).items()
-        if isinstance(wall, (int, float)) and wall > 0
-    }
-    if len(walls) >= 2:
-        run_median = _median(list(walls.values()))
-        past_walls: Dict[str, List[float]] = {}
-        for past in history:
-            block = past.get("fabric")
-            if not isinstance(block, Mapping):
-                continue
-            for shard, wall in (block.get("shard_walls") or {}).items():
-                if isinstance(wall, (int, float)) and wall > 0:
-                    past_walls.setdefault(str(shard), []).append(float(wall))
-        for shard, wall in sorted(walls.items()):
-            baseline = run_median
-            context = f"this run's median shard wall ({run_median:.3f}s)"
-            prior = past_walls.get(shard)
-            if prior and len(prior) >= thresholds.min_history:
-                baseline = _median(prior)
-                context = (
-                    f"the same shard's median across {len(prior)} prior "
-                    f"run(s) ({baseline:.3f}s)"
-                )
-            if baseline <= 0:
-                continue
-            ratio = wall / baseline
-            if ratio >= thresholds.straggler_ratio and wall >= thresholds.straggler_min_s:
-                findings.append(
-                    Finding(
-                        rule="straggler-shard",
-                        severity=SEV_WARNING,
-                        subject=f"{run_id}:{shard}",
-                        message=(
-                            f"shard wall {wall:.3f}s is {ratio:.2f}x "
-                            f"{context} — one slow host/placement "
-                            f"stretches the whole sweep"
-                        ),
-                        value=ratio,
-                        threshold=thresholds.straggler_ratio,
-                    )
-                )
     return findings
 
 
@@ -796,7 +655,6 @@ def check_run(
     findings.extend(check_estimation_drift(record, thresholds))
     findings.extend(check_lb_benefit(record))
     findings.extend(check_history_outliers(record, history, thresholds))
-    findings.extend(check_fabric(record, history, thresholds))
     findings.extend(check_ledger(record, history, thresholds))
     findings.extend(check_lineage(record, history, thresholds))
     findings.sort(key=lambda f: (-_SEV_ORDER[f.severity], f.rule, f.subject))

@@ -153,10 +153,10 @@ class RunRegistry:
         ``jsonl``, ``output`` — whatever the caller wrote); paths are
         stored as strings, never resolved or read back.
 
-        ``extra`` merges additional driver-specific top-level sections
-        into the record (the fabric coordinator attaches its ``fabric``
-        health block this way); reserved record keys are never
-        clobbered.
+        ``extra`` merges additional top-level sections into the record
+        (:func:`~repro.experiments.sweep.run_sweep` attaches its
+        ``ledger`` and ``lineage`` aggregates this way); reserved record
+        keys are never clobbered.
         """
         created = created_utc or utc_timestamp()
         points = [

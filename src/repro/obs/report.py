@@ -11,9 +11,6 @@ JavaScript or assets** — summarising everything the registry knows:
 * time attribution for runs recorded with ``sweep --ledger``: one
   stacked compute/stolen/overhead/idle bar per point, with its
   conservation verdict (see :mod:`repro.obs.ledger`);
-* fabric health for distributed runs: a track-per-worker timeline strip
-  of shard attempts (steals and faults colored), utilization bars, and
-  steal/respawn/death counters from each run's ``fabric`` block;
 * load imbalance for runs recorded with ``sweep --lineage``: one
   per-iteration λ sparkline and one Sankey-style migration-flow strip
   per point, with the run's counterfactual LB efficiency
@@ -115,114 +112,6 @@ def _sparkline_svg(
         f'<circle cx="{last_x}" cy="{last_y}" r="3" fill="var(--series)"/>'
         f"</svg>"
     )
-
-
-#: Attempt-outcome fill colors for the fabric timeline strip. Outcome is
-#: also in each rect's <title>, so color never carries meaning alone.
-_OUTCOME_FILL = {
-    "done": "var(--series)",
-    "duplicate": "var(--ink-2)",
-    "stolen": "var(--warning)",
-    "killed": "var(--error)",
-    "hung": "var(--error)",
-    "lost": "var(--error)",
-    "running": "var(--warning)",
-}
-
-
-def _fabric_strip_svg(
-    fabric: Mapping[str, Any], *, width: int = 560, row_h: int = 18
-) -> str:
-    """Track-per-worker timeline strip of shard attempts (inline SVG)."""
-    attempts = [
-        a
-        for a in fabric.get("attempts", ())
-        if isinstance(a.get("t0"), (int, float))
-    ]
-    workers = sorted(
-        {str(a.get("worker")) for a in attempts}
-        | {str(w) for w in fabric.get("workers_seen", ())}
-    )
-    if not attempts or not workers:
-        return '<span class="muted">no attempt spans recorded</span>'
-    t0_min = min(float(a["t0"]) for a in attempts)
-    t_end = max(
-        float(a["t1"]) if isinstance(a.get("t1"), (int, float)) else float(a["t0"])
-        for a in attempts
-    )
-    span = max(t_end - t0_min, 1e-9)
-    label_w, pad = 52, 4
-    height = row_h * len(workers) + pad
-    lane_w = width - label_w - pad
-
-    def x(t: float) -> float:
-        return label_w + (t - t0_min) / span * lane_w
-
-    parts = [
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img" '
-        f'aria-label="shard attempts per worker over {span:.3f}s">'
-    ]
-    for i, worker in enumerate(workers):
-        y = pad / 2 + i * row_h
-        mid = y + row_h / 2
-        parts.append(
-            f'<text x="2" y="{mid + 4:.1f}" font-size="11" '
-            f'fill="var(--ink-2)">{_esc(worker)}</text>'
-        )
-        parts.append(
-            f'<line x1="{label_w}" y1="{mid:.1f}" x2="{width - pad}" '
-            f'y2="{mid:.1f}" stroke="var(--line)" stroke-width="1"/>'
-        )
-    for a in attempts:
-        worker = str(a.get("worker"))
-        i = workers.index(worker)
-        y = pad / 2 + i * row_h + 2
-        t0 = float(a["t0"])
-        t1 = float(a["t1"]) if isinstance(a.get("t1"), (int, float)) else t0
-        outcome = str(a.get("outcome", "?"))
-        fill = _OUTCOME_FILL.get(outcome, "var(--ink-2)")
-        x0, x1 = x(t0), x(max(t1, t0))
-        parts.append(
-            f'<rect x="{x0:.1f}" y="{y:.1f}" '
-            f'width="{max(x1 - x0, 2.0):.1f}" height="{row_h - 6}" '
-            f'rx="2" fill="{fill}">'
-            f"<title>{_esc(a.get('shard', '?'))}: {_esc(outcome)} "
-            f"on {_esc(worker)} ({t1 - t0:.3f}s)</title></rect>"
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _fabric_utilization(fabric: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Per-worker busy time / busy fraction from the attempt spans."""
-    attempts = [
-        a
-        for a in fabric.get("attempts", ())
-        if isinstance(a.get("t0"), (int, float))
-        and isinstance(a.get("t1"), (int, float))
-    ]
-    if not attempts:
-        return []
-    t0_min = min(float(a["t0"]) for a in attempts)
-    t_end = max(float(a["t1"]) for a in attempts)
-    span = max(t_end - t0_min, 1e-9)
-    rows: List[Dict[str, Any]] = []
-    busy: Dict[str, float] = {}
-    for a in attempts:
-        worker = str(a.get("worker"))
-        busy[worker] = busy.get(worker, 0.0) + max(
-            0.0, float(a["t1"]) - float(a["t0"])
-        )
-    for worker in sorted(busy):
-        rows.append(
-            {
-                "worker": worker,
-                "busy_s": busy[worker],
-                "frac": min(1.0, busy[worker] / span),
-            }
-        )
-    return rows
 
 
 def _migration_flow_svg(
@@ -376,15 +265,6 @@ def build_report(
                 }
             )
 
-    # fabric health blocks of the latest distributed runs
-    fabric_rows: List[Dict[str, Any]] = []
-    for name, record in sorted(latest_by_name.items()):
-        block = record.get("fabric")
-        if isinstance(block, Mapping):
-            fabric_rows.append(
-                {"sweep": name, "run_id": record["run_id"], "fabric": block}
-            )
-
     # time-attribution ledgers of the latest run of each sweep
     ledger_rows: List[Dict[str, Any]] = []
     for name, record in sorted(latest_by_name.items()):
@@ -434,7 +314,6 @@ def build_report(
         "total_points": total_points,
         "latest_sha": git_shas[-1] if git_shas else "unknown",
         "figure_rows": figure_rows,
-        "fabric_rows": fabric_rows,
         "ledger_rows": ledger_rows,
         "lineage_rows": lineage_rows,
         "findings": [f.to_dict() for f in findings],
@@ -451,7 +330,6 @@ def render_report(data: Mapping[str, Any]) -> str:
     runs: Sequence[Mapping[str, Any]] = data.get("runs", ())
     findings: Sequence[Mapping[str, Any]] = data.get("findings", ())
     figure_rows: Sequence[Mapping[str, Any]] = data.get("figure_rows", ())
-    fabric_rows: Sequence[Mapping[str, Any]] = data.get("fabric_rows", ())
     ledger_rows: Sequence[Mapping[str, Any]] = data.get("ledger_rows", ())
     lineage_rows: Sequence[Mapping[str, Any]] = data.get("lineage_rows", ())
     errors = sum(1 for f in findings if f.get("severity") == "error")
@@ -613,51 +491,6 @@ def render_report(data: Mapping[str, Any]) -> str:
         out.append("</tbody></table>")
     else:
         out.append('<p class="muted">The registry is empty.</p>')
-
-    # fabric health
-    out.append("<h2>Fabric health (distributed runs)</h2>")
-    if fabric_rows:
-        for row in fabric_rows:
-            fabric = row["fabric"]
-            out.append(
-                f"<h3>{_esc(row['sweep'])} "
-                f"<code>{_esc(row['run_id'])}</code></h3>"
-            )
-            seen = fabric.get("workers_seen") or ()
-            n_workers = len(seen) if seen else fabric.get("workers", "?")
-            out.append(
-                f'<p class="muted">{_esc(n_workers)} worker(s), '
-                f"{_esc(fabric.get('shards', '?'))} shard(s) &middot; "
-                f"steals {_esc(fabric.get('steals', 0))} &middot; "
-                f"respawns {_esc(fabric.get('respawns', 0))}"
-                f"/{_esc(fabric.get('max_respawns', 0))} &middot; "
-                f"worker deaths {_esc(fabric.get('worker_deaths', 0))} "
-                f"&middot; <code>{_esc(fabric.get('fabric_dir', ''))}</code>"
-                "</p>"
-            )
-            out.append(_fabric_strip_svg(fabric))
-            util = _fabric_utilization(fabric)
-            if util:
-                out.append(
-                    "<table><thead><tr><th>worker</th><th>busy</th>"
-                    '<th class="num">busy time (s)</th></tr></thead><tbody>'
-                )
-                for u in util:
-                    pct = u["frac"] * 100.0
-                    out.append(
-                        f"<tr><td><code>{_esc(u['worker'])}</code></td>"
-                        f'<td><div style="background:var(--series);'
-                        f"height:8px;border-radius:4px;"
-                        f'width:{pct:.1f}%" role="img" '
-                        f'aria-label="{pct:.0f}% busy"></div></td>'
-                        f'<td class="num">{u["busy_s"]:.3f}</td></tr>'
-                    )
-                out.append("</tbody></table>")
-    else:
-        out.append(
-            '<p class="muted">No fabric runs registered (run '
-            "<code>repro fabric run</code>).</p>"
-        )
 
     # findings
     out.append("<h2>Anomaly findings</h2>")

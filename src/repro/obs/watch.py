@@ -68,7 +68,7 @@ class WatchRenderer:
         self.recent: List[str] = []  # most recent completions, newest last
         self.walls: List[float] = []  # executed per-point wall times
         self.walls_by_worker: Dict[str, List[float]] = {}
-        self._done_ids: set = set()  # completion dedup (at-least-once)
+        self._done_ids: set = set()  # keys already counted as done
         self.last_t: float = 0.0
         self.final_metrics: Optional[Dict[str, Any]] = None
         self.run_id: Optional[str] = None
@@ -93,9 +93,8 @@ class WatchRenderer:
             label = str(event.get("label", "?"))
             if label in self.in_flight:
                 self.in_flight.remove(label)
-            # distributed sweeps are at-least-once: a point completed by
-            # a worker that then died is re-delivered by the shard's
-            # next owner, so progress counts unique points while the
+            # progress counts unique points: 'sweep --jsonl' appends, so
+            # a re-run's events follow the first run's in one file; the
             # per-worker stats below keep counting actual executions
             point_id = str(event.get("key") or label)
             first_completion = point_id not in self._done_ids
@@ -153,10 +152,9 @@ class WatchRenderer:
         """Executed points per busy-second, per worker.
 
         Derived purely from ``point_done`` wall times, so it is exact
-        for interleaved multi-worker streams (fabric workers append to
-        separate files that are merged by emission time — per-worker
-        busy time is unaffected by the interleaving). Workers with no
-        positive wall time yet are omitted.
+        for interleaved multi-worker streams (per-worker busy time is
+        unaffected by the interleaving). Workers with no positive wall
+        time yet are omitted.
         """
         rates: Dict[str, float] = {}
         for worker, walls in self.walls_by_worker.items():
@@ -253,7 +251,7 @@ def watch_file(
     timeout_s: Optional[float] = None,
     require_finished: bool = False,
 ) -> int:
-    """Render a progress JSONL file or fabric job dir; returns an exit code.
+    """Render a progress JSONL file; returns an exit code.
 
     Without ``follow`` the existing file is replayed and one final frame
     printed. With ``follow`` the file is tailed (new lines rendered as
@@ -262,28 +260,9 @@ def watch_file(
     ``require_finished`` (the CLI's ``--replay``) makes an incomplete
     stream — no ``sweep_done`` — exit 1 instead of 0, so CI can assert
     a recorded sweep actually ran to completion.
-
-    A *directory* holding a fabric job is watched by tailing the merged
-    multi-worker event streams instead (see :func:`_watch_fabric_dir`).
     """
     out = out if out is not None else sys.stdout
     p = Path(path)
-    if p.is_dir():
-        if (p / "job.json").is_file():
-            return _watch_fabric_dir(
-                p,
-                out=out,
-                follow=follow,
-                interval=interval,
-                timeout_s=timeout_s,
-                require_finished=require_finished,
-            )
-        print(
-            f"repro watch: error: {p} is a directory with no fabric job "
-            f"(job.json)",
-            file=sys.stderr,
-        )
-        return 1
     if not p.is_file():
         print(f"repro watch: error: no progress file at {p}", file=sys.stderr)
         return 1
@@ -327,95 +306,6 @@ def watch_file(
         print(
             f"repro watch: error: {p} has no sweep_done event "
             f"({renderer.done} point(s) recorded) — the sweep did not finish",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _watch_fabric_dir(
-    root: Path,
-    *,
-    out: TextIO,
-    follow: bool,
-    interval: float,
-    timeout_s: Optional[float],
-    require_finished: bool,
-) -> int:
-    """Watch a fabric job directory by merging every worker's stream.
-
-    Uses the fabric's own :class:`EventTailer` (byte offsets per file,
-    complete lines only), so the view is exactly what the coordinator
-    sees — and it works from *any* host sharing the directory, with no
-    coordinator process required. ``sweep_start`` is synthesised from
-    ``job.json``; completion means every planned shard has a result
-    file. Redelivered ``point_done`` events (at-least-once delivery)
-    are deduplicated by the renderer as usual.
-    """
-    from repro.experiments.fabric.transport import FileTransport
-
-    transport = FileTransport(root)
-    try:
-        job = transport.read_job()
-    except (ValueError, OSError) as exc:
-        print(f"repro watch: error: {exc}", file=sys.stderr)
-        return 1
-    shard_ids = [str(s["shard_id"]) for s in job.get("shards", ())]
-    renderer = WatchRenderer()
-    renderer.feed(
-        {
-            "event": "sweep_start",
-            "t": 0.0,
-            "spec": str(job.get("name", root.name)),
-            "points": len(job.get("points", ())),
-            "workers": 0,
-            "cached": 0,
-        }
-    )
-    tailer = transport.event_tailer()
-    is_tty = hasattr(out, "isatty") and out.isatty()
-    waited = 0.0
-
-    def paint() -> None:
-        workers_dir = root / "workers"
-        if workers_dir.is_dir():
-            renderer.workers = len(list(workers_dir.glob("*.json")))
-        frame = renderer.render()
-        done = len(transport.completed_shard_ids())
-        frame += f"\n  shards: {done}/{len(shard_ids)} results on disk"
-        if is_tty:
-            out.write("\x1b[2J\x1b[H" + frame + "\n")
-        else:
-            out.write(frame + "\n")
-        out.flush()
-
-    try:
-        while True:
-            drained = False
-            for _worker, event in tailer.drain():
-                renderer.feed(event)
-                drained = True
-            if drained:
-                waited = 0.0
-                if follow:
-                    paint()
-            finished = bool(shard_ids) and transport.all_done(shard_ids)
-            if not follow or finished:
-                break
-            if timeout_s is not None and waited >= timeout_s:
-                break
-            time.sleep(interval)
-            waited += interval
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    for _worker, event in tailer.drain():  # trailing events post-results
-        renderer.feed(event)
-    paint()
-    if require_finished and not transport.all_done(shard_ids):
-        done = len(transport.completed_shard_ids())
-        print(
-            f"repro watch: error: fabric job at {root} is incomplete "
-            f"({done}/{len(shard_ids)} shard results) ",
             file=sys.stderr,
         )
         return 1

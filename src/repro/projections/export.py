@@ -104,7 +104,7 @@ def _lane_events(
                 "ph": "M",
                 "pid": pid,
                 "tid": cid,
-                "args": {"name": trace.core_names.get(cid, f"core {cid}")},
+                "args": {"name": f"core {cid}"},
             }
         )
     after: List[Dict[str, Any]] = []

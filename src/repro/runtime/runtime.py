@@ -730,6 +730,13 @@ class Runtime(Job):
                 )
             )
 
+    def _finish(self, now: float) -> None:
+        super()._finish(now)
+        # each scheduler holds bound methods of this runtime; dropping
+        # them once the job is done leaves a finished run free of
+        # reference cycles
+        self.schedulers.clear()
+
     def _core_drained(self) -> None:
         self._arrived += 1
         if self._arrived == self._expected_arrivals:

@@ -11,13 +11,13 @@ Tracing is optional (``Runtime(..., tracing=True)``, or
 events and drops them. Both engines check first and build no event when
 tracing is off. A traced run records one event per entry-method
 execution, so the events are named tuples: immutable, picklable (pool
-and fabric workers ship traces) and cheap to build.
+workers ship traces) and cheap to build.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "TaskEvent",
@@ -100,10 +100,6 @@ class TraceLog:
         self.migrations: List[MigrationEvent] = []
         # first task event of the iteration in progress
         self._iteration_start = 0
-        #: Optional display names per ``core_id`` for trace exporters
-        #: (the fabric flight recorder maps worker ids onto "cores");
-        #: unnamed cores fall back to ``core <id>``.
-        self.core_names: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     def add_task(self, ev: TaskEvent) -> None:

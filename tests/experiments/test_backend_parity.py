@@ -28,7 +28,6 @@ from repro.core import (
     RefineLB,
     RefineVMInterferenceLB,
 )
-from repro.experiments.fabric.coordinator import run_fabric_sweep
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import BackgroundSpec, Scenario
 from repro.experiments.sweep import (
@@ -810,9 +809,8 @@ class TestTraceParity:
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self, tmp_path):
+    def test_unknown_backend_rejected(self):
         params = {"app": "jacobi2d", "scale": 0.05, "iterations": 2, "cores": 4}
-        job = tmp_path / "job"
         for backend in ("nope", "batch", "auto"):
             calls = [
                 lambda: run_scenario(build_scenario(params), backend=backend),
@@ -820,16 +818,11 @@ class TestBackendSelection:
                 lambda: run_sweep(
                     smoke_spec(), workers=1, cache=None, backend=backend
                 ),
-                lambda: run_fabric_sweep(
-                    smoke_spec(), fabric_dir=job, backend=backend
-                ),
             ]
             for call in calls:
                 with pytest.raises(ValueError, match="unknown backend") as err:
                     call()
                 assert "\n" not in str(err.value)
-        # the fabric driver validates before touching its job directory
-        assert not job.exists()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for scenarios, the runner, penalties and tables."""
 
+import gc
+
 import pytest
 
 from repro.apps import SyntheticApp, Wave2D
@@ -121,6 +123,29 @@ def test_deadlock_detection_is_not_triggered_by_clean_runs():
         Scenario(app=app, num_cores=1, iterations=1, net=NetworkModel.zero())
     )
     assert res.app_time > 0
+
+
+@pytest.mark.parametrize("bg", [False, True], ids=["alone", "bg"])
+@pytest.mark.parametrize("backend", ["events", "fast"])
+def test_finished_run_leaves_no_reference_cycles(backend, bg):
+    """Reference counting alone frees a finished run on either backend:
+    no job, scheduler, chare or LB window waits for the cyclic collector."""
+    from repro.experiments.sweep import build_scenario
+
+    scenario = build_scenario({
+        "app": "jacobi2d", "scale": 0.05, "iterations": 10, "cores": 8,
+        "balancer": "refine-vm", "bg": bg,
+    })
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(scenario, backend=backend)
+        assert result.app_time > 0
+        del result, scenario
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert collected == 0
 
 
 class TestFormatTable:

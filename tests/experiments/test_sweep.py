@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.cache import (
     CACHE_FORMAT,
@@ -16,6 +18,7 @@ from repro.experiments.sweep import (
     PARAM_DEFAULTS,
     ScenarioSummary,
     SweepSpec,
+    _pool_blocks,
     build_scenario,
     normalize_params,
     run_point,
@@ -349,6 +352,35 @@ class TestRunSweep:
         warm = run_sweep(tiny_spec(), cache=cache, workers=4)
         assert warm.metrics.cache_hits == 4
         assert warm.summaries() == cold.summaries()
+
+
+# unique, arbitrary-order items: the split must not rely on the
+# 0..n-1 indices a sweep expansion yields
+_block_items = st.lists(
+    st.integers(min_value=0, max_value=10_000), unique=True, max_size=200
+)
+_pool_widths = st.integers(min_value=1, max_value=16)
+
+
+class TestPoolBlocks:
+    """The pool's partition of a sweep's misses into contiguous blocks."""
+
+    @given(items=_block_items, workers=_pool_widths)
+    @settings(max_examples=200)
+    def test_every_point_exactly_once(self, items, workers):
+        """Concatenating the blocks reproduces the input sequence exactly."""
+        blocks = _pool_blocks(items, workers)
+        assert [i for block in blocks for i in block] == items
+
+    @given(items=_block_items, workers=_pool_widths)
+    @settings(max_examples=200)
+    def test_block_sizes_balanced_within_one(self, items, workers):
+        blocks = _pool_blocks(items, workers)
+        assert len(blocks) == min(len(items), 4 * workers)
+        if blocks:
+            sizes = [len(block) for block in blocks]
+            assert min(sizes) >= 1
+            assert max(sizes) - min(sizes) <= 1
 
 
 class TestProbeCacheExtras:

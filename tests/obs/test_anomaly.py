@@ -10,7 +10,6 @@ from repro.obs.anomaly import (
     Finding,
     Thresholds,
     check_estimation_drift,
-    check_fabric,
     check_history_outliers,
     check_lb_benefit,
     check_run,
@@ -139,88 +138,6 @@ def test_migration_spike_with_absolute_floor():
     # 3x but only 3 migrations moved: below the absolute floor -> silent
     history1 = [_record([_point("a", migrations=1)], run_id="h0")]
     assert check_history_outliers(_record([_point("a", migrations=3)]), history1) == []
-
-
-# ---------------------------------------------------------------------------
-# fabric health rules
-# ---------------------------------------------------------------------------
-
-
-def _fabric_record(run_id="run-f", **fabric):
-    block = {"shards": 4, "steals": 0, "respawns": 0, "max_respawns": 2,
-             "worker_deaths": 0, "shard_walls": {}}
-    block.update(fabric)
-    return {"run_id": run_id, "name": "smoke", "points": [], "fabric": block}
-
-
-def test_local_runs_without_a_fabric_block_are_silent():
-    assert check_fabric(_record([_point("a")])) == []
-
-
-def test_steal_storm_escalates_with_the_stolen_ratio():
-    # one recovered steal across many shards: info, not noise-free —
-    # the CI recovery drills grep for exactly this finding
-    (f,) = check_fabric(_fabric_record(steals=1, shards=8))
-    assert f.rule == "steal-storm" and f.severity == SEV_INFO
-
-    # a quarter of the shards stolen: systemic churn -> warning
-    (f,) = check_fabric(_fabric_record(steals=1, shards=4))
-    assert f.severity == SEV_WARNING
-    assert f.value == pytest.approx(0.25)
-
-    # three quarters: error
-    (f,) = check_fabric(_fabric_record(steals=3, shards=4))
-    assert f.severity == SEV_ERROR
-
-    assert check_fabric(_fabric_record(steals=0)) == []
-
-
-def test_respawn_budget_burn():
-    (f,) = check_fabric(_fabric_record(respawns=1, max_respawns=4))
-    assert f.rule == "respawn-budget-burn" and f.severity == SEV_INFO
-
-    (f,) = check_fabric(_fabric_record(respawns=2, max_respawns=2))
-    assert f.severity == SEV_WARNING
-    assert "exhausted" in f.message
-
-    assert check_fabric(_fabric_record(respawns=0)) == []
-
-
-def test_straggler_shard_against_this_runs_median():
-    rec = _fabric_record(
-        shard_walls={"s0000": 0.1, "s0001": 0.1, "s0002": 0.5}
-    )
-    (f,) = check_fabric(rec)
-    assert f.rule == "straggler-shard" and f.severity == SEV_WARNING
-    assert f.subject == "run-f:s0002"
-    assert f.value == pytest.approx(5.0)
-
-
-def test_straggler_shard_prefers_same_shard_history():
-    # s0002 is 5x this run's median but identical to its own history:
-    # the shard is just big, not straggling
-    walls = {"s0000": 0.1, "s0001": 0.1, "s0002": 0.5}
-    history = [_fabric_record(run_id=f"h{i}", shard_walls=dict(walls))
-               for i in range(3)]
-    assert check_fabric(_fabric_record(shard_walls=walls), history) == []
-    # but a shard 3x its own history fires even if this run's median
-    # would have excused it
-    slow = dict(walls, s0002=1.5)
-    (f,) = check_fabric(_fabric_record(shard_walls=slow), history)
-    assert f.subject == "run-f:s0002"
-    assert f.value == pytest.approx(3.0)
-
-
-def test_straggler_ignores_sub_resolution_walls():
-    # micro-shards: 5x ratio but everything under straggler_min_s
-    rec = _fabric_record(shard_walls={"a": 0.002, "b": 0.002, "c": 0.01})
-    assert check_fabric(rec) == []
-
-
-def test_check_run_includes_fabric_findings():
-    record = {**_record([]), **{"fabric": _fabric_record(steals=3)["fabric"]}}
-    findings = check_run(record, [])
-    assert any(f.rule == "steal-storm" for f in findings)
 
 
 # ---------------------------------------------------------------------------

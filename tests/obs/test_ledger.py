@@ -358,15 +358,6 @@ class TestSweepCarriage:
         for point in record["points"]:
             assert point["ledger"]["conserved"]
 
-    def test_fabric_driver_rejects_ledger(self):
-        with pytest.raises(
-            ValueError, match=r"probe\(s\) ledger require driver='local'"
-        ):
-            run_sweep(
-                smoke_spec(), workers=1, cache=None,
-                ledger=True, driver="fabric",
-            )
-
 
 # ---------------------------------------------------------------------------
 # anomaly rules

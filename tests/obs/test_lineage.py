@@ -529,14 +529,6 @@ class TestSweepCarriage:
         warm = run_sweep(_SPEC, workers=1, cache=cache, lineage=True)
         assert all(r.cached for r in warm.results)
 
-    def test_fabric_driver_rejects_lineage(self, tmp_path):
-        with pytest.raises(
-            ValueError,
-            match=r"probe\(s\) ledger, lineage require driver='local'",
-        ):
-            run_sweep(_SPEC, ledger=True, lineage=True, driver="fabric",
-                      fabric_dir=tmp_path / "fab")
-
     def test_registry_record_carries_payloads_and_aggregate(self, tmp_path):
         registry = RunRegistry(tmp_path / "registry")
         run_sweep(_SPEC, workers=1, cache=None, registry=registry,

@@ -83,54 +83,6 @@ def test_report_escapes_untrusted_strings(tmp_path, fabricate):
     assert "&lt;script&gt;" in html
 
 
-def test_fabric_runs_get_a_health_section(tmp_path, fabricate):
-    registry = RunRegistry(tmp_path / "registry")
-    spec, result = fabricate("drill", PAIRED_POINTS)
-    fabric = {
-        "fabric_dir": "/jobs/drill",
-        "workers": 2,
-        "workers_seen": ["w0", "w1"],
-        "shards": 2,
-        "steals": 1,
-        "respawns": 0,
-        "max_respawns": 2,
-        "worker_deaths": 1,
-        "shard_walls": {"s0000": 0.3, "s0001": 0.2},
-        "attempts": [
-            {"shard": "s0000", "worker": "w0", "t0": 0.0, "t1": 0.3,
-             "outcome": "killed"},
-            {"shard": "s0000", "worker": "w1", "t0": 0.5, "t1": 0.9,
-             "outcome": "done"},
-            {"shard": "s0001", "worker": "w1", "t0": 0.0, "t1": 0.4,
-             "outcome": "done"},
-        ],
-    }
-    record = registry.ingest_sweep(
-        spec, result, created_utc="2026-08-06T10:00:00Z",
-        extra={"fabric": fabric},
-    )
-
-    data = build_report(registry.root)
-    (row,) = data["fabric_rows"]
-    assert row["sweep"] == "drill" and row["run_id"] == record["run_id"]
-
-    html = render_report(data)
-    assert "Fabric health" in html
-    assert "/jobs/drill" in html
-    # the strip has one lane per worker and a tooltip per attempt
-    assert html.count("shard attempts per worker") == 1
-    assert "s0000#1" in html or "s0000" in html
-    assert "w0" in html and "w1" in html
-    # a steal-storm finding rides along from the same block
-    assert any(f["rule"] == "steal-storm" for f in data["findings"])
-
-
-def test_report_without_fabric_runs_says_so(populated):
-    html = render_report(build_report(populated.root))
-    assert "Fabric health" in html
-    assert "No fabric runs registered" in html
-
-
 def test_write_report(populated, tmp_path):
     out = tmp_path / "nested" / "report.html"
     data = write_report(out, populated.root)

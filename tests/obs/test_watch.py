@@ -140,44 +140,47 @@ def test_eta_and_throughput_edge_cases():
 
 
 # ---------------------------------------------------------------------------
-# multi-worker (fabric) streams: interleaving, dedup, per-worker rates
+# local-pool streams: interleaved workers, dedup, per-worker rates
 # ---------------------------------------------------------------------------
 
-FABRIC_EVENTS = [
-    _ev("sweep_start", 0.0, spec="fab", points=4, workers=2, cached=0,
-        driver="fabric", shards=2),
-    _ev("shard_claimed", 0.01, shard="s0000", worker="w0"),
-    _ev("shard_claimed", 0.01, shard="s0001", worker="w1"),
-    # interleaved completions from two workers' merged streams
+POOL_EVENTS = [
+    _ev("sweep_start", 0.0, spec="pool", points=4, workers=2, cached=0),
+    # the pool announces every block's points as it submits the block
+    _ev("point_start", 0.01, label="a", key="ka"),
+    _ev("point_start", 0.01, label="b", key="kb"),
+    _ev("point_start", 0.01, label="c", key="kc"),
+    _ev("point_start", 0.01, label="d", key="kd"),
+    # completions from two pool processes, in the order blocks finish
     _ev("point_done", 0.2, label="a", key="ka", cached=False, wall_s=0.2,
-        worker="w0", shard="s0000"),
+        worker="pid:101"),
     _ev("point_done", 0.3, label="c", key="kc", cached=False, wall_s=0.3,
-        worker="w1", shard="s0001"),
+        worker="pid:102"),
     _ev("point_done", 0.4, label="b", key="kb", cached=False, wall_s=0.2,
-        worker="w0", shard="s0000"),
+        worker="pid:101"),
     _ev("point_done", 0.6, label="d", key="kd", cached=False, wall_s=0.3,
-        worker="w1", shard="s0001"),
+        worker="pid:102"),
 ]
 
 
 def test_per_worker_throughput_from_interleaved_streams():
-    r = replay(FABRIC_EVENTS)
+    r = replay(POOL_EVENTS)
     rates = r.worker_throughput()
-    # exact: w0 did 2 points in 0.4s busy, w1 did 2 in 0.6s busy
-    assert rates["w0"] == 2 / 0.4
-    assert rates["w1"] == 2 / 0.6
+    # exact: pid:101 did 2 points in 0.4s busy, pid:102 did 2 in 0.6s busy
+    assert rates["pid:101"] == 2 / 0.4
+    assert rates["pid:102"] == 2 / 0.6
     frame = r.render()
-    assert "w0: 2 done, last b (5.00/s)" in frame
-    assert "w1: 2 done, last d (3.33/s)" in frame
+    assert "pid:101: 2 done, last b (5.00/s)" in frame
+    assert "pid:102: 2 done, last d (3.33/s)" in frame
     assert "4/4 points" in frame
+    assert "running:" not in frame
 
 
 def test_redelivered_point_done_counts_once_toward_progress():
-    # at-least-once delivery: a worker dies after completing a point,
-    # the shard is re-run and the point re-reported as a cache hit
-    events = FABRIC_EVENTS + [
+    # 'sweep --jsonl' appends, so a re-run's cache hits follow the first
+    # run's completions in the same file
+    events = POOL_EVENTS + [
         _ev("point_done", 0.7, label="a", key="ka", cached=True, wall_s=0.0,
-            worker="cache", shard="s0000"),
+            worker="cache"),
     ]
     r = replay(events)
     assert r.done == 4  # not 5
@@ -185,8 +188,8 @@ def test_redelivered_point_done_counts_once_toward_progress():
     assert "4/4 points" in r.render()
 
 
-def test_fabric_stream_round_trips_through_watch_replay(tmp_path, capsys):
-    events = FABRIC_EVENTS + [
+def test_pool_stream_round_trips_through_watch_replay(tmp_path, capsys):
+    events = POOL_EVENTS + [
         _ev("sweep_done", 1.0, points=4, executed=4, cache_hits=0,
             hit_rate=0.0, elapsed_s=1.0, executed_wall_s=1.0, workers=2,
             worker_utilization=0.5),
@@ -196,14 +199,14 @@ def test_fabric_stream_round_trips_through_watch_replay(tmp_path, capsys):
     out = io.StringIO()
     assert watch_file(path, out=out, require_finished=True) == 0
     frame = out.getvalue()
-    assert "w0: 2 done" in frame and "w1: 2 done" in frame
+    assert "pid:101: 2 done" in frame and "pid:102: 2 done" in frame
     assert "4/4 points" in frame
 
 
 def test_watch_replay_fails_on_unfinished_stream(tmp_path, capsys):
     path = tmp_path / "events.jsonl"
     path.write_text(
-        "".join(json.dumps(e) + "\n" for e in FABRIC_EVENTS)
+        "".join(json.dumps(e) + "\n" for e in POOL_EVENTS)
     )
     out = io.StringIO()
     assert watch_file(path, out=out, require_finished=True) == 1
@@ -211,57 +214,6 @@ def test_watch_replay_fails_on_unfinished_stream(tmp_path, capsys):
     assert "4/4 points" in out.getvalue()  # the frame still prints
 
 
-# ---------------------------------------------------------------------------
-# fabric job directories: tail every worker stream in place
-# ---------------------------------------------------------------------------
-
-
-def test_watch_accepts_a_fabric_job_directory(tmp_path):
-    from .test_fabtrace import _kill_drill_job
-
-    root = _kill_drill_job(tmp_path)
-    out = io.StringIO()
-    assert watch_file(root, out=out) == 0
-    frame = out.getvalue()
-    assert "sweep drill" in frame
-    assert "shards: 2/2 results on disk" in frame
-    # per-worker lines come from the tailed event streams
-    assert "w1: 2 done" in frame
-
-
-def test_watch_fabric_dir_dedupes_redelivered_points(tmp_path):
-    # the killed worker completed 'ka' before dying; the stealer re-ran
-    # it — at-least-once delivery means two point_done events for one
-    # point, which must count once toward progress
-    from .test_fabtrace import _kill_drill_job
-
-    root = _kill_drill_job(tmp_path)
-    out = io.StringIO()
-    assert watch_file(root, out=out) == 0
-    assert "2/2 points" in out.getvalue()
-
-
-def test_watch_fabric_dir_replay_fails_when_shards_missing(tmp_path, capsys):
-    from .test_fabtrace import _kill_drill_job
-
-    root = _kill_drill_job(tmp_path)
-    (root / "results" / "s0001.json").unlink()
-    out = io.StringIO()
-    assert watch_file(root, out=out, require_finished=True) == 1
-    assert "1/2" in capsys.readouterr().err
-
-
 def test_watch_directory_without_a_job_is_a_clean_error(tmp_path, capsys):
     assert watch_file(tmp_path, out=io.StringIO()) == 1
-    assert "no fabric job" in capsys.readouterr().err
-
-
-def test_watch_fabric_dir_follow_stops_on_timeout(tmp_path):
-    from .test_fabtrace import _kill_drill_job
-
-    root = _kill_drill_job(tmp_path)
-    (root / "results" / "s0000.json").unlink()  # never finishes
-    out = io.StringIO()
-    assert watch_file(root, out=out, follow=True, interval=0.01,
-                      timeout_s=0.05) == 0
-    assert "1/2 results on disk" in out.getvalue()
+    assert "no progress file" in capsys.readouterr().err

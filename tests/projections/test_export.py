@@ -175,7 +175,7 @@ def test_failed_export_keeps_the_previous_trace(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _log(tasks, core_names=None, migrations=(), lb_steps=()):
+def _log(tasks, migrations=(), lb_steps=()):
     from repro.runtime.tracing import TraceLog
 
     log = TraceLog()
@@ -185,7 +185,6 @@ def _log(tasks, core_names=None, migrations=(), lb_steps=()):
         log.add_migration(m)
     for s in lb_steps:
         log.add_lb_step(s)
-    log.core_names.update(core_names or {})
     return log
 
 
@@ -211,7 +210,8 @@ def _non_finite_case():
 
 
 def _int_times_case():
-    # the fabric flight recorder builds TaskEvents from recorded times
+    # TaskEvent does not coerce its fields: int times must encode as
+    # json.dumps encodes them
     from repro.runtime.tracing import TaskEvent as T
 
     return _log([
@@ -261,7 +261,7 @@ def _awkward_names_case():
     return _log([
         T(i % 2, (name, i), 0, 0.1 * i, 0.1 * i + 0.05, 0.05)
         for i, name in enumerate(names)
-    ], core_names={0: 'core "zero"', 1: "kern ✓"})
+    ])
 
 
 def _many_tasks_case(n=3 * 256 + 5):

@@ -224,15 +224,12 @@ def test_sweep_fig2_spec_missing_a_cell_point_is_refused(tmp_path, capsys):
         "points": [{"app": "jacobi2d", "cores": 4, "label": "jacobi2d/4/base"}],
     }))
     reg = tmp_path / "reg"
-    for command, prog in ((["sweep"], "repro sweep"),
-                          (["fabric", "run"], "repro fabric run")):
-        rc = main([*command, "--spec", str(spec), "--no-cache",
-                   "--registry", str(reg)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"{prog}: error: Figure 2/4 cell jacobi2d/4 has no point "
-            "labelled jacobi2d/4/base_lb\n"
-        )
+    rc = main(["sweep", "--spec", str(spec), "--no-cache", "--registry", str(reg)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "repro sweep: error: Figure 2/4 cell jacobi2d/4 has no point "
+        "labelled jacobi2d/4/base_lb\n"
+    )
     assert RunRegistry(reg).list() == []
 
 
@@ -501,6 +498,62 @@ def test_registry_with_legacy_bench_record_still_works(tmp_path, capsys):
     assert f"run {run_id} is a bench run" in capsys.readouterr().err
 
 
+#: The top-level block that registry records written by the retired
+#: multi-host sweep driver carry.
+_LEGACY_FABRIC_BLOCK = {
+    "fabric_dir": "/jobs/drill", "workers": 2, "workers_seen": ["w0", "w1"],
+    "shards": 4, "steals": 3, "respawns": 2, "max_respawns": 2,
+    "worker_deaths": 1,
+    "shard_walls": {"s0000": 0.1, "s0001": 0.1, "s0002": 0.5, "s0003": 0.1},
+    "attempts": [
+        {"shard": "s0000", "worker": "w0", "t0": 0.0, "t1": 0.3,
+         "outcome": "killed"},
+        {"shard": "s0000", "worker": "w1", "t0": 0.5, "t1": 0.9,
+         "outcome": "done"},
+    ],
+}
+
+
+def test_registry_with_legacy_fabric_record_still_reads(tmp_path, capsys):
+    import json
+
+    from repro.obs.registry import RunRegistry
+    from tests.obs.conftest import PAIRED_POINTS, build_run
+
+    registry = RunRegistry(tmp_path / "registry")
+    spec, result = build_run("drill", PAIRED_POINTS)
+    record = registry.ingest_sweep(
+        spec, result, created_utc="2026-08-06T10:00:00Z",
+        extra={"fabric": _LEGACY_FABRIC_BLOCK},
+    )
+    runs_prefix = ["runs"] + _registry_args(tmp_path)
+
+    assert main(runs_prefix + ["list"]) == 0
+    captured = capsys.readouterr()
+    assert record["run_id"] in captured.out
+    assert "fabric" not in (captured.out + captured.err).lower()
+
+    # the block stays in the record; nothing about it reaches stderr
+    assert main(runs_prefix + ["show", "latest"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["fabric"] == _LEGACY_FABRIC_BLOCK
+    assert captured.err == ""
+
+    # no rule reads the block: steals, respawns and slow shards are silent
+    assert main(runs_prefix + ["check", "latest", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == []
+    assert captured.err == ""
+
+    out_file = tmp_path / "report.html"
+    assert main(["report"] + _registry_args(tmp_path)
+                + ["--output", str(out_file)]) == 0
+    captured = capsys.readouterr()
+    html = out_file.read_text()
+    assert record["run_id"] in html
+    assert "fabric" not in (html + captured.out + captured.err).lower()
+
+
 def test_runs_errors_are_clean(tmp_path, capsys):
     runs_prefix = ["runs"] + _registry_args(tmp_path)
     assert main(runs_prefix + ["show", "latest"]) == 2
@@ -532,156 +585,6 @@ def test_inspect_empty_dir_is_a_clean_one_line_error(tmp_path, capsys):
     assert err.startswith("repro inspect: error:")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
-
-
-# ---------------------------------------------------------------------------
-# fabric: the distributed driver from the command line
-# ---------------------------------------------------------------------------
-
-
-def test_fabric_run_smoke_with_injected_kill_matches_serial(tmp_path, capsys):
-    import json
-
-    # serial reference first, through the shared cache-free path
-    assert main(["sweep", "--preset", "smoke", "--no-cache",
-                 "--no-registry"]) == 0
-    serial_out = capsys.readouterr().out
-
-    jsonl = tmp_path / "progress.jsonl"
-    rc = main([
-        "fabric", "run", "--preset", "smoke",
-        "--workers", "2",
-        "--dir", str(tmp_path / "job"),
-        "--cache-dir", str(tmp_path / "cache"),
-        "--shard-size", "1",
-        "--fault", "kill:w0:0:1",
-        "--lease-timeout", "2",
-        "--jsonl", str(jsonl),
-        "--registry", str(tmp_path / "registry"),
-    ])
-    assert rc == 0
-    fabric_out = capsys.readouterr().out
-    # identical per-point summaries: the table rows (minus the run-time
-    # column) must match the serial run line for line
-    def rows(text):
-        return [
-            line.rsplit(None, 1)[0]
-            for line in text.splitlines()
-            if line.startswith("cores=")
-        ]
-
-    assert rows(fabric_out) == rows(serial_out)
-
-    events = [json.loads(l) for l in jsonl.read_text().splitlines()]
-    kinds = [e["event"] for e in events]
-    assert kinds[0] == "sweep_start"
-    assert events[0]["driver"] == "fabric"
-    assert "worker_dead" in kinds
-    assert "sweep_done" in kinds
-    assert "run_registered" in kinds
-
-
-def test_fabric_run_rejects_bad_fault_spec(tmp_path, capsys):
-    rc = main([
-        "fabric", "run", "--preset", "smoke",
-        "--dir", str(tmp_path / "job"),
-        "--fault", "explode:w0:0",
-        "--no-cache", "--no-registry",
-    ])
-    assert rc == 2
-    assert "repro fabric run: error:" in capsys.readouterr().err
-
-
-def test_fabric_worker_without_job_is_a_clean_error(tmp_path, capsys):
-    assert main(["fabric", "worker", str(tmp_path / "nope")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("repro fabric worker: error:")
-    assert "Traceback" not in err
-
-
-def test_fabric_trace_and_status_over_a_job_directory(tmp_path, capsys):
-    import json
-
-    from tests.obs.test_fabtrace import _kill_drill_job
-
-    job = _kill_drill_job(tmp_path / "job")
-
-    assert main(["fabric", "status", str(job)]) == 0
-    out = capsys.readouterr().out
-    assert "fabric status: drill" in out and "2/2 done" in out
-
-    perfetto = tmp_path / "drill.trace.json"
-    assert main(["fabric", "trace", str(job),
-                 "--perfetto", str(perfetto)]) == 0
-    captured = capsys.readouterr()
-    assert "fabric trace: drill" in captured.out
-    assert "steals=1" in captured.out
-    assert "critical path" in captured.out
-    assert "perfetto trace:" in captured.err
-    assert isinstance(json.load(open(perfetto)), list)
-
-    assert main(["fabric", "trace", str(job), "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["health"]["steals"] == 1 and data["problems"] == []
-
-    assert main(["fabric", "status", str(job), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["done"] == 2
-
-
-def test_fabric_trace_problems_exit_nonzero(tmp_path, capsys):
-    from repro.experiments.fabric.transport import FileTransport
-    from tests.obs.test_fabtrace import _kill_drill_job
-
-    job = _kill_drill_job(tmp_path / "job")
-    # a result committed by a worker no stream ever narrated: the
-    # causality validation must fail loudly, not render politely
-    FileTransport(job).submit_result("s0001", "ghost", [])
-    assert main(["fabric", "trace", str(job)]) == 1
-    assert "PROBLEMS" in capsys.readouterr().out
-
-
-def test_fabric_trace_and_status_errors_are_clean(tmp_path, capsys):
-    for sub in ("trace", "status"):
-        assert main(["fabric", sub, str(tmp_path / "nope")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"repro fabric {sub}: error:")
-        assert "Traceback" not in err
-
-
-def test_fabric_run_no_trace_leaves_no_recorder_artifacts(tmp_path, capsys):
-    rc = main([
-        "fabric", "run", "--preset", "smoke",
-        "--workers", "1", "--shards", "1",
-        "--dir", str(tmp_path / "job"),
-        "--cache-dir", str(tmp_path / "cache"),
-        "--no-registry", "--no-trace",
-    ])
-    assert rc == 0
-    capsys.readouterr()
-    assert not (tmp_path / "job" / "coordinator.jsonl").exists()
-    events = list((tmp_path / "job" / "events").glob("*.jsonl"))
-    assert events and all('"t_wall"' not in p.read_text() for p in events)
-
-
-def test_runs_show_surfaces_fabric_counts_on_stderr(tmp_path, capsys):
-    from repro.obs.registry import RunRegistry
-    from tests.obs.conftest import PAIRED_POINTS, build_run
-
-    registry = RunRegistry(tmp_path / "registry")
-    spec, result = build_run("drill", PAIRED_POINTS)
-    registry.ingest_sweep(
-        spec, result, created_utc="2026-08-06T10:00:00Z",
-        extra={"fabric": {"fabric_dir": "/jobs/d", "workers_seen": ["w0", "w1"],
-                          "shards": 4, "steals": 1, "respawns": 2,
-                          "worker_deaths": 1}},
-    )
-    import json
-
-    assert main(["runs"] + _registry_args(tmp_path) + ["show", "latest"]) == 0
-    captured = capsys.readouterr()
-    record = json.loads(captured.out)  # stdout is still pure JSON
-    assert record["fabric"]["steals"] == 1
-    assert "[fabric: 2 worker(s), 4 shard(s), 1 steal(s)" in captured.err
 
 
 def test_watch_replay_asserts_completion(tmp_path, capsys):

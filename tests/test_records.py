@@ -2,8 +2,8 @@
 events and compute messages.
 
 They are named tuples, built at every LB step, task or message; these
-tests pin what callers rely on: immutability, pickling (pool and fabric
-workers ship traces), ``repr``/``==``/``hash`` by field values, and the
+tests pin what callers rely on: immutability, pickling (pool workers
+ship traces), ``repr``/``==``/``hash`` by field values, and the
 validation the LB records keep on public construction.
 """
 
