@@ -1,30 +1,30 @@
 """Command-line interface.
 
-Regenerate any of the paper's figures (or run a quick demo) without
-writing code::
+Regenerate any of the paper's figures without writing code::
 
     python -m repro fig1
     python -m repro fig2 --scale 0.5 --cores 8 16 --apps jacobi2d
     python -m repro fig3 --width 100
     python -m repro fig4 --iterations 100
     python -m repro headline
-    python -m repro demo --cores 16
     python -m repro sweep --preset fig2 --workers 4
     python -m repro sweep --spec my_sweep.json -j 4 --jsonl progress.jsonl
-    python -m repro sweep --preset smoke --live
-    python -m repro watch progress.jsonl --follow
-    python -m repro runs list
-    python -m repro runs check latest
-    python -m repro sweep --preset smoke --ledger
-    python -m repro sweep --preset smoke --lineage
+
+and read back what a sweep recorded: the LB audit trail, the time
+ledger and the chare lineage of its points, and the run registry::
+
+    python -m repro sweep --preset smoke --audit audit/ --ledger --lineage
+    python -m repro inspect audit/
     python -m repro explain latest
     python -m repro lineage latest
+    python -m repro runs list
     python -m repro report
 
-All commands print the regenerated table/timeline to stdout; ``--output
-DIR`` additionally writes it to ``DIR/<figure>.txt``. The heavy commands
-accept ``--scale`` (problem-size multiplier) and ``--iterations`` so a
-laptop can spot-check at a fraction of the paper-scale cost.
+The figure commands print the regenerated table/timeline to stdout;
+``--output DIR`` additionally writes it to ``DIR/<figure>.txt``. The
+heavy commands accept ``--scale`` (problem-size multiplier) and
+``--iterations`` so a laptop can spot-check at a fraction of the
+paper-scale cost.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lb-period", type=int, default=4, help="LB period in iterations"
     )
 
-    pd = sub.add_parser(
-        "demo", help="quick base / noLB / LB comparison on one app"
-    )
-    add_common(pd, iterations_default=100)
-    pd.add_argument("--cores", type=int, default=16, help="application cores")
-    pd.add_argument(
-        "--app",
-        default="jacobi2d",
-        choices=["jacobi2d", "wave2d", "mol3d"],
-        help="application to run",
-    )
-
     psw = sub.add_parser(
         "sweep",
         help="run a scenario sweep in parallel with on-disk result caching",
@@ -214,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with 'repro lineage'",
     )
     psw.add_argument(
-        "--live", action="store_true",
-        help="render live progress (per-worker state, throughput, ETA) "
-        "to stderr while the sweep runs",
-    )
-    psw.add_argument(
         "--registry", type=Path, default=None, metavar="DIR",
         help="run registry location (default: results/registry, or "
         "$REPRO_REGISTRY_DIR)",
@@ -230,32 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     psw.add_argument(
         "--output", type=Path, default=None, metavar="DIR",
         help="also write the result table into DIR/sweep_<name>.txt",
-    )
-
-    pw = sub.add_parser(
-        "watch",
-        help="render live sweep progress from a --jsonl event file",
-    )
-    pw.add_argument(
-        "path", type=Path, metavar="PATH",
-        help="progress JSONL file written by 'sweep --jsonl'",
-    )
-    pw.add_argument(
-        "--follow", "-f", action="store_true",
-        help="keep tailing the file and re-render as events arrive",
-    )
-    pw.add_argument(
-        "--interval", type=float, default=0.5, metavar="S",
-        help="poll interval in seconds while following (default: 0.5)",
-    )
-    pw.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="stop following after S seconds without new events",
-    )
-    pw.add_argument(
-        "--replay", action="store_true",
-        help="replay the complete file and exit 1 unless it ends in "
-        "sweep_done (CI assertion mode; incompatible with --follow)",
     )
 
     prep = sub.add_parser(
@@ -290,29 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         "ref", metavar="REF",
         help="run id, unique prefix, 'latest', or 'latest:<name>'",
     )
-    prs.add_argument(
-        "--json", action="store_true",
-        help="accepted for parity with 'runs list --json' (the record "
-        "is always printed as JSON)",
-    )
     prd = runs_sub.add_parser("diff", help="compare two runs point by point")
     prd.add_argument("ref_a", metavar="REF_A", help="baseline run ref")
     prd.add_argument("ref_b", metavar="REF_B", help="candidate run ref")
     prd.add_argument(
         "--json", action="store_true",
         help="emit the structured diff as JSON instead of text",
-    )
-    prc = runs_sub.add_parser(
-        "check",
-        help="run the anomaly detectors on a run; exit 1 on error findings",
-    )
-    prc.add_argument(
-        "ref", nargs="?", default="latest", metavar="REF",
-        help="run to check (default: latest)",
-    )
-    prc.add_argument(
-        "--json", action="store_true",
-        help="emit findings as JSON instead of text",
     )
 
     pex = sub.add_parser(
@@ -508,35 +448,6 @@ def _cmd_headline(args) -> int:
     return 0 if all(r.meets_claim for r in rows) else 1
 
 
-def _cmd_demo(args) -> int:
-    from repro.experiments import fig2, format_table
-
-    res = fig2(
-        apps=[args.app],
-        core_counts=[args.cores],
-        scale=args.scale,
-        iterations=args.iterations,
-    )
-    (row,) = res.rows
-    base, nolb, lb = (
-        res.sweep[f"{args.app}/{args.cores}/{variant}"]
-        for variant in ("base", "nolb", "lb")
-    )
-    rows = [
-        ("alone (base)", base.app_time, 0.0, base.avg_power_w),
-        ("interfered, noLB", nolb.app_time, row.nolb, nolb.avg_power_w),
-        ("interfered, LB", lb.app_time, row.lb, lb.avg_power_w),
-    ]
-    text = format_table(
-        ["run", "time (s)", "penalty %", "avg power W"],
-        rows,
-        title=f"{args.app} on {args.cores} cores, 2-core Wave2D interfering",
-        float_fmt="{:.2f}",
-    )
-    _emit(text, "demo", args.output)
-    return 0
-
-
 def _sweep_spec_from_args(args):
     """The ``--spec``/``--preset`` sweep; raises ValueError or OSError
     before any point runs on a bad parameter or an incomplete fig2 cell."""
@@ -602,18 +513,12 @@ def _cmd_sweep(args) -> int:
 
         registry = RunRegistry(args.registry or default_registry_dir())
 
-    on_event = None
-    if args.live:
-        from repro.obs.watch import LiveWatch
-
-        on_event = LiveWatch(sys.stderr).on_event
-
     jsonl_stream = None
     try:
         if args.jsonl is not None:
             args.jsonl.parent.mkdir(parents=True, exist_ok=True)
             jsonl_stream = open(args.jsonl, "a")
-        log = EventLog(stream=jsonl_stream, on_event=on_event)
+        log = EventLog(stream=jsonl_stream)
         result = run_sweep(
             spec,
             workers=args.workers,
@@ -665,36 +570,6 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    from repro.obs.watch import watch_file
-
-    if args.interval <= 0:
-        print(
-            f"repro watch: error: --interval must be > 0, got {args.interval}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.replay and args.follow:
-        print(
-            "repro watch: error: --replay is incompatible with --follow",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        return watch_file(
-            args.path,
-            follow=args.follow,
-            interval=args.interval,
-            timeout_s=args.timeout,
-            require_finished=args.replay,
-        )
-    except (ValueError, OSError) as exc:
-        # missing file/directory, unreadable events — one clean line on
-        # stderr, never a traceback (matches 'repro inspect')
-        print(f"repro watch: error: {exc}", file=sys.stderr)
-        return 1
-
-
 def _cmd_report(args) -> int:
     from repro.obs.registry import default_registry_dir
     from repro.obs.report import write_report
@@ -704,11 +579,7 @@ def _cmd_report(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"repro report: error: {exc}", file=sys.stderr)
         return 2
-    errors = sum(1 for f in data["findings"] if f["severity"] == "error")
-    print(
-        f"[report written to {args.output}: {len(data['runs'])} run(s), "
-        f"{len(data['findings'])} finding(s), {errors} error(s)]"
-    )
+    print(f"[report written to {args.output}: {len(data['runs'])} run(s)]")
     return 0
 
 
@@ -734,7 +605,6 @@ def _cmd_runs(args) -> int:
     import json
 
     from repro.experiments.tables import format_table
-    from repro.obs.anomaly import check_run, has_errors
     from repro.obs.registry import RunRegistry, default_registry_dir, diff_runs
 
     registry = RunRegistry(args.registry or default_registry_dir())
@@ -772,47 +642,75 @@ def _cmd_runs(args) -> int:
             print(json.dumps(record, indent=1, sort_keys=True))
             return 0
 
-        if args.runs_command == "diff":
-            diff = diff_runs(registry.load(args.ref_a), registry.load(args.ref_b))
-            if args.json:
-                print(json.dumps(diff, indent=1, sort_keys=True))
-            else:
-                print(_format_diff_text(diff))
-            return 0
-
-        # check
-        record = registry.load(args.ref)
-        history = registry.history(
-            record["name"],
-            kind=record.get("kind", "sweep"),
-            before=record["run_id"],
-        )
-        findings = check_run(record, history)
+        # diff
+        diff = diff_runs(registry.load(args.ref_a), registry.load(args.ref_b))
     except (ValueError, OSError) as exc:
         print(f"repro runs: error: {exc}", file=sys.stderr)
         return 2
-
     if args.json:
-        print(json.dumps([f.to_dict() for f in findings], indent=1))
-    elif not findings:
-        print(f"ok: no findings for run {record['run_id']}")
+        print(json.dumps(diff, indent=1, sort_keys=True))
     else:
-        for f in findings:
-            print(f"{f.severity.upper():8s} [{f.rule}] {f.subject}: {f.message}")
-        errors = sum(1 for f in findings if f.severity == "error")
-        print(
-            f"{len(findings)} finding(s) for run {record['run_id']} "
-            f"({errors} error(s))"
+        print(_format_diff_text(diff))
+    return 0
+
+
+#: What each probe's payload is called in a refusal of a non-sweep run.
+_PAYLOAD_NOUNS = {"ledger": "ledgers", "lineage": "lineage"}
+
+
+def _probed_points(args, probe: str):
+    """The run and points that ``explain`` (``probe="ledger"``) and
+    ``lineage`` (``probe="lineage"``) read.
+
+    Loads the registry record ``args.ref`` names, refuses a run that is
+    not a sweep, keeps the points whose label contains ``--point``, and
+    pairs each with its ``probe`` payload. A point whose sweep ran
+    without that probe is re-executed on ``--backend`` with it attached
+    (identical summary, bit-identical payload on either backend).
+    Returns ``(record, [(point, payload, recomputed), ...])``, or None
+    after printing the command's one-line error.
+    """
+    from repro.experiments.sweep import run_point_probed
+    from repro.obs.registry import RunRegistry, default_registry_dir
+
+    try:
+        record = RunRegistry(args.registry or default_registry_dir()).load(
+            args.ref
         )
-    return 1 if has_errors(findings) else 0
+        if record.get("kind") != "sweep":
+            raise ValueError(
+                f"run {record['run_id']} is a {record.get('kind', '?')} "
+                f"run; only sweep runs carry per-point {_PAYLOAD_NOUNS[probe]}"
+            )
+        points = [
+            p
+            for p in record.get("points", ())
+            if args.point is None or args.point in p.get("label", "")
+        ]
+        if not points:
+            raise ValueError(
+                f"no point of run {record['run_id']} matches {args.point!r}"
+            )
+        probed = []
+        for p in points:
+            payload = p.get(probe)
+            recomputed = payload is None
+            if recomputed:
+                payload = run_point_probed(
+                    p["params"], (probe,), backend=args.backend
+                )[1][probe]
+            probed.append((p, payload, recomputed))
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return None
+    return record, probed
 
 
 def _cmd_explain(args) -> int:
     import json
 
-    from repro.experiments.sweep import build_scenario, run_point_ledgered
+    from repro.experiments.sweep import build_scenario
     from repro.obs.ledger import format_ledger_text
-    from repro.obs.registry import RunRegistry, default_registry_dir
     from repro.power.meter import decompose_energy
     from repro.power.model import PowerModel
 
@@ -822,50 +720,15 @@ def _cmd_explain(args) -> int:
             file=sys.stderr,
         )
         return 2
-    registry = RunRegistry(args.registry or default_registry_dir())
-    try:
-        record = registry.load(args.ref)
-    except (ValueError, OSError) as exc:
-        print(f"repro explain: error: {exc}", file=sys.stderr)
+    loaded = _probed_points(args, "ledger")
+    if loaded is None:
         return 2
-    if record.get("kind") != "sweep":
-        print(
-            f"repro explain: error: run {record['run_id']} is a "
-            f"{record.get('kind', '?')} run; only sweep runs carry "
-            "per-point ledgers",
-            file=sys.stderr,
-        )
-        return 2
-    points = [
-        p
-        for p in record.get("points", ())
-        if args.point is None or args.point in p.get("label", "")
-    ]
-    if not points:
-        print(
-            f"repro explain: error: no point of run {record['run_id']} "
-            f"matches {args.point!r}",
-            file=sys.stderr,
-        )
-        return 2
+    record, points = loaded
 
     sections: List[str] = []
     payload: List[dict] = []
     violations: List[str] = []
-    for p in points:
-        ledger = p.get("ledger")
-        recomputed = ledger is None
-        if recomputed:
-            # the sweep ran without --ledger: re-execute this point with
-            # one attached (identical summary, bit-identical ledger on
-            # either backend)
-            try:
-                _, ledger = run_point_ledgered(
-                    p["params"], backend=args.backend
-                )
-            except (ValueError, KeyError) as exc:
-                print(f"repro explain: error: {exc}", file=sys.stderr)
-                return 2
+    for p, ledger, recomputed in points:
         scenario = build_scenario(p["params"])
         nodes = len(
             {cid // scenario.cores_per_node for cid in scenario.app_core_ids}
@@ -940,56 +803,19 @@ def _cmd_explain(args) -> int:
 def _cmd_lineage(args) -> int:
     import json
 
-    from repro.experiments.sweep import run_point_lineaged
     from repro.obs.lineage import format_lineage_text, lineage_dot
-    from repro.obs.registry import RunRegistry, default_registry_dir
 
-    registry = RunRegistry(args.registry or default_registry_dir())
-    try:
-        record = registry.load(args.ref)
-    except (ValueError, OSError) as exc:
-        print(f"repro lineage: error: {exc}", file=sys.stderr)
+    loaded = _probed_points(args, "lineage")
+    if loaded is None:
         return 2
-    if record.get("kind") != "sweep":
-        print(
-            f"repro lineage: error: run {record['run_id']} is a "
-            f"{record.get('kind', '?')} run; only sweep runs carry "
-            "per-point lineage",
-            file=sys.stderr,
-        )
-        return 2
-    points = [
-        p
-        for p in record.get("points", ())
-        if args.point is None or args.point in p.get("label", "")
-    ]
-    if not points:
-        print(
-            f"repro lineage: error: no point of run {record['run_id']} "
-            f"matches {args.point!r}",
-            file=sys.stderr,
-        )
-        return 2
+    record, points = loaded
 
     sections: List[str] = []
     dots: List[str] = []
     payload: List[dict] = []
     violations: List[str] = []
     insane: List[str] = []
-    for p in points:
-        lineage = p.get("lineage")
-        recomputed = lineage is None
-        if recomputed:
-            # the sweep ran without --lineage: re-execute this point
-            # with a recorder attached (identical summary, bit-identical
-            # lineage payload on either backend)
-            try:
-                _, lineage = run_point_lineaged(
-                    p["params"], backend=args.backend
-                )
-            except (ValueError, KeyError) as exc:
-                print(f"repro lineage: error: {exc}", file=sys.stderr)
-                return 2
+    for p, lineage, recomputed in points:
         for step in lineage["steps"]:
             # oracle <= observed holds by construction (mean <= max);
             # a violation is a library bug, not a bad balancer
@@ -1070,9 +896,7 @@ _COMMANDS = {
     "fig3": _cmd_fig3,
     "fig4": _cmd_fig4,
     "headline": _cmd_headline,
-    "demo": _cmd_demo,
     "sweep": _cmd_sweep,
-    "watch": _cmd_watch,
     "report": _cmd_report,
     "runs": _cmd_runs,
     "explain": _cmd_explain,

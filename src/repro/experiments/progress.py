@@ -1,7 +1,7 @@
 """Structured sweep progress: JSON-lines events and aggregate metrics.
 
 The sweep engine narrates a run as a stream of flat JSON objects — one
-line per event — so long sweeps can be monitored (``tail -f``) and
+line per event — so a sweep can be followed (``tail -f``) and
 post-processed (wall-time per scenario, worker utilisation, cache hit
 rate) without parsing human-oriented tables. Events carry a monotonic
 ``t`` offset in seconds from sweep start, never wall-clock dates, so
@@ -18,8 +18,8 @@ Every event carries ``"schema": 1`` (:data:`PROGRESS_SCHEMA`) so log
 consumers can detect vocabulary changes; the number bumps on any
 incompatible change to event names or fields. *Additive* changes — new
 event types, new fields on existing events — keep the number, so
-consumers (``repro watch``, the run registry) must ignore anything they
-do not recognise (:func:`parse_progress_line` enforces only the
+consumers must ignore anything they do not recognise
+(:func:`parse_progress_line`, the format's reader, enforces only the
 envelope, never the full vocabulary).
 """
 
@@ -106,10 +106,11 @@ class EventLog:
         Writable text stream for the JSONL mirror (e.g. an open file or
         ``sys.stderr``). None keeps events in memory only.
     on_event:
-        Optional callback fired with every record as it is emitted (the
-        live-monitoring ingest hook: ``repro sweep --live`` attaches the
-        TTY renderer here). None — the default — keeps the emit path at
-        a single falsy check, so observation stays opt-in.
+        Optional callback fired with every record as it is emitted, so
+        a caller can watch a sweep in-process (the benchmark times a
+        reference kernel at every point start this way). None — the
+        default — keeps the emit path at a single falsy check, so
+        observation stays opt-in.
 
     Emission is thread-safe: the append + stream write + callback runs
     under one lock, so a log shared between threads never interleaves

@@ -6,9 +6,9 @@ These port the paper's evaluation loops onto the parallel sweep engine:
   (app, cores) cell's five runs: base, balanced base, interfered noLB,
   interfered LB, and the background job alone) as independent sweep
   points. It is the only code that builds a Figure 2/4 cell: the
-  figure generators (``fig2``, ``fig4``, the headline check,
-  ``repeat_case`` and ``repro demo``) run it serially with no cache,
-  and ``repro sweep --preset fig2`` adds workers and the result cache.
+  figure generators (``fig2``, ``fig4``, the headline check and
+  ``repeat_case``) run it serially with no cache, and ``repro sweep
+  --preset fig2`` adds workers and the result cache.
   :func:`fig2_rows_from_sweep` / :func:`fig4_rows_from_sweep` reduce the
   summaries to the paper's penalty and energy rows.
 * :func:`ablation_epsilon_spec` / :func:`ablation_period_spec` — the

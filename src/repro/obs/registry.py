@@ -21,9 +21,9 @@ source of truth. Registries may also hold ``kind: "bench"`` records
 from older versions; they are listed, shown and reported like any
 other record.
 
-Everything is queryable via ``repro runs list/show/diff/check`` (see
-:mod:`repro.cli`) and feeds the anomaly detectors
-(:mod:`repro.obs.anomaly`) and the HTML report
+Everything is queryable via ``repro runs list/show/diff`` (see
+:mod:`repro.cli`), ``repro explain`` and ``repro lineage`` read a
+run's points back from it, and it feeds the HTML report
 (:mod:`repro.obs.report`).
 """
 
@@ -301,23 +301,6 @@ class RunRegistry:
         if not isinstance(record, dict) or record.get("schema") != RUN_SCHEMA:
             raise ValueError(f"{path}: not a schema-{RUN_SCHEMA} run record")
         return record
-
-    def history(
-        self, name: str, *, kind: str = "sweep", before: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        """Full records named ``name`` (oldest first), optionally only
-        those registered strictly before run ``before``."""
-        out: List[Dict[str, Any]] = []
-        for line in self.list():
-            if line.get("kind") != kind or line.get("name") != name:
-                continue
-            if before is not None and line["run_id"] == before:
-                break
-            try:
-                out.append(self.load(line["run_id"]))
-            except (ValueError, OSError):  # pragma: no cover - corrupt record
-                continue
-        return out
 
 
 # ---------------------------------------------------------------------------

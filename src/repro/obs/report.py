@@ -14,8 +14,7 @@ JavaScript or assets** — summarising everything the registry knows:
 * load imbalance for runs recorded with ``sweep --lineage``: one
   per-iteration λ sparkline and one Sankey-style migration-flow strip
   per point, with the run's counterfactual LB efficiency
-  (see :mod:`repro.obs.lineage`);
-* anomaly findings from :mod:`repro.obs.anomaly`, worst first.
+  (see :mod:`repro.obs.lineage`).
 
 Self-containment is the deployment story: CI uploads the single file as
 an artifact and it renders anywhere — no server, no CDN, no build step.
@@ -31,13 +30,6 @@ import html
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
-from repro.obs.anomaly import (
-    DEFAULT_THRESHOLDS,
-    Finding,
-    Thresholds,
-    _lb_pairs,
-    check_run,
-)
 from repro.obs.registry import RunRegistry
 
 __all__ = ["build_report", "render_report", "write_report"]
@@ -74,7 +66,7 @@ th { color: var(--ink-2); font-weight: 600; }
 .tile .k { color: var(--ink-2); font-size: 0.8rem; }
 .sev-error { color: var(--error); font-weight: 600; }
 .sev-warning { color: var(--warning); font-weight: 600; }
-.sev-info, .muted { color: var(--ink-2); }
+.muted { color: var(--ink-2); }
 .ok { color: var(--good); font-weight: 600; }
 code { background: var(--tile); padding: 0 0.25rem; border-radius: 3px; }
 .spark { vertical-align: middle; }
@@ -200,25 +192,32 @@ def _ledger_bar(fractions: Mapping[str, Any]) -> str:
     return "".join(parts)
 
 
-def _sev_cell(severity: str) -> str:
-    # status is icon + label, never color alone
-    icons = {"error": "✖", "warning": "▲", "info": "ℹ"}
-    return (
-        f'<span class="sev-{_esc(severity)}">'
-        f"{icons.get(severity, '•')} {_esc(severity)}</span>"
-    )
-
-
 # ---------------------------------------------------------------------------
 # data assembly
 # ---------------------------------------------------------------------------
 
 
-def build_report(
-    registry_dir: Union[str, Path],
-    *,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> Dict[str, Any]:
+def _lb_pairs(record: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """(noLB point, LB point) pairs: identical params except balancer."""
+    by_key: Dict[str, List[Mapping[str, Any]]] = {}
+    for point in record.get("points", ()):
+        params = point.get("params")
+        if not isinstance(params, Mapping):
+            continue
+        rest = {k: v for k, v in params.items() if k != "balancer"}
+        key = repr(sorted(rest.items()))
+        by_key.setdefault(key, []).append(point)
+    pairs: List[Dict[str, Any]] = []
+    for group in by_key.values():
+        nolb = [p for p in group if p["params"].get("balancer") in (None, "none")]
+        balanced = [p for p in group if p["params"].get("balancer") not in (None, "none")]
+        for base in nolb:
+            for lb in balanced:
+                pairs.append({"nolb": base, "lb": lb})
+    return pairs
+
+
+def build_report(registry_dir: Union[str, Path]) -> Dict[str, Any]:
     """Assemble everything the dashboard renders into one plain dict.
 
     Separated from :func:`render_report` so tests (and future JSON
@@ -227,9 +226,8 @@ def build_report(
     registry = RunRegistry(registry_dir)
     index = registry.list()
 
-    # latest full record per sweep name, plus per-run findings
+    # latest full record per sweep name
     latest_by_name: Dict[str, Dict[str, Any]] = {}
-    findings: List[Finding] = []
     total_points = 0
     for line in index:
         total_points += int(line.get("points", 0) or 0)
@@ -240,11 +238,6 @@ def build_report(
         except (ValueError, OSError):
             continue
         latest_by_name[record["name"]] = record
-    for record in latest_by_name.values():
-        history = registry.history(
-            record["name"], before=record["run_id"]
-        )
-        findings.extend(check_run(record, history, thresholds))
 
     # figure validation: interfered LB-vs-noLB pairs of each latest run
     figure_rows: List[Dict[str, Any]] = []
@@ -316,7 +309,6 @@ def build_report(
         "figure_rows": figure_rows,
         "ledger_rows": ledger_rows,
         "lineage_rows": lineage_rows,
-        "findings": [f.to_dict() for f in findings],
     }
 
 
@@ -328,12 +320,9 @@ def build_report(
 def render_report(data: Mapping[str, Any]) -> str:
     """The dashboard dict -> one self-contained HTML document."""
     runs: Sequence[Mapping[str, Any]] = data.get("runs", ())
-    findings: Sequence[Mapping[str, Any]] = data.get("findings", ())
     figure_rows: Sequence[Mapping[str, Any]] = data.get("figure_rows", ())
     ledger_rows: Sequence[Mapping[str, Any]] = data.get("ledger_rows", ())
     lineage_rows: Sequence[Mapping[str, Any]] = data.get("lineage_rows", ())
-    errors = sum(1 for f in findings if f.get("severity") == "error")
-    warnings = sum(1 for f in findings if f.get("severity") == "warning")
 
     out: List[str] = []
     out.append("<!DOCTYPE html>")
@@ -342,8 +331,9 @@ def render_report(data: Mapping[str, Any]) -> str:
     out.append(f"<style>{_CSS}</style></head><body>")
     out.append("<h1>repro observability report</h1>")
     out.append(
-        '<p class="muted">Cross-run registry, paper-figure validation '
-        "and anomaly findings — one static page, no external assets.</p>"
+        '<p class="muted">Cross-run registry, paper-figure validation, '
+        "time attribution and load imbalance — one static page, no "
+        "external assets.</p>"
     )
 
     # stat tiles
@@ -351,7 +341,6 @@ def render_report(data: Mapping[str, Any]) -> str:
     for value, label in (
         (len(runs), "runs registered"),
         (data.get("total_points", 0), "points recorded"),
-        (f"{errors} / {warnings}", "errors / warnings"),
         (str(data.get("latest_sha", "unknown"))[:12], "latest git sha"),
     ):
         out.append(
@@ -492,42 +481,19 @@ def render_report(data: Mapping[str, Any]) -> str:
     else:
         out.append('<p class="muted">The registry is empty.</p>')
 
-    # findings
-    out.append("<h2>Anomaly findings</h2>")
-    if findings:
-        out.append(
-            "<table><thead><tr><th>severity</th><th>rule</th>"
-            "<th>subject</th><th>detail</th></tr></thead><tbody>"
-        )
-        for f in findings:
-            out.append(
-                f"<tr><td>{_sev_cell(str(f.get('severity', 'info')))}</td>"
-                f"<td><code>{_esc(f.get('rule', '?'))}</code></td>"
-                f"<td><code>{_esc(f.get('subject', '?'))}</code></td>"
-                f"<td>{_esc(f.get('message', ''))}</td></tr>"
-            )
-        out.append("</tbody></table>")
-    else:
-        out.append('<p class="ok">✓ No anomalies detected.</p>')
-
     out.append(
-        "<footer>Generated by <code>repro report</code> — findings are "
-        "rule-based (see <code>repro.obs.anomaly</code>); "
-        "<code>repro runs check</code> gates CI on error-severity "
-        "findings.</footer>"
+        "<footer>Generated by <code>repro report</code> from the run "
+        "registry (<code>repro runs list</code>).</footer>"
     )
     out.append("</body></html>")
     return "\n".join(out)
 
 
 def write_report(
-    path: Union[str, Path],
-    registry_dir: Union[str, Path],
-    *,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    path: Union[str, Path], registry_dir: Union[str, Path]
 ) -> Dict[str, Any]:
     """Build and write the dashboard; returns the underlying data dict."""
-    data = build_report(registry_dir, thresholds=thresholds)
+    data = build_report(registry_dir)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_report(data))

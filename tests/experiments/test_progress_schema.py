@@ -1,8 +1,9 @@
 """The ``"schema": 1`` progress-event stream contract.
 
-Round-trips every event type a real smoke sweep emits through the
-parser, and pins the forward-compatibility rule: consumers validate the
-envelope only, so unknown fields and unknown event types must parse.
+Round-trips every event type a real smoke sweep emits, serially and
+from a 2-worker pool, through the parser, and pins the
+forward-compatibility rule: consumers validate the envelope only, so
+unknown fields and unknown event types must parse.
 """
 
 import json
@@ -19,9 +20,10 @@ from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs.registry import RunRegistry
 
 
-@pytest.fixture(scope="module")
-def smoke_stream(tmp_path_factory):
-    """Progress JSONL from one real (tiny) registered sweep."""
+@pytest.fixture(scope="module", params=[1, 2], ids=["workers=1", "workers=2"])
+def smoke_stream(request, tmp_path_factory):
+    """Progress JSONL from one real (tiny) registered sweep, run
+    serially and on a 2-worker pool."""
     tmp = tmp_path_factory.mktemp("progress")
     spec = SweepSpec(
         name="tiny",
@@ -32,6 +34,7 @@ def smoke_stream(tmp_path_factory):
     with open(path, "w") as fh:
         run_sweep(
             spec,
+            workers=request.param,
             log=EventLog(stream=fh),
             registry=RunRegistry(tmp / "registry"),
         )

@@ -1,8 +1,8 @@
 """Shared fixtures: fabricate sweep runs without running the simulator.
 
-The registry/anomaly/report tests need *many* runs with controlled
-metrics (e.g. an injected 3x timing outlier); simulating would be slow
-and couple the tests to engine physics. These factories build real
+The registry and report tests need runs with controlled metrics (e.g.
+an LB point slower than its matched noLB point); simulating would be
+slow and couple the tests to engine physics. These factories build real
 ``SweepSpec``/``SweepResult`` objects directly.
 """
 

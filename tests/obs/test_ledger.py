@@ -5,8 +5,8 @@ bit-identical ledgers) live in ``tests/experiments/test_backend_parity``;
 this module covers the ledger itself — exact accounting mechanics on
 synthetic intervals, the conservation invariant over random scenarios,
 the energy decomposition reconciling bit-exactly with the meter, and the
-surfaces that carry ledgers (sweep results, cache, registry, anomaly
-rules, waterfall rendering, Perfetto export, the explain CLI).
+surfaces that carry ledgers (sweep results, cache, registry,
+waterfall rendering, Perfetto export, the explain CLI).
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.experiments.sweep_presets import smoke_spec
-from repro.obs.anomaly import check_ledger
 from repro.obs.ledger import (
     BUCKETS,
     LedgerError,
@@ -357,87 +356,6 @@ class TestSweepCarriage:
         assert set(record["ledger"]["mean_fractions"]) == set(BUCKETS)
         for point in record["points"]:
             assert point["ledger"]["conserved"]
-
-
-# ---------------------------------------------------------------------------
-# anomaly rules
-# ---------------------------------------------------------------------------
-
-
-def _ledger_point(label, **over):
-    ledger = {
-        "conserved": True,
-        "residual_s": 0.0,
-        "wall_s": 1.0,
-        "cores": [0, 1],
-        "totals": {"compute": 1.0, "stolen": 0.1, "overhead": 0.01, "idle": 0.2},
-        "fractions": {"compute": 0.5, "stolen": 0.05, "overhead": 0.02, "idle": 0.1},
-    }
-    ledger.update(over)
-    return {
-        "label": label,
-        "params": {"app": "jacobi2d", "seed": 1},
-        "summary": {"app_time": 1.0},
-        "ledger": ledger,
-    }
-
-
-class TestAnomalyRules:
-    def test_clean_point_no_findings(self):
-        assert check_ledger({"run_id": "r", "points": [_ledger_point("a")]}, []) == []
-
-    def test_conservation_violation_is_error(self):
-        rec = {
-            "run_id": "r",
-            "points": [_ledger_point("a", conserved=False, residual_s=1e-3)],
-        }
-        findings = check_ledger(rec, [])
-        assert [f.rule for f in findings] == ["ledger-not-conserved"]
-        assert findings[0].severity == "error"
-
-    def test_interference_dominated_escalates(self):
-        warn = check_ledger(
-            {"run_id": "r", "points": [_ledger_point(
-                "a", totals={"compute": 1.0, "stolen": 0.6, "overhead": 0.0, "idle": 0.0})]},
-            [],
-        )
-        assert [f.rule for f in warn] == ["interference-dominated"]
-        assert warn[0].severity == "warning"
-        err = check_ledger(
-            {"run_id": "r", "points": [_ledger_point(
-                "a", totals={"compute": 1.0, "stolen": 1.5, "overhead": 0.0, "idle": 0.0})]},
-            [],
-        )
-        assert err[0].severity == "error"
-
-    def test_overhead_spike_needs_history(self):
-        spike = {"run_id": "r", "points": [_ledger_point(
-            "a", fractions={"compute": 0.5, "stolen": 0.05, "overhead": 0.09, "idle": 0.1})]}
-        assert check_ledger(spike, []) == []
-        history = [{"run_id": "h", "points": [_ledger_point("a")]}]
-        findings = check_ledger(spike, history)
-        assert [f.rule for f in findings] == ["migration-overhead-spike"]
-
-    def test_idle_regression_vs_history(self):
-        history = [{"run_id": "h", "points": [_ledger_point("a")]}]
-        rec = {"run_id": "r", "points": [_ledger_point(
-            "a", fractions={"compute": 0.5, "stolen": 0.05, "overhead": 0.02, "idle": 0.3})]}
-        findings = check_ledger(rec, history)
-        assert [f.rule for f in findings] == ["idle-regression"]
-        assert findings[0].severity == "error"
-
-    def test_below_floor_is_silent(self):
-        history = [{"run_id": "h", "points": [_ledger_point(
-            "a", fractions={"compute": 0.5, "stolen": 0.05, "overhead": 0.001, "idle": 0.1})]}]
-        rec = {"run_id": "r", "points": [_ledger_point(
-            "a", fractions={"compute": 0.5, "stolen": 0.05, "overhead": 0.005, "idle": 0.1})]}
-        assert check_ledger(rec, history) == []
-
-    def test_unledgered_points_are_skipped(self):
-        rec = {"run_id": "r", "points": [
-            {"label": "a", "params": {}, "summary": {"app_time": 1.0}}
-        ]}
-        assert check_ledger(rec, []) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Three layers under test: the exact imbalance statistics
 (:func:`imbalance_metrics` — λ, CoV, Gini), the
 :class:`LineageRecorder` hook contract and its derived residency
 graph / counterfactual bounds (hand-built sample schedules with known
-answers), and the carriage through sweeps, caches, the registry, the
-anomaly rules and the report. Backend parity of the payloads lives in
+answers), and the carriage through sweeps, caches, the registry and
+the report. Backend parity of the payloads lives in
 ``tests/experiments/test_backend_parity.py``.
 """
 
@@ -26,7 +26,6 @@ from repro.experiments.sweep import (
     run_point_lineaged,
     run_sweep,
 )
-from repro.obs.anomaly import Thresholds, check_lineage, check_run
 from repro.obs.lineage import (
     LINEAGE_SCHEMA,
     LineageError,
@@ -544,28 +543,8 @@ class TestSweepCarriage:
 
 
 # ---------------------------------------------------------------------------
-# anomaly rules
+# report section
 # ---------------------------------------------------------------------------
-
-
-def _lineage_point(label, *, efficiency=0.8, steps=(), sane=True):
-    return {
-        "label": label,
-        "params": {"cores": 4},
-        "summary": {"app_time": 1.0},
-        "lineage": {
-            "schema": LINEAGE_SCHEMA,
-            "steps": list(steps),
-            "run": {
-                "lb_steps": len(steps),
-                "migrations": sum(len(s["migrations"]) for s in steps),
-                "recovered_s": 1.0,
-                "recoverable_s": 1.25,
-                "efficiency": efficiency,
-                "sane": sane,
-            },
-        },
-    }
 
 
 def _churn_steps(chare="c[3]", count=4, recovered=0.0):
@@ -575,74 +554,6 @@ def _churn_steps(chare="c[3]", count=4, recovered=0.0):
                          "reason": None}]}
         for k in range(count)
     ]
-
-
-class TestAnomalyRules:
-    def test_unlineaged_points_are_silent(self):
-        rec = {"run_id": "r", "points": [
-            {"label": "a", "params": {}, "summary": {"app_time": 1.0}}
-        ]}
-        assert check_lineage(rec, []) == []
-
-    def test_thrashing_chare_warns(self):
-        rec = {"run_id": "r",
-               "points": [_lineage_point("a", steps=_churn_steps())]}
-        findings = check_lineage(rec, [])
-        assert [f.rule for f in findings] == ["thrashing-chare"]
-        assert findings[0].severity == "warning"
-        assert findings[0].subject == "r:a:c[3]"
-
-    def test_churn_that_recovers_load_is_not_thrashing(self):
-        rec = {"run_id": "r", "points": [
-            _lineage_point("a", steps=_churn_steps(recovered=0.01))
-        ]}
-        assert check_lineage(rec, []) == []
-
-    def test_migration_count_at_threshold_is_silent(self):
-        rec = {"run_id": "r", "points": [
-            _lineage_point("a", steps=_churn_steps(count=3))
-        ]}
-        assert check_lineage(rec, []) == []
-
-    def test_efficiency_drop_needs_history(self):
-        now = {"run_id": "r", "points": [_lineage_point("a", efficiency=0.1)]}
-        assert check_lineage(now, []) == []
-        history = [{"run_id": "h", "points": [_lineage_point("a")]}]
-        findings = check_lineage(now, history)
-        assert [f.rule for f in findings] == ["imbalance-unrecovered"]
-        assert findings[0].severity == "error"  # drop 0.7 >= 0.5
-
-    def test_moderate_drop_is_a_warning(self):
-        history = [{"run_id": "h", "points": [_lineage_point("a")]}]
-        now = {"run_id": "r", "points": [_lineage_point("a", efficiency=0.5)]}
-        findings = check_lineage(now, history)
-        assert [f.rule for f in findings] == ["imbalance-unrecovered"]
-        assert findings[0].severity == "warning"
-
-    def test_small_drop_is_silent(self):
-        history = [{"run_id": "h", "points": [_lineage_point("a")]}]
-        now = {"run_id": "r", "points": [_lineage_point("a", efficiency=0.7)]}
-        assert check_lineage(now, history) == []
-
-    def test_thresholds_are_tunable(self):
-        rec = {"run_id": "r", "points": [
-            _lineage_point("a", steps=_churn_steps(count=2))
-        ]}
-        strict = Thresholds(thrash_migrations=1)
-        assert [f.rule for f in check_lineage(rec, [], strict)] == [
-            "thrashing-chare"
-        ]
-
-    def test_check_run_composes_lineage_rules(self):
-        rec = {"run_id": "r",
-               "points": [_lineage_point("a", steps=_churn_steps())]}
-        rules = {f.rule for f in check_run(rec, [])}
-        assert "thrashing-chare" in rules
-
-
-# ---------------------------------------------------------------------------
-# report section
-# ---------------------------------------------------------------------------
 
 
 class TestReportSection:
@@ -811,7 +722,7 @@ class TestSurfaces:
         run_sweep(_SPEC, workers=1, cache=None, lineage=True,
                   registry=registry)
         rc = main(["runs", "--registry", str(tmp_path / "reg"),
-                   "show", "latest", "--json"])
+                   "show", "latest"])
         assert rc == 0
         cap = capsys.readouterr()
         assert cap.err == ""

@@ -1,4 +1,4 @@
-"""The run registry: ingest, list, resolve, history, reconcile, diff."""
+"""The run registry: ingest, list, resolve, reconcile, diff."""
 
 import json
 
@@ -89,21 +89,6 @@ def test_load_and_resolve(registry, fabricate):
 def test_resolve_on_empty_registry(registry):
     with pytest.raises(ValueError, match="no runs"):
         registry.resolve("latest")
-
-
-def test_history_excludes_other_names_and_later_runs(registry, fabricate):
-    ids = []
-    for hour, name in ((10, "smoke"), (11, "abl"), (12, "smoke"), (13, "smoke")):
-        spec, result = fabricate(name, [{"label": "a"}])
-        rec = registry.ingest_sweep(
-            spec, result, created_utc=f"2026-08-06T{hour}:00:00Z"
-        )
-        ids.append(rec["run_id"])
-    history = registry.history("smoke", before=ids[3])
-    assert [r["run_id"] for r in history] == [ids[0], ids[2]]
-    assert [r["run_id"] for r in registry.history("smoke")] == [
-        ids[0], ids[2], ids[3]
-    ]
 
 
 def test_index_reconciles_missing_lines(registry, fabricate):

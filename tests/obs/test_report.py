@@ -20,14 +20,14 @@ def _pinned_sha(monkeypatch):
 
 @pytest.fixture
 def populated(tmp_path, fabricate):
-    """A registry with history + an outlier run."""
+    """Three runs of one sweep; in the latest, LB loses to noLB."""
     registry = RunRegistry(tmp_path / "registry")
     for i in range(2):
         spec, result = fabricate("smoke", PAIRED_POINTS)
         registry.ingest_sweep(spec, result, created_utc=f"2026-08-06T1{i}:00:00Z")
-    outlier = [dict(p) for p in PAIRED_POINTS]
-    outlier[1] = {**outlier[1], "app_time": 4.5}  # 3x -> error + lb-no-benefit
-    spec, result = fabricate("smoke", outlier)
+    slow_lb = [dict(p) for p in PAIRED_POINTS]
+    slow_lb[1] = {**slow_lb[1], "app_time": 4.5}  # LB slower than noLB
+    spec, result = fabricate("smoke", slow_lb)
     registry.ingest_sweep(spec, result, created_utc="2026-08-06T12:00:00Z")
     return registry
 
@@ -44,10 +44,6 @@ def test_build_report_assembles_everything(populated):
     assert row["nolb_s"] == 2.0 and row["lb_s"] == 4.5
     assert row["holds"] is False
 
-    rules = {f["rule"] for f in data["findings"]}
-    assert {"penalty-outlier", "lb-no-benefit"} <= rules
-    assert any(f["severity"] == "error" for f in data["findings"])
-
 
 def test_render_report_is_self_contained_html(populated):
     data = build_report(populated.root)
@@ -59,18 +55,16 @@ def test_render_report_is_self_contained_html(populated):
     assert "<link" not in html
     # content made it in
     assert data["runs"][-1]["run_id"] in html
-    assert "penalty-outlier" in html
+    # status is icon + label, never color alone
     assert "▲ violated" in html
     assert "prefers-color-scheme: dark" in html
-    # severity is icon + label, never color alone
-    assert "✖ error" in html
 
 
 def test_render_report_empty_registry(tmp_path):
     data = build_report(tmp_path / "registry")
     html = render_report(data)
     assert "The registry is empty." in html
-    assert "✓ No anomalies detected." in html
+    assert "No interfered LB/noLB pairs" in html
 
 
 def test_report_escapes_untrusted_strings(tmp_path, fabricate):

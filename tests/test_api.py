@@ -119,3 +119,30 @@ def test_a_stencil_sweep_point_never_imports_numpy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_the_probes_import_neither_the_registry_nor_the_report():
+    """``repro.obs`` imports nothing at package level: a run that loads
+    the ledger and lineage probes does not load the read-side registry
+    and report modules."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import repro.obs.ledger, repro.obs.lineage\n"
+        "print([m for m in ('repro.obs.registry', 'repro.obs.report')"
+        " if m in sys.modules])\n"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -56,14 +56,6 @@ def test_fig4_command(capsys):
     assert "Figure 4" in capsys.readouterr().out
 
 
-def test_demo_command(capsys):
-    rc = main(["demo", "--scale", "0.2", "--iterations", "20", "--cores", "8"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "interfered, noLB" in out
-    assert "interfered, LB" in out
-
-
 def test_output_directory(tmp_path, capsys):
     rc = main(
         ["fig1", "--scale", "0.1", "--iterations", "8", "--output", str(tmp_path)]
@@ -84,7 +76,25 @@ def test_headline_exit_code_reflects_claim(capsys):
 
 def test_unknown_app_rejected():
     with pytest.raises(SystemExit):
-        main(["demo", "--app", "linpack"])
+        main(["fig2", "--apps", "linpack"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["watch", "events.jsonl"],
+        ["demo"],
+        ["runs", "check"],
+        ["sweep", "--preset", "smoke", "--live"],
+        ["runs", "show", "latest", "--json"],
+    ],
+    ids=["watch", "demo", "runs-check", "sweep-live", "runs-show-json"],
+)
+def test_retired_commands_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_requires_spec_or_preset():
@@ -277,14 +287,16 @@ def test_log_level_flag_configures_root_logger(capsys):
     root = logging.getLogger()
     before = root.level
     try:
-        assert main(["--log-level", "warning", "demo", "--scale", "0.05"]) == 0
+        assert main(["--log-level", "warning", "fig2", "--scale", "0.05",
+                     "--iterations", "5", "--cores", "4",
+                     "--apps", "jacobi2d"]) == 0
         assert root.level == logging.WARNING
     finally:
         root.setLevel(before)
 
 
 # ---------------------------------------------------------------------------
-# observability: registry, watch, report, anomaly gate
+# observability: registry and report
 # ---------------------------------------------------------------------------
 
 
@@ -328,82 +340,6 @@ def test_sweep_no_registry_skips_ingest(tmp_path, capsys):
     assert "is empty" in capsys.readouterr().out
 
 
-def test_sweep_live_renders_final_frame_to_stderr(tmp_path, capsys):
-    rc = main(["sweep", "--preset", "smoke", "--no-cache", "--live",
-               "--registry", str(tmp_path / "registry")])
-    assert rc == 0
-    err = capsys.readouterr().err
-    assert "sweep smoke — 4/4 points" in err
-    assert "done: executed=4" in err
-
-
-def test_watch_replays_a_jsonl_progress_file(tmp_path, capsys):
-    jsonl = tmp_path / "events.jsonl"
-    rc = main(["sweep", "--preset", "smoke", "--no-cache", "--no-registry",
-               "--jsonl", str(jsonl)])
-    assert rc == 0
-    capsys.readouterr()
-    assert main(["watch", str(jsonl)]) == 0
-    out = capsys.readouterr().out
-    assert "sweep smoke — 4/4 points" in out
-    assert "100.0%" in out
-
-    assert main(["watch", str(tmp_path / "nope.jsonl")]) == 1
-    assert "no progress file" in capsys.readouterr().err
-
-    assert main(["watch", str(jsonl), "--interval", "0"]) == 2
-    assert "--interval must be > 0" in capsys.readouterr().err
-
-
-def test_runs_check_flags_injected_outlier_with_nonzero_exit(tmp_path, capsys,
-                                                             monkeypatch):
-    """Acceptance: a 3x penalty outlier in a registry fixture makes
-    ``repro runs check`` exit non-zero with an error finding."""
-    monkeypatch.setenv("REPRO_GIT_SHA", "feedbeef")
-    from repro.obs.registry import RunRegistry
-    from tests.obs.conftest import PAIRED_POINTS, build_run
-
-    registry = RunRegistry(tmp_path / "registry")
-    for i in range(2):
-        spec, result = build_run("smoke", PAIRED_POINTS)
-        registry.ingest_sweep(spec, result,
-                              created_utc=f"2026-08-06T1{i}:00:00Z")
-    outlier = [dict(p) for p in PAIRED_POINTS]
-    outlier[1] = {**outlier[1], "app_time": 4.5}
-    spec, result = build_run("smoke", outlier)
-    registry.ingest_sweep(spec, result, created_utc="2026-08-06T12:00:00Z")
-
-    rc = main(["runs"] + _registry_args(tmp_path) + ["check", "latest"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "ERROR" in out and "penalty-outlier" in out
-    assert "3.00x" in out
-
-    # json mode carries the same findings
-    rc = main(["runs"] + _registry_args(tmp_path) + ["check", "latest",
-                                                     "--json"])
-    assert rc == 1
-    import json
-
-    findings = json.loads(capsys.readouterr().out)
-    assert any(f["rule"] == "penalty-outlier" and f["severity"] == "error"
-               for f in findings)
-
-    # the earlier runs are clean (warnings at most -> exit 0)
-    first = registry.list()[0]["run_id"]
-    assert main(["runs"] + _registry_args(tmp_path) + ["check", first]) == 0
-
-
-def test_runs_check_clean_run_exits_zero(tmp_path, capsys):
-    assert main(["sweep", "--preset", "smoke", "--no-cache",
-                 "--registry", str(tmp_path / "registry")]) == 0
-    capsys.readouterr()
-    rc = main(["runs"] + _registry_args(tmp_path) + ["check"])
-    assert rc == 0  # smoke lb-no-benefit findings are warnings, never errors
-    out = capsys.readouterr().out
-    assert "0 error(s)" in out or "no findings" in out
-
-
 def test_runs_diff_between_two_registered_sweeps(tmp_path, capsys):
     for _ in range(2):
         assert main(["sweep", "--preset", "smoke", "--no-cache",
@@ -431,7 +367,6 @@ def test_corrupt_run_record_error_names_the_file(tmp_path, capsys):
     record.write_text(record.read_text()[:200])
     capsys.readouterr()
     for argv in (["runs", "--registry", str(registry), "show", record.stem],
-                 ["runs", "--registry", str(registry), "check", "latest"],
                  ["explain", "latest", "--registry", str(registry)]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -539,12 +474,6 @@ def test_registry_with_legacy_fabric_record_still_reads(tmp_path, capsys):
     assert json.loads(captured.out)["fabric"] == _LEGACY_FABRIC_BLOCK
     assert captured.err == ""
 
-    # no rule reads the block: steals, respawns and slow shards are silent
-    assert main(runs_prefix + ["check", "latest", "--json"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out) == []
-    assert captured.err == ""
-
     out_file = tmp_path / "report.html"
     assert main(["report"] + _registry_args(tmp_path)
                 + ["--output", str(out_file)]) == 0
@@ -558,8 +487,8 @@ def test_runs_errors_are_clean(tmp_path, capsys):
     runs_prefix = ["runs"] + _registry_args(tmp_path)
     assert main(runs_prefix + ["show", "latest"]) == 2
     assert "repro runs: error:" in capsys.readouterr().err
-    assert main(runs_prefix + ["check", "latest"]) == 2
-    assert "repro runs: error:" in capsys.readouterr().err
+    assert main(["explain", "latest"] + _registry_args(tmp_path)) == 2
+    assert "repro explain: error:" in capsys.readouterr().err
 
 
 def test_report_cli_writes_self_contained_html(tmp_path, capsys):
@@ -585,26 +514,3 @@ def test_inspect_empty_dir_is_a_clean_one_line_error(tmp_path, capsys):
     assert err.startswith("repro inspect: error:")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
-
-
-def test_watch_replay_asserts_completion(tmp_path, capsys):
-    jsonl = tmp_path / "progress.jsonl"
-    assert main(["sweep", "--preset", "smoke", "--no-cache", "--no-registry",
-                 "--jsonl", str(jsonl)]) == 0
-    capsys.readouterr()
-    assert main(["watch", str(jsonl), "--replay"]) == 0
-    assert "4/4 points" in capsys.readouterr().out
-
-    # strip the sweep_done tail: --replay must now fail
-    lines = jsonl.read_text().splitlines()
-    truncated = [l for l in lines if '"sweep_done"' not in l]
-    jsonl.write_text("\n".join(truncated) + "\n")
-    assert main(["watch", str(jsonl), "--replay"]) == 1
-    assert "no sweep_done" in capsys.readouterr().err
-
-
-def test_watch_replay_incompatible_with_follow(tmp_path, capsys):
-    path = tmp_path / "events.jsonl"
-    path.write_text("")
-    assert main(["watch", str(path), "--replay", "--follow"]) == 2
-    assert "incompatible" in capsys.readouterr().err
